@@ -21,9 +21,7 @@ import numpy as np
 
 from . import dimension, serialize, singular, surface, topology
 from .errors import PreconditionError, UnderResolvedError
-
-DEFAULT_GRID = 512
-DEFAULT_TOL = 1e-8
+from .singular import DEFAULT_GRID
 
 
 def _task_evolve(g, params, out, ctx):
@@ -227,8 +225,7 @@ _TASKS = {
 _GAUGELESS_TASKS = {"nonuniq"}
 
 
-def run_scenario(scenario, out_dir, seed=None, grid=DEFAULT_GRID,
-                 tol=DEFAULT_TOL):
+def run_scenario(scenario, out_dir, seed=None, grid=DEFAULT_GRID):
     """Execute one scenario dict; returns the exit code."""
     name = scenario.get("name", "scenario")
     task = scenario.get("task")
@@ -236,7 +233,7 @@ def run_scenario(scenario, out_dir, seed=None, grid=DEFAULT_GRID,
         print(f"error: unknown task {task!r}", file=sys.stderr)
         return 1
     os.makedirs(out_dir, exist_ok=True)
-    ctx = {"seed": scenario.get("seed", seed), "grid": grid, "tol": tol}
+    ctx = {"seed": scenario.get("seed", seed), "grid": grid}
     t0 = time.time()
     try:
         if task in _GAUGELESS_TASKS:
@@ -278,9 +275,6 @@ def main(argv=None):
     ap.add_argument("--out", default="out", help="output directory")
     ap.add_argument("--seed", type=int, default=None)
     ap.add_argument("--grid", type=int, default=DEFAULT_GRID)
-    ap.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    ap.add_argument("--parallel", type=int, default=os.cpu_count(),
-                    help="thread budget hint for vectorized grid work")
     args = ap.parse_args(argv)
     try:
         with open(args.scenario, encoding="utf-8") as fh:
@@ -291,8 +285,7 @@ def main(argv=None):
     if not isinstance(scenario, dict):
         print("error: scenario must be a JSON object", file=sys.stderr)
         return 1
-    return run_scenario(scenario, args.out, seed=args.seed, grid=args.grid,
-                        tol=args.tol)
+    return run_scenario(scenario, args.out, seed=args.seed, grid=args.grid)
 
 
 if __name__ == "__main__":

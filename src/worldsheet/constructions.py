@@ -193,33 +193,6 @@ def cantor_function(spec: CantorSpec):
                           sigma_alternating=mids[flanked])
 
 
-def cantor_series(k, modes, depth=6):
-    """Optional multi-mode sum over m-indexed copies with weights
-    2^{-m} / (C^k norm); approximates the full limit construction.
-    Returns a plain vectorized function on [0, 1]."""
-    parts = []
-    for m in modes:
-        f = cantor_function(CantorSpec.single_mode(k, m=m, depth=depth))
-        xs = np.linspace(0.0, 1.0, 4096)
-        norm = max(np.abs(f(xs)).max(),
-                   max(np.abs(f.deriv(xs, order=j)).max()
-                       for j in range(1, k + 1)))
-        parts.append((m, f, 2.0 ** (-m) / max(norm, 1e-30)))
-
-    def series(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for m, f, h in parts:
-            y = 2.0 ** (m + 1) * (x - 2.0 ** (-m))
-            inside = (y >= 0.0) & (y <= 1.0)
-            vals = np.zeros_like(x)
-            vals[inside] = f(y[inside]) - f(np.zeros(1))[0]
-            out += h * vals
-        return out
-
-    return series
-
-
 # ---------------------------------------------------------------------------
 # angle programs (plateau turns between dwell directions)
 

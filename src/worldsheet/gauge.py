@@ -80,6 +80,9 @@ class OrthogonalGauge:
     a: UnitSpeedCurve
     b: UnitSpeedCurve
     metadata: dict = field(default_factory=dict)
+    # (a, b, planar angle lift) kept by singular.classify_sing_star
+    _angle_cache: tuple | None = field(default=None, init=False, repr=False,
+                                       compare=False)
 
     def __post_init__(self):
         if self.a.dim != self.b.dim:
@@ -178,16 +181,30 @@ def normalize(couple: AdmissibleCouple, nodes=4096):
             x = np.clip(x - f / fp, 0.0, L)
         return x + wraps * L
 
+    # gauge_from_couple reads gamma0' and v0 on the same node sets, once
+    # for a' and once for b'; lambda is solved once per node set and the
+    # fields of the last four node sets are kept
+    memo = {}
+
+    def fields(s):
+        s = np.asarray(s, dtype=float)
+        key = (s.shape, s.tobytes())
+        if key not in memo:
+            x = lam(s)
+            gp = np.asarray(couple.gamma0_deriv(x), dtype=float)
+            v = np.asarray(couple.v0(x), dtype=float)
+            speed = np.linalg.norm(gp, axis=-1, keepdims=True)
+            scale = np.sqrt(1.0 - (v * v).sum(axis=-1, keepdims=True))
+            if len(memo) >= 4:
+                del memo[next(iter(memo))]
+            memo[key] = (gp / speed * scale, v)
+        return memo[key]
+
     def new_deriv(s):
-        x = lam(np.asarray(s, dtype=float))
-        gp = np.asarray(couple.gamma0_deriv(x), dtype=float)
-        v = np.asarray(couple.v0(x), dtype=float)
-        speed = np.linalg.norm(gp, axis=-1, keepdims=True)
-        scale = np.sqrt(1.0 - (v * v).sum(axis=-1, keepdims=True))
-        return gp / speed * scale
+        return fields(s)[0].copy()
 
     def new_v0(s):
-        return np.asarray(couple.v0(lam(np.asarray(s, dtype=float))), dtype=float)
+        return fields(s)[1].copy()
 
     return AdmissibleCouple(new_deriv, new_v0, E0, couple.dim,
                             couple.basepoint,

@@ -365,6 +365,16 @@ def angle_state(g: OrthogonalGauge, samples=8192):
                           beta_prime=beta_p, E0=g.E0)
 
 
+def _gauge_angle_state(g: OrthogonalGauge):
+    """angle_state(g), lifted once per gauge and kept until g.a or g.b
+    is replaced."""
+    a, b, st = g._angle_cache or (None, None, None)
+    if a is not g.a or b is not g.b:
+        st = angle_state(g)
+        g._angle_cache = (g.a, g.b, st)
+    return st
+
+
 def tangent_formula(state: TwoDAngleState, t, x, eps=1e-12):
     """Unit spatial tangent sign(sin(F/2)) * i e^{iG/2} (planar gauges)."""
     F = state.F(t, x)
@@ -400,6 +410,8 @@ def classify_sing_star(g: OrthogonalGauge, component: SingComponent,
     condition; all other components are probed by local sign sampling of
     F on shrinking neighborhoods.  Higher dimensions: tangent
     oscillation over shrinking annuli with an honest undetermined band.
+    Without ``state``, the planar angle lift is computed once per gauge
+    and reused by later calls.
     """
     spacing = g.E0 / grid_n
     comp = SingComponent(pairs=component.pairs, kind=component.kind,
@@ -410,7 +422,7 @@ def classify_sing_star(g: OrthogonalGauge, component: SingComponent,
         return comp
 
     if g.dim == 2:
-        st = angle_state(g) if state is None else state
+        st = _gauge_angle_state(g) if state is None else state
         s_arr, sig_arr = component.arrays()
         t_arr = 0.5 * (s_arr - sig_arr)
         x_arr = 0.5 * (s_arr + sig_arr)

@@ -3,6 +3,9 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
+
+from worldsheet import cli
 
 
 def run_cli(tmp_path, scenario, name="scen.json", extra=()):
@@ -155,3 +158,16 @@ def test_gauge_roundtrip_through_spec(tmp_path):
     xs = np.linspace(0, g.E0, 257)
     assert np.abs(g2.a.tangent(xs) - g.a.tangent(xs)).max() < 1e-6
     assert abs(g2.E0 - g.E0) < 1e-12
+
+
+@pytest.mark.parametrize("flag", ["--tol", "--parallel"])
+def test_removed_flag_rejected(tmp_path, capsys, flag):
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps({"name": "hopf-detect", "task": "detect",
+                                "builder": {"name": "hopf"}}))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--scenario", str(scen), "--out", str(tmp_path / "out"),
+                  flag, "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

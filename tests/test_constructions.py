@@ -75,14 +75,6 @@ def test_depth_resolution_guard():
         C.CantorSpec.single_mode(1, m=8, depth=40)
 
 
-def test_cantor_series_smoke():
-    series = C.cantor_series(1, modes=(2, 3), depth=4)
-    xs = np.linspace(0, 1, 1000)
-    vals = series(xs)
-    assert np.isfinite(vals).all()
-    assert np.abs(vals).max() > 0
-
-
 # sharp-dimension gauge ----------------------------------------------------
 
 def test_sharp_gauge_unit_speed(cantor_k1):

@@ -156,3 +156,38 @@ def test_immersion_rejected():
                          TWO_PI, 2, np.zeros(2))
     with pytest.raises(PreconditionError, match="immersion"):
         c.validate()
+
+
+def test_bake_reparametrizes_each_node_set_once(monkeypatch):
+    # normalize evaluates gamma0' 4 times; each node set then costs 7
+    # (3 Newton steps of 2, plus the fields): the is_normalized grid, the
+    # bake nodes and their midpoints.  Re-solving lambda per field and per
+    # tangent costs 69.
+    calls = []
+    make = catalog.fourier_couple
+
+    def counted(*args, **kwargs):
+        couple = make(*args, **kwargs)
+        deriv = couple.gamma0_deriv
+        couple.gamma0_deriv = lambda x: calls.append(1) or deriv(x)
+        return couple
+
+    monkeypatch.setattr(catalog, "fourier_couple", counted)
+    g = catalog.random_planar_gauge(seed=0)
+    assert g.metadata["baked_nodes"] == 4096
+    assert len(calls) <= 4 + 3 * 7
+
+
+def test_normalized_couple_never_serves_stale_node_set():
+    couple = normalize(catalog.fourier_couple(2, seed=3))
+    fresh = normalize(catalog.fourier_couple(2, seed=3))
+    xs = np.linspace(0.0, couple.period, 64, endpoint=False)
+    for j in range(8):                      # more node sets than are kept
+        couple.gamma0_deriv(xs + 0.01 * j)
+        couple.v0(xs[: 8 + j])
+    probes = [xs, xs + 0.03, xs[:8], xs.reshape(8, 8), xs[5], xs[:1]]
+    for x in probes:
+        couple.gamma0_deriv(x)[...] = 0.0   # callers may scribble on results
+        couple.v0(x)[...] = 0.0
+        assert np.array_equal(couple.gamma0_deriv(x), fresh.gamma0_deriv(x))
+        assert np.array_equal(couple.v0(x), fresh.v0(x))

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from worldsheet import catalog
+from worldsheet import catalog, singular
+from worldsheet.curves import UnitSpeedCurve
 from worldsheet.errors import PreconditionError
 from worldsheet.gauge import OrthogonalGauge
 from worldsheet.singular import (angle_state, classify_sing_star,
@@ -157,6 +158,31 @@ def test_classify_generic_crossing_strict():
     rep = find_antipodal_pairs(g)
     flags = {classify_sing_star(g, c).sing_star for c in rep.components}
     assert "yes" in flags
+
+
+def test_classify_lifts_planar_angles_once_per_gauge(monkeypatch):
+    g = catalog.random_planar_gauge(seed=0)
+    rep = find_antipodal_pairs(g)
+    calls = []
+    lift = singular.angle_state
+    monkeypatch.setattr(singular, "angle_state",
+                        lambda *a, **k: calls.append(1) or lift(*a, **k))
+    cached, explicit = [], []
+    for comp in rep.components:
+        for out, state in ((cached, None), (explicit, lift(g))):
+            try:
+                out.append(classify_sing_star(g, comp, state=state).sing_star)
+            except PreconditionError:
+                out.append("failed")
+    assert len(rep.components) > 1
+    assert len(calls) == 1
+    assert cached == explicit
+    g.b = UnitSpeedCurve(g.b.rep, g.b.basepoint)   # a new curve: lift again
+    try:
+        classify_sing_star(g, rep.components[0])
+    except PreconditionError:
+        pass
+    assert len(calls) == 2
 
 
 def test_null_tangent_circle(circle):
