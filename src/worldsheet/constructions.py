@@ -12,6 +12,10 @@ odd j, flipped for even j), joined monotonically across gaps by
 degree-(2k+1) plateaus.  The flip makes the gap slopes alternate beside
 every point of the limit set, which is what forces the tangent of the
 associated surface to oscillate there.
+
+Every plateau/ramp curve built here (the Cantor function, the padding
+angle programs and the straight-then-padding b-angle) is one
+:class:`~worldsheet.curves.PlateauSpline`.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .catalog import meridian_oval_path, swing_path
-from .curves import (AngleTangent, UnitSpeedCurve, from_tangent_image,
-                     smoothstep)
+from .curves import (AngleTangent, CallableTangent, PlateauSpline,
+                     UnitSpeedCurve, from_tangent_image, smoothstep)
 from .errors import PreconditionError
 from .gauge import OrthogonalGauge
 from .quadrature import _panel_gl
@@ -92,7 +96,8 @@ def _interval_lefts(r, depth):
 @dataclass
 class CantorFunction:
     """Depth-L truncation of the two-set construction, as an explicit
-    piecewise polynomial with exact derivatives."""
+    piecewise polynomial with exact derivatives: plateaus on the
+    beta-set intervals, smoothstep ramps across the gaps."""
 
     spec: CantorSpec
     breakpoints: np.ndarray        # 2^(L+1) edges: i0, g0, i1, g1, ...
@@ -101,58 +106,22 @@ class CantorFunction:
     gap_signs: np.ndarray          # sign of f' on each gap
     sigma_full: np.ndarray         # midpoints of all depth-L intervals
     sigma_alternating: np.ndarray  # those flanked by opposite-signed gaps
-    _poly: object = None
-    _dpolys: list = field(default_factory=list)
+    _spline: PlateauSpline = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        k = self.spec.k
-        self._poly = smoothstep(k)
-        d = self._poly
-        self._dpolys = []
-        for _ in range(2 * k + 1):
-            d = d.deriv()
-            self._dpolys.append(d)
-
-    def _locate(self, x):
-        x = np.asarray(x, dtype=float)
-        idx = np.searchsorted(self.breakpoints, x, side="right") - 1
-        return x, np.clip(idx, 0, len(self.breakpoints) - 2)
+        # piece 2i is interval i (a dwell), piece 2i+1 the gap after it
+        edges = self.breakpoints
+        v0 = np.repeat(self.values, 2)[:-1]
+        dv = np.zeros(len(edges) - 1)
+        dv[1::2] = np.diff(self.values)
+        self._spline = PlateauSpline(edges[:-1], np.diff(edges), v0, dv,
+                                     self.spec.k)
 
     def __call__(self, x):
-        x, idx = self._locate(x)
-        out = np.empty_like(x)
-        n_int = len(self.values)
-        on_plateau = idx % 2 == 0
-        out[on_plateau] = self.values[np.minimum(idx[on_plateau] // 2,
-                                                 n_int - 1)]
-        gaps = ~on_plateau
-        gi = idx[gaps] // 2
-        lo = self.breakpoints[idx[gaps]]
-        hi = self.breakpoints[idx[gaps] + 1]
-        u = (x[gaps] - lo) / (hi - lo)
-        out[gaps] = (self.values[gi]
-                     + (self.values[gi + 1] - self.values[gi]) * self._poly(u))
-        return out
+        return self._spline(x)
 
     def deriv(self, x, order=1):
-        x, idx = self._locate(x)
-        out = np.zeros_like(x)
-        gaps = idx % 2 == 1
-        if not gaps.any():
-            return out
-        gi = idx[gaps] // 2
-        lo = self.breakpoints[idx[gaps]]
-        hi = self.breakpoints[idx[gaps] + 1]
-        width = hi - lo
-        u = (x[gaps] - lo) / width
-        dp = self._dpolys[order - 1]
-        out[gaps] = ((self.values[gi + 1] - self.values[gi])
-                     * dp(u) / width ** order)
-        return out
-
-    @property
-    def max_abs_slope(self):
-        return 0.5  # guaranteed by construction scaling
+        return self._spline(x, order)
 
 
 def cantor_function(spec: CantorSpec):
@@ -207,65 +176,6 @@ def _turn_moment(phi_a, phi_b, length, k):
     return _panel_gl(fld, edges[:-1], edges[1:]).sum(axis=0)
 
 
-class _AngleProgram:
-    """Piecewise angle function: smoothstep turns and constant dwells."""
-
-    def __init__(self, x0, segments, k):
-        self.k = k
-        self.poly = smoothstep(k)
-        self.dpoly = self.poly.deriv()
-        self.starts = []
-        self.segs = []
-        x = x0
-        for seg in segments:
-            self.starts.append(x)
-            self.segs.append(seg)
-            x += seg[1]
-        self.end = x
-        self.starts = np.array(self.starts)
-
-    def angle(self, x):
-        x = np.asarray(x, dtype=float)
-        idx = np.clip(np.searchsorted(self.starts, x, side="right") - 1,
-                      0, len(self.segs) - 1)
-        out = np.empty_like(x)
-        for j, seg in enumerate(self.segs):
-            m = idx == j
-            if not m.any():
-                continue
-            if seg[0] == "dwell":
-                out[m] = seg[2]
-            else:
-                _, length, pa, pb = seg
-                u = (x[m] - self.starts[j]) / length
-                out[m] = pa + (pb - pa) * self.poly(np.clip(u, 0.0, 1.0))
-        return out
-
-    def angle_prime(self, x):
-        x = np.asarray(x, dtype=float)
-        idx = np.clip(np.searchsorted(self.starts, x, side="right") - 1,
-                      0, len(self.segs) - 1)
-        out = np.zeros_like(x)
-        for j, seg in enumerate(self.segs):
-            m = idx == j
-            if not m.any() or seg[0] == "dwell":
-                continue
-            _, length, pa, pb = seg
-            u = (x[m] - self.starts[j]) / length
-            out[m] = (pb - pa) * self.dpoly(np.clip(u, 0.0, 1.0)) / length
-
-        return out
-
-    def moment(self):
-        total = np.zeros(2)
-        for j, seg in enumerate(self.segs):
-            if seg[0] == "dwell":
-                total += seg[1] * np.array([np.cos(seg[2]), np.sin(seg[2])])
-            else:
-                total += _turn_moment(seg[2], seg[3], seg[1], self.k)
-        return total
-
-
 def _padding_program(x0, length, target, dwell_dirs, k, turn_len=0.4):
     """Angle program over [x0, x0 + length] whose tangent integral equals
     ``target``: turns between the prescribed dwell angles, dwell lengths
@@ -291,12 +201,16 @@ def _padding_program(x0, length, target, dwell_dirs, k, turn_len=0.4):
     if np.any(lengths < 1e-3):
         raise PreconditionError(
             f"padding closure failure: dwell lengths {lengths}")
-    segments = []
-    for j in range(n_turn):
-        segments.append(("turn", turn_len, dwell_dirs[j], dwell_dirs[j + 1]))
-        if j < dwells:
-            segments.append(("dwell", lengths[j], dwell_dirs[j + 1]))
-    return _AngleProgram(x0, segments, k)
+    # pieces alternate turn j (dwell_dirs[j] -> dwell_dirs[j+1]) and
+    # dwell j at dwell_dirs[j+1]; the last turn has no dwell after it
+    widths = np.empty(2 * n_turn - 1)
+    widths[0::2] = turn_len
+    widths[1::2] = lengths
+    starts = np.cumsum(np.r_[x0, widths[:-1]])
+    v0 = np.repeat(dwell_dirs[:-1], 2)[1:]
+    dv = np.zeros_like(widths)
+    dv[0::2] = np.diff(dwell_dirs)
+    return PlateauSpline(starts, widths, v0, dv, k)
 
 
 # ---------------------------------------------------------------------------
@@ -342,56 +256,41 @@ def sharp_example_gauge(spec: CantorSpec, shifted=True):
         2.0, 5.0, t_b,
         [-0.5 * np.pi, -np.pi, -1.5 * np.pi, -2.0 * np.pi, -2.5 * np.pi], k)
 
-    def alpha_a(x):
-        x = np.mod(np.asarray(x, dtype=float), E0_SHARP)
-        out = np.empty_like(x)
-        core = x <= 1.0
-        out[core] = alpha_core(x[core])
-        out[~core] = pad_a.angle(x[~core])
-        return out
+    # b: straight descent on [-1, 2], then the padding
+    beta = PlateauSpline(np.r_[-1.0, pad_b.starts], np.r_[3.0, pad_b.widths],
+                         np.r_[-0.5 * np.pi, pad_b.v0], np.r_[0.0, pad_b.dv],
+                         k)
 
-    def alpha_a_prime(x):
-        x = np.mod(np.asarray(x, dtype=float), E0_SHARP)
-        out = np.empty_like(x)
-        core = x <= 1.0
-        out[core] = alpha_core_prime(x[core])
-        out[~core] = pad_a.angle_prime(x[~core])
-        return out
+    def alpha_a(order, shift=0.0):
+        core_fn = (alpha_core, alpha_core_prime)[order]
 
-    def beta_b(x):
-        x = np.mod(np.asarray(x, dtype=float) + 1.0, E0_SHARP) - 1.0
-        out = np.full_like(x, -0.5 * np.pi)
-        pad = x >= 2.0
-        out[pad] = pad_b.angle(x[pad])
-        return out
+        def angle(x):
+            x = np.mod(np.asarray(x, dtype=float) + shift, E0_SHARP)
+            out = np.empty_like(x)
+            core = x <= 1.0
+            out[core] = core_fn(x[core])
+            out[~core] = pad_a(x[~core], order)
+            return out
+        return angle
 
-    def beta_b_prime(x):
-        x = np.mod(np.asarray(x, dtype=float) + 1.0, E0_SHARP) - 1.0
-        out = np.zeros_like(x)
-        pad = x >= 2.0
-        out[pad] = pad_b.angle_prime(x[pad])
-        return out
+    def beta_b(order):
+        return lambda x: beta(
+            np.mod(np.asarray(x, dtype=float) + 1.0, E0_SHARP) - 1.0, order)
 
-    breaks_a = tuple(f.breakpoints) + tuple(pad_a.starts) + (E0_SHARP,)
-    breaks_b = ((-1.0) % E0_SHARP, 2.0) + tuple(pad_b.starts % E0_SHARP)
-
+    breaks_a = np.concatenate([f.breakpoints, pad_a.starts])
     shift = 0.5 * E0_SHARP if shifted else 0.0
-    a_rep = AngleTangent(lambda x: alpha_a(np.asarray(x, float) + shift),
-                         E0_SHARP,
-                         alpha_prime=lambda x: alpha_a_prime(
-                             np.asarray(x, float) + shift),
-                         smoothness=k)
-    a_rep.breakpoints = tuple(np.mod(np.array(breaks_a) - shift, E0_SHARP))
-    b_rep = AngleTangent(beta_b, E0_SHARP, alpha_prime=beta_b_prime,
-                         smoothness=k)
-    b_rep.breakpoints = breaks_b
+    a_rep = AngleTangent(alpha_a(0, shift), E0_SHARP,
+                         alpha_prime=alpha_a(1, shift), smoothness=k,
+                         breakpoints=np.mod(breaks_a - shift, E0_SHARP))
+    b_rep = AngleTangent(beta_b(0), E0_SHARP, alpha_prime=beta_b(1),
+                         smoothness=k,
+                         breakpoints=np.mod(beta.starts, E0_SHARP))
 
     # basepoints: a(0) = (f(0), 0) before the shift; b(0) = (0, 0)
     a_unshifted = UnitSpeedCurve(
-        AngleTangent(alpha_a, E0_SHARP, alpha_prime=alpha_a_prime,
-                     smoothness=k),
+        AngleTangent(alpha_a(0), E0_SHARP, alpha_prime=alpha_a(1),
+                     smoothness=k, breakpoints=breaks_a),
         np.array([f(np.zeros(1))[0], 0.0]))
-    a_unshifted.rep.breakpoints = tuple(breaks_a)
     base_a = a_unshifted.position(shift) if shifted else a_unshifted.basepoint
     a = UnitSpeedCurve(a_rep, base_a)
     b = UnitSpeedCurve(b_rep, np.array([0.0, 0.0]))
@@ -447,31 +346,23 @@ def _assemble_period3(pieces):
     straight segment at integer junctions) on [j, j+1)."""
     dim = pieces[0].dim
 
-    def tangent(x):
-        x = np.asarray(x, dtype=float)
-        j = np.floor(np.mod(x, 3.0)).astype(int)
-        out = np.empty(x.shape + (dim,))
-        for i in range(3):
-            m = j == i
-            if m.any():
-                out[m] = pieces[i].tangent(x[m])
-        return out
+    def assembled(method):
+        def fn(x):
+            x = np.asarray(x, dtype=float)
+            j = np.floor(np.mod(x, 3.0)).astype(int)
+            out = np.empty(x.shape + (dim,))
+            for i in range(3):
+                m = j == i
+                if m.any():
+                    out[m] = getattr(pieces[i], method)(x[m])
+            return out
+        return fn
 
-    def tangent_d(x):
-        x = np.asarray(x, dtype=float)
-        j = np.floor(np.mod(x, 3.0)).astype(int)
-        out = np.empty(x.shape + (dim,))
-        for i in range(3):
-            m = j == i
-            if m.any():
-                out[m] = pieces[i].tangent_derivative(x[m])
-        return out
-
-    from .curves import CallableTangent
     breaks = [0.0, 1.0, 2.0]
     for i, p in enumerate(pieces):
         breaks.extend(np.mod(np.asarray(p.rep.breakpoints, float), 1.0) + i)
-    rep = CallableTangent(tangent, 3.0, dim, deriv=tangent_d,
+    rep = CallableTangent(assembled("tangent"), 3.0, dim,
+                          deriv=assembled("tangent_derivative"),
                           smoothness=min(p.smoothness for p in pieces),
                           breakpoints=sorted(breaks))
     return UnitSpeedCurve(rep, np.zeros(dim))
@@ -528,22 +419,18 @@ def nonuniqueness_pair(n=3, delta=0.05, k=3):
 
 def _embed(curve, n):
     """Embed a curve of R^3 into R^n (extra coordinates zero)."""
-    from .curves import CallableTangent
     rep3 = curve.rep
 
-    def tangent(x):
-        v = rep3(np.asarray(x, dtype=float))
-        out = np.zeros(v.shape[:-1] + (n,))
-        out[..., :3] = v
-        return out
+    def embedded(method):
+        def padded(x):
+            v = getattr(rep3, method)(np.asarray(x, dtype=float))
+            out = np.zeros(v.shape[:-1] + (n,))
+            out[..., :3] = v
+            return out
+        return padded
 
-    def tangent_d(x):
-        v = rep3.derivative(np.asarray(x, dtype=float))
-        out = np.zeros(v.shape[:-1] + (n,))
-        out[..., :3] = v
-        return out
-
-    rep = CallableTangent(tangent, curve.period, n, deriv=tangent_d,
+    rep = CallableTangent(embedded("__call__"), curve.period, n,
+                          deriv=embedded("derivative"),
                           smoothness=curve.smoothness,
                           breakpoints=rep3.breakpoints)
     base = np.zeros(n)

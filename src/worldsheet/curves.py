@@ -5,7 +5,9 @@ position is recovered by integrating the tangent.  This makes the
 unit-speed constraint structural rather than approximate.  The module
 also provides the constructive realization of a closed curve whose
 tangent image is a prescribed closed spherical curve (dwell plateaus at
-selected image points, lengths solved by linear programming).
+selected image points, lengths solved by linear programming), and
+``PlateauSpline``, the kernel behind every chain of constant pieces and
+smoothstep ramps in the package.
 """
 
 from __future__ import annotations
@@ -53,10 +55,12 @@ class TangentRep:
 class AngleTangent(TangentRep):
     """Planar tangent e^{i alpha(x)} given by a (lifted) angle function."""
 
-    def __init__(self, alpha, period, alpha_prime=None, smoothness=3):
+    def __init__(self, alpha, period, alpha_prime=None, smoothness=3,
+                 breakpoints=()):
         super().__init__(period, 2, smoothness)
         self.alpha = alpha
         self.alpha_prime = alpha_prime
+        self.breakpoints = tuple(breakpoints)
 
     def __call__(self, x):
         a = np.asarray(self.alpha(np.asarray(x, dtype=float)))
@@ -248,6 +252,49 @@ def smoothstep(k):
     return np.polynomial.Polynomial(coeffs)
 
 
+class PlateauSpline:
+    """Chain of smoothstep ramps and constant pieces, evaluated by one
+    ``searchsorted``.
+
+    Piece j starts at ``starts[j]``, has width ``widths[j]`` and runs from
+    ``v0[j]`` to ``v0[j] + dv[j]`` along ``smoothstep(k)``; ``dv[j] == 0``
+    is a dwell, where the polynomial is not evaluated.  The end pieces
+    extend to infinity (u is clipped to [0, 1]).  Widths are stored
+    rather than differenced from the starts, so u is computed exactly as
+    the caller defines its pieces.
+    """
+
+    def __init__(self, starts, widths, v0, dv, k):
+        self.starts = np.asarray(starts, dtype=float)
+        self.widths = np.asarray(widths, dtype=float)
+        self.v0 = np.asarray(v0, dtype=float)
+        self.dv = np.asarray(dv, dtype=float)
+        self.dwell = self.dv == 0.0
+        s = smoothstep(k)
+        self._s = [s.deriv(r) for r in range(2 * k + 2)]
+
+    def index(self, x):
+        """Piece containing each x."""
+        j = np.searchsorted(self.starts, x, side="right") - 1
+        return np.clip(j, 0, len(self.starts) - 1)
+
+    def ramp(self, x, j, order):
+        """Order-``order`` derivative at x on ramp pieces j = index(x)."""
+        u = np.clip((x - self.starts[j]) / self.widths[j], 0.0, 1.0)
+        if order == 0:
+            return self.v0[j] + self.dv[j] * self._s[0](u)
+        return self.dv[j] * self._s[order](u) / self.widths[j] ** order
+
+    def __call__(self, x, order=0):
+        """Order-``order`` derivative at x: exactly v0 and +0.0 on dwells."""
+        x = np.asarray(x, dtype=float)
+        j = self.index(x)
+        out = np.asarray(self.v0[j]) if order == 0 else np.zeros(x.shape)
+        move = ~self.dwell[j]
+        out[move] = self.ramp(x[move], j[move], order)
+        return out
+
+
 def sampled_hausdorff(a_pts, b_pts):
     """Symmetric Hausdorff distance between two point samples."""
     ta, tb = cKDTree(a_pts), cKDTree(b_pts)
@@ -280,58 +327,42 @@ def _hull_interior_lp(points, tol=1e-9):
     return float(-res.fun)
 
 
-class _PiecewiseTangent:
-    """Vectorized evaluator for the assembled move/dwell tangent field."""
+class _TangentImageRep:
+    """Tangent c(spline(y)), y = mod(x * scale, period), of the assembled
+    move/dwell field; dwell pieces gather their precomputed vectors."""
 
-    def __init__(self, cfun, cderiv, pieces, natural_period, scale=1.0):
-        # pieces: list of (start, end, kind, payload)
-        #   kind "move": payload = (c_start, c_end, poly, dpoly) mapping piece to c-params
-        #   kind "dwell": payload = unit point (n,)
+    def __init__(self, cfun, cderiv, spline, dwell_vecs, period, scale):
         self.cfun = cfun
         self.cderiv = cderiv
-        self.starts = np.array([p[0] for p in pieces])
-        self.pieces = pieces
-        self.natural_period = natural_period
+        self.spline = spline
+        self.dwell_vecs = dwell_vecs
+        self.period = period
         self.scale = scale  # natural parameter per output parameter
 
     def _locate(self, x):
-        y = np.mod(np.asarray(x, dtype=float) * self.scale, self.natural_period)
-        idx = np.searchsorted(self.starts, y, side="right") - 1
-        return y, np.clip(idx, 0, len(self.pieces) - 1)
+        """Pieces of x, and the positions and pieces of its moving points."""
+        y = np.mod(np.asarray(x, dtype=float) * self.scale, self.period)
+        j = self.spline.index(y)
+        move = ~self.spline.dwell[j]
+        return j, move, y[move], j[move]
 
+    # the (m, dim) temporaries of cfun/cderiv set the peak memory, so the
+    # index arrays are released before those calls
     def __call__(self, x):
-        y, idx = self._locate(x)
-        out = np.empty(y.shape + (self._dim(),))
-        for j, (s, e, kind, payload) in enumerate(self.pieces):
-            mask = idx == j
-            if not mask.any():
-                continue
-            if kind == "dwell":
-                out[mask] = payload
-            else:
-                c0, c1, poly, _ = payload
-                u = (y[mask] - s) / (e - s)
-                out[mask] = self.cfun(c0 + (c1 - c0) * poly(u))
+        j, move, ym, jm = self._locate(x)
+        out = np.take(self.dwell_vecs, j, axis=0)
+        c = self.spline.ramp(ym, jm, 0)
+        del j, ym, jm
+        out[move] = self.cfun(c)
         return out
 
-    def _dim(self):
-        for _, _, kind, payload in self.pieces:
-            if kind == "dwell":
-                return len(payload)
-        return self.cfun(np.array([0.0])).shape[-1]
-
     def deriv(self, x):
-        y, idx = self._locate(x)
-        out = np.zeros(y.shape + (self._dim(),))
-        for j, (s, e, kind, payload) in enumerate(self.pieces):
-            mask = idx == j
-            if not mask.any() or kind == "dwell":
-                continue
-            c0, c1, poly, dpoly = payload
-            u = (y[mask] - s) / (e - s)
-            cparam = c0 + (c1 - c0) * poly(u)
-            rate = (c1 - c0) * dpoly(u) / (e - s) * self.scale
-            out[mask] = self.cderiv(cparam) * rate[:, None]
+        j, move, ym, jm = self._locate(x)
+        c = self.spline.ramp(ym, jm, 0)
+        rate = self.spline.ramp(ym, jm, 1) * self.scale
+        del j, ym, jm
+        out = np.zeros(move.shape + self.dwell_vecs.shape[1:])
+        out[move] = self.cderiv(c) * rate[:, None]
         return out
 
 
@@ -399,7 +430,6 @@ def from_tangent_image(c, k=3, c_period=2.0 * np.pi, period=None,
         raise PreconditionError("convex hull does not contain origin")
 
     poly = smoothstep(k)
-    dpoly = poly.deriv()
 
     # fast path: the image integral already vanishes, so c itself is the
     # tangent field of a closed curve and no dwells are needed
@@ -505,22 +535,24 @@ def from_tangent_image(c, k=3, c_period=2.0 * np.pi, period=None,
     scale = 1.0 if period is None else natural_period / float(period)
     out_period = natural_period if period is None else float(period)
 
-    pieces = []
-    cursor = 0.0
-    dwells = []
-    for i, (lo, hi) in enumerate(zip(prev, params)):
-        pieces.append((cursor, cursor + (hi - lo), "move", (lo, hi, poly, dpoly)))
-        cursor += hi - lo
-        pieces.append((cursor, cursor + ell[i], "dwell",
-                       np.asarray(cfun(np.array([hi]))[0])))
-        dwells.append((cursor / scale, (cursor + ell[i]) / scale, float(hi)))
-        cursor += ell[i]
+    # pieces alternate: move prev[i] -> params[i], then dwell at params[i]
+    n_pieces = 2 * len(params)
+    ends = np.cumsum(np.column_stack([params - prev, ell]).ravel())
+    starts = np.concatenate([[0.0], ends[:-1]])
+    v0 = np.column_stack([prev, params]).ravel()
+    dv = np.zeros(n_pieces)
+    dv[0::2] = params - prev
+    spline = PlateauSpline(starts, ends - starts, v0, dv, k)
+    dwell_vecs = np.zeros((n_pieces, dim))
+    dwell_vecs[1::2] = pts
+    dwells = list(zip(starts[1::2] / scale, ends[1::2] / scale,
+                      params.tolist()))
 
-    pw = _PiecewiseTangent(cfun, cderiv, pieces, natural_period, scale=scale)
-    breaks = tuple(np.array([p[0] for p in pieces]) / scale)
+    pw = _TangentImageRep(cfun, cderiv, spline, dwell_vecs, natural_period,
+                          scale)
     rep_out = CallableTangent(pw, out_period, dim, deriv=pw.deriv,
                               smoothness=k, tol_class=tol_class,
-                              breakpoints=breaks)
+                              breakpoints=tuple(starts / scale))
     base = np.zeros(dim) if basepoint is None else np.asarray(basepoint, float)
     curve = UnitSpeedCurve(rep_out, base, metadata={"dwells": dwells,
                                                     "hull_margin": t_star})

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from worldsheet import catalog
-from worldsheet.curves import (SphereSamplesTangent, UnitSpeedCurve,
-                               from_tangent_image, sampled_hausdorff,
-                               smoothstep)
+from worldsheet import catalog, constructions
+from worldsheet.curves import (PlateauSpline, SphereSamplesTangent,
+                               UnitSpeedCurve, from_tangent_image,
+                               sampled_hausdorff, smoothstep)
 from worldsheet.errors import PreconditionError
 from worldsheet.quadrature import adaptive_simpson
 
@@ -167,3 +168,128 @@ def test_plateau_reparametrization_junction_smoothness():
         for edge in (d0, d1):
             dv = a.tangent_derivative(np.array([edge - 1e-9, edge + 1e-9]))
             assert np.abs(dv).max() < 1e-5
+
+
+# PlateauSpline ------------------------------------------------------------
+
+@st.composite
+def plateau_chains(draw):
+    """Continuous chain of ramps and dwells: (spline, starts, widths, v0,
+    dv, k), with piece j running from knot j to knot j + 1."""
+    k = draw(st.sampled_from([1, 2, 3]))
+    n = draw(st.integers(1, 8))
+    value = st.floats(-10.0, 10.0, allow_nan=False)
+    widths = np.array(draw(st.lists(st.floats(0.05, 5.0), min_size=n,
+                                    max_size=n)))
+    starts = draw(value) + np.concatenate([[0.0], np.cumsum(widths[:-1])])
+    knots = [draw(value)]
+    for _ in range(n):
+        knots.append(knots[-1] if draw(st.booleans()) else draw(value))
+    knots = np.array(knots)
+    v0, dv = knots[:-1], np.diff(knots)
+    return PlateauSpline(starts, widths, v0, dv, k), starts, widths, v0, dv, k
+
+
+def _plateau_reference(x, order, starts, widths, v0, dv, k):
+    """The same definition evaluated by a loop over the pieces."""
+    s_r = smoothstep(k).deriv(order)
+    owner = np.clip((x[:, None] >= starts[None, :]).sum(axis=1) - 1,
+                    0, len(starts) - 1)
+    out = np.zeros(len(x))
+    for j in range(len(starts)):
+        m = owner == j
+        u = np.clip((x[m] - starts[j]) / widths[j], 0.0, 1.0)
+        if dv[j] == 0.0:
+            out[m] = v0[j] if order == 0 else 0.0
+        elif order == 0:
+            out[m] = v0[j] + dv[j] * s_r(u)
+        else:
+            # array power: a scalar ** can round differently
+            out[m] = dv[j] * s_r(u) / np.full(len(u), widths[j]) ** order
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(plateau_chains(), st.lists(st.floats(0.0, 1.0), min_size=1,
+                                  max_size=6))
+def test_plateau_spline_properties(chain, us):
+    spline, starts, widths, v0, dv, k = chain
+    us = np.array(us)
+    inside = (starts[:, None] + widths[:, None] * us[None, :]).ravel()
+    ends = starts + widths
+    x = np.concatenate([inside, starts, ends, [starts[0] - 1.0,
+                                               ends[-1] + 1.0]])
+    piece = np.repeat(np.arange(len(starts)), len(us))
+
+    # values stay between v0 and v0 + dv on each piece (up to rounding)
+    val = spline(inside)
+    lo = np.minimum(v0, v0 + dv)[piece]
+    hi = np.maximum(v0, v0 + dv)[piece]
+    slack = 1e-12 * (1.0 + np.abs(val))
+    assert np.all(val >= lo - slack) and np.all(val <= hi + slack)
+
+    for order in range(2 * k + 2):
+        got = spline(x, order)
+        # bit-identical to the per-piece reference
+        ref = _plateau_reference(x, order, starts, widths, v0, dv, k)
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+        if order > 0:
+            # every derivative on a dwell is exactly +0.0
+            on_dwell = dv[spline.index(x)] == 0.0
+            assert np.all(got[on_dwell] == 0.0)
+            assert not np.signbit(got[on_dwell]).any()
+
+    # one-sided limits at the interior junctions agree for orders 0..k
+    junctions = starts[1:]
+    left = np.nextafter(junctions, -np.inf)
+    right = np.nextafter(junctions, np.inf)
+    for order in range(k + 1):
+        scale = (1.0 + np.abs(v0).max() + np.abs(dv).max()) \
+            / widths.min() ** order
+        gap = np.abs(spline(left, order) - spline(right, order))
+        assert np.all(gap <= 1e-9 * scale)
+
+
+def test_plateau_spline_end_pieces_extend():
+    spline = PlateauSpline([0.0, 1.0], [1.0, 2.0], [2.0, 5.0], [3.0, 0.0], 2)
+    x = np.array([-3.0, -0.0, 0.5, 1.0, 2.0, 3.0, 10.0])
+    assert np.array_equal(spline(x), [2.0, 2.0, 3.5, 5.0, 5.0, 5.0, 5.0])
+    d = spline(x, 1)
+    assert d[0] == 0.0 and d[2] == 3.0 * smoothstep(2).deriv()(0.5)
+    assert np.all(d[3:] == 0.0) and not np.signbit(d[3:]).any()
+
+
+def _dwell_realizations():
+    yield "meridian-oval", from_tangent_image(
+        catalog.meridian_oval_path(lon=0.0, width=0.25, overshoot=0.18), k=3)
+    for w, o in constructions.PINCHED_PARAMS:
+        yield f"pinched-{w}", from_tangent_image(
+            catalog.meridian_oval_path(lon=0.0, width=w, overshoot=o,
+                                       pinched=True),
+            k=3, period=1.0, pinned=[(0.5 * np.pi,
+                                      constructions.DWELL_FRACTION)])
+    for s, m in constructions.SWING_PARAMS:
+        yield f"swing-{s}", from_tangent_image(
+            catalog.swing_path(swing=s, lat_max=-m, lon_center=0.0),
+            k=3, period=1.0, pinned=[(0.0, constructions.DWELL_FRACTION)])
+
+
+def _assert_exact_dwells(curve):
+    assert curve.metadata["dwells"]
+    for d0, d1, cp in curve.metadata["dwells"]:
+        xs = np.linspace(d0, d1, 203)[1:-1]
+        t = curve.tangent(xs)
+        assert np.array_equal(t, np.broadcast_to(t[0], t.shape))
+        dt = curve.tangent_derivative(xs)
+        assert np.all(dt == 0.0) and not np.signbit(dt).any()
+
+
+@pytest.mark.parametrize("name,curve", list(_dwell_realizations()),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_tangent_image_dwells_exactly_constant(name, curve):
+    _assert_exact_dwells(curve)
+
+
+def test_meridian_loops_dwells_exactly_constant(meridian_loops):
+    _assert_exact_dwells(meridian_loops.a)
+    _assert_exact_dwells(meridian_loops.b)
