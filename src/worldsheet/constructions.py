@@ -350,6 +350,9 @@ def _assemble_period3(pieces):
         def fn(x):
             x = np.asarray(x, dtype=float)
             j = np.floor(np.mod(x, 3.0)).astype(int)
+            # mod rounds to 3.0 for tiny negative x, which lies in piece 2;
+            # clamped in place, as one more temporary raises peak RSS
+            np.minimum(j, 2, out=j)
             out = np.empty(x.shape + (dim,))
             for i in range(3):
                 m = j == i

@@ -20,6 +20,22 @@ DEFAULT_SCALES = tuple(2.0 ** -j for j in range(3, 10))
 MIN_R2 = 0.98
 
 
+def _row_groups(keys):
+    """Group equal rows of an (m, d) key array with one stable lexsort.
+
+    Returns ``order``, the stable lexicographic row order, and ``first``,
+    a mask in that order that is True on the first row of each run of
+    equal rows: ``count_nonzero(first)`` distinct rows, and
+    ``order[first]`` the input index of each one's first occurrence.
+    """
+    order = np.lexsort(keys.T[::-1])
+    srt = keys[order]
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    first[1:] = np.any(srt[1:] != srt[:-1], axis=1)
+    return order, first
+
+
 @dataclass
 class PointCloud:
     points: np.ndarray
@@ -29,10 +45,11 @@ class PointCloud:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or len(pts) == 0:
             raise PreconditionError("point cloud must be a nonempty (m, d) array")
-        # drop duplicates at 1e-12 resolution
-        key = np.round(pts / 1e-12).astype(np.int64)
-        _, idx = np.unique(key, axis=0, return_index=True)
-        self.points = pts[np.sort(idx)]
+        # drop duplicates at 1e-12 resolution, keeping first occurrences in
+        # input order; the rounded keys stay float, since an int64 cast
+        # overflows once |coordinate| exceeds ~9.2e6
+        order, first = _row_groups(np.round(pts / 1e-12))
+        self.points = pts[np.sort(order[first])]
 
     @property
     def diameter(self):
@@ -74,7 +91,7 @@ def box_count(cloud: PointCloud, scales=DEFAULT_SCALES):
         # sit a few ulps below a cell edge (exactly aligned self-similar
         # data) from leaking into a spurious extra cell
         cells = np.floor((cloud.points - lo) / eps + 1e-9).astype(np.int64)
-        counts.append(len(np.unique(cells, axis=0)))
+        counts.append(np.count_nonzero(_row_groups(cells)[1]))
     counts = np.asarray(counts)
     x = np.log(1.0 / scales)
     y = np.log(counts.astype(float))

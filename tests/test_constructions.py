@@ -187,6 +187,20 @@ def test_nonuniq_time_period_three(nonuniq):
     assert np.abs(gamma(g_id, ts + 3.0, xs) - gamma(g_id, ts, xs)).max() < 1e-9
 
 
+def test_nonuniq_tiny_negative_x_uses_last_piece(nonuniq):
+    # mod(x, 3) rounds to 3.0 just below 0; those rows must still be
+    # evaluated (on piece 2, which ends on the shared straight segment)
+    g_id, g_pi, _ = nonuniq
+    xs = np.array([-5e-324, -1e-17])
+    for curve in (g_id.a, g_id.b, g_pi.a, g_pi.b):
+        for method in ("tangent", "tangent_derivative"):
+            fn = getattr(curve, method)
+            v = fn(xs)
+            assert np.isfinite(v).all()
+            assert np.array_equal(v, fn(xs))
+        assert np.abs(curve.tangent(xs) - curve.tangent(0.0)).max() <= 1e-12
+
+
 def test_nonuniq_embedding_dimension():
     g_id, g_pi, _ = C.nonuniqueness_pair(n=4)
     assert g_id.dim == 4

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from worldsheet.dimension import (PointCloud, box_count,
+from worldsheet.dimension import (PointCloud, _row_groups, box_count,
                                   singstar_cloud)
 from worldsheet.errors import PreconditionError
 
@@ -59,6 +60,65 @@ def test_scale_ladder_validation():
 def test_duplicate_points_removed():
     pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
     assert len(PointCloud(pts).points) == 2
+
+
+def test_far_away_points_stay_distinct():
+    # 1e7 / 1e-12 overflows int64; distinct rows must not be merged
+    pts = np.array([[1e7, 0.0], [2e7, 0.0], [3e7, 1.0]])
+    assert np.array_equal(PointCloud(pts).points, pts)
+
+
+@st.composite
+def integer_clouds(draw):
+    """Small integer clouds, d in 1..4, with forced duplicate rows."""
+    d = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 24))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d),
+                         min_size=m, max_size=m))
+    repeats = draw(st.lists(st.integers(0, m - 1), max_size=m))
+    rows = rows + [rows[i] for i in repeats]
+    perm = draw(st.permutations(range(len(rows))))
+    return np.array([rows[i] for i in perm], dtype=np.int64)
+
+
+def _first_occurrences(rows):
+    seen, keep = set(), []
+    for i, row in enumerate(map(tuple, rows)):
+        if row not in seen:
+            seen.add(row)
+            keep.append(i)
+    return np.array(keep)
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_clouds(), st.sampled_from([1e-3, 1.0, 1e8]))
+def test_row_groups_and_dedup_match_unique(keys, scale):
+    order, first = _row_groups(keys)
+    assert np.array_equal(np.sort(order), np.arange(len(keys)))
+    assert np.count_nonzero(first) == len(np.unique(keys, axis=0))
+    keep = _first_occurrences(keys)
+    assert np.array_equal(np.sort(order[first]), keep)
+    pts = keys * scale
+    assert np.array_equal(PointCloud(pts).points, pts[keep])
+
+
+@settings(max_examples=100, deadline=None)
+@given(integer_clouds())
+def test_box_count_matches_unique_per_scale(keys):
+    cloud = PointCloud(keys.astype(float))
+    diam = cloud.diameter
+    if diam == 0.0:
+        with pytest.raises(PreconditionError, match="diameter"):
+            box_count(cloud, scales=[2.0 ** -j for j in range(5)])
+        return
+    scales = [0.25 * diam * 0.6 ** j for j in range(6)]
+    est = box_count(cloud, scales)
+    lo = cloud.points.min(axis=0)
+    ref = []
+    for eps in scales:
+        cells = np.floor((cloud.points - lo) / eps + 1e-9).astype(np.int64)
+        ref.append(len(np.unique(cells, axis=0)))
+    assert est.counts.tolist() == ref
 
 
 def test_unreliable_flag():
