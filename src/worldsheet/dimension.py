@@ -45,6 +45,8 @@ class PointCloud:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or len(pts) == 0:
             raise PreconditionError("point cloud must be a nonempty (m, d) array")
+        if not np.isfinite(pts).all():
+            raise PreconditionError("point cloud coordinates must be finite")
         # drop duplicates at 1e-12 resolution, keeping first occurrences in
         # input order; the rounded keys stay float, since an int64 cast
         # overflows once |coordinate| exceeds ~9.2e6

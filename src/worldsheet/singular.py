@@ -387,15 +387,18 @@ def tangent_formula(state: TwoDAngleState, t, x, eps=1e-12):
     return sgn[..., None] * np.stack([-np.sin(half), np.cos(half)], axis=-1)
 
 
-def _sign_pattern(state, t0, x0, radius, n=48):
-    """Sign content of F on the square punctured neighborhood of radius r."""
-    d = np.linspace(-radius, radius, n)
-    ds, do = np.meshgrid(d, d, indexing="ij")
-    tt = t0 + 0.5 * (ds - do)
-    xx = x0 + 0.5 * (ds + do)
-    F = state.F(tt, xx)
-    thresh = 1e-9 * max(1.0, np.abs(F).max())
-    return bool((F > thresh).any()), bool((F < -thresh).any())
+def _sign_content(A, B):
+    """Whether F[..., i, j] = A[..., i] - B[..., j] has a value above
+    thresh and one below -thresh, thresh = 1e-9 * max(1, max |F|).
+
+    Rounded subtraction is monotone in each argument, so
+    max F = max A - min B and min F = min A - max B exactly, and the
+    outer difference is never formed.
+    """
+    f_max = A.max(axis=-1) - B.min(axis=-1)
+    f_min = A.min(axis=-1) - B.max(axis=-1)
+    thresh = 1e-9 * np.maximum(1.0, np.maximum(np.abs(f_max), np.abs(f_min)))
+    return f_max > thresh, f_min < -thresh
 
 
 def classify_sing_star(g: OrthogonalGauge, component: SingComponent,
@@ -407,8 +410,11 @@ def classify_sing_star(g: OrthogonalGauge, component: SingComponent,
     Planar gauges: full degenerate slices continue as a line field and
     are not in the strict singular set; intervals at fixed time match
     one-sided limits only under a sign flip of F plus the half-G jump
-    condition; all other components are probed by local sign sampling of
-    F on shrinking neighborhoods.  Higher dimensions: tangent
+    condition; all other components are probed by the sign content of F
+    on 4 shrinking squares around up to 64 voting pairs.  F is
+    alpha(s) - beta(sigma), so each square's sign content is read from
+    the two 48-point lifts along the characteristics s and sigma, one
+    alpha and one beta call per component.  Higher dimensions: tangent
     oscillation over shrinking annuli with an honest undetermined band.
     Without ``state``, the planar angle lift is computed once per gauge
     and reused by later calls.
@@ -454,21 +460,22 @@ def classify_sing_star(g: OrthogonalGauge, component: SingComponent,
                 comp.tangent_gap = np.pi
             return comp
 
-        votes = []
-        step = max(1, len(component.pairs) // 64)
-        for p in component.pairs[::step]:
-            radii = [4.0 * spacing / 2 ** j for j in range(4)]
-            has_both = [all(_sign_pattern(st, p.t, p.x, r)) for r in radii]
-            if all(has_both):
-                votes.append("yes")
-            elif not any(has_both):
-                votes.append("no")
-            else:
-                votes.append("undetermined")
-        if "yes" in votes:
+        # F(t, x) = alpha(x + t) - beta(x - t): on a square rotated onto
+        # the characteristics, the grid point at offsets (d_i, d_j) along
+        # s and sigma has F = alpha(s0 + d_i) - beta(sigma0 + d_j)
+        step = max(1, len(s_arr) // 64)
+        radii = 4.0 * spacing / 2.0 ** np.arange(4)
+        d = np.linspace(-radii, radii, 48, axis=1)                 # (4, 48)
+        A = st.alpha((s_arr[::step, None, None] + d).ravel()).reshape(-1, 4, 48)
+        B = st.beta((sig_arr[::step, None, None] + d).ravel()).reshape(-1, 4, 48)
+        has_pos, has_neg = _sign_content(A, B)
+        # a voter says yes when every radius sees both signs, no when none
+        # does; one yes decides the component, and no needs every voter
+        has_both = has_pos & has_neg                               # (voters, 4)
+        if has_both.all(axis=1).any():
             comp.sing_star = "yes"
             comp.tangent_gap = np.pi
-        elif all(v == "no" for v in votes):
+        elif not has_both.any():
             comp.sing_star = "no"
             comp.tangent_gap = 0.0
         else:
@@ -536,10 +543,11 @@ def null_tangent_check(g: OrthogonalGauge, pair, radii=(1e-2, 5e-3, 2.5e-3, 1.25
 def sing_star_time_extent(g: OrthogonalGauge, t_samples=512, x_samples=2048,
                           state: TwoDAngleState | None = None):
     """Maximal time intervals in [0, E0) containing strict singular points,
-    located through sign changes of F(t, .) (planar gauges)."""
+    located through sign changes of F(t, .) (planar gauges).  Without
+    ``state``, the per-gauge lift of ``classify_sing_star`` is reused."""
     if g.dim != 2:
         raise PreconditionError("time-extent scan requires a planar gauge")
-    st = angle_state(g) if state is None else state
+    st = _gauge_angle_state(g) if state is None else state
     E0 = g.E0
     ts = np.linspace(0.0, E0, t_samples, endpoint=False)
     xs = np.linspace(0.0, E0, x_samples, endpoint=False)

@@ -57,6 +57,16 @@ def test_scale_ladder_validation():
         box_count(cloud, scales=[10, 5, 2.5, 1.25, 0.6])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_point_cloud_rejects_non_finite(bad):
+    # one bad coordinate would make the diameter nan or inf and let
+    # box_count fit a slope to a 2-D square that is far from 2
+    pts = np.random.default_rng(4).uniform(0, 1, size=(1000, 2))
+    pts[17, 1] = bad
+    with pytest.raises(PreconditionError, match="finite"):
+        PointCloud(pts)
+
+
 def test_duplicate_points_removed():
     pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
     assert len(PointCloud(pts).points) == 2

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from worldsheet import catalog, singular
 from worldsheet.curves import UnitSpeedCurve
@@ -177,12 +178,126 @@ def test_classify_lifts_planar_angles_once_per_gauge(monkeypatch):
     assert len(rep.components) > 1
     assert len(calls) == 1
     assert cached == explicit
+    sing_star_time_extent(g, t_samples=16, x_samples=256)   # shares the lift
+    assert len(calls) == 1
     g.b = UnitSpeedCurve(g.b.rep, g.b.basepoint)   # a new curve: lift again
     try:
         classify_sing_star(g, rep.components[0])
     except PreconditionError:
         pass
     assert len(calls) == 2
+
+
+def _reference_sign_pattern(state, t0, x0, radius, n=48):
+    """Sign content of F on the full n x n grid of a square of radius r,
+    rotated onto the characteristics, as the classifier once sampled it."""
+    d = np.linspace(-radius, radius, n)
+    ds, do = np.meshgrid(d, d, indexing="ij")
+    F = state.F(t0 + 0.5 * (ds - do), x0 + 0.5 * (ds + do))
+    thresh = 1e-9 * max(1.0, np.abs(F).max())
+    return bool((F > thresh).any()), bool((F < -thresh).any())
+
+
+def _reference_votes(state, comp, spacing):
+    votes = []
+    for p in comp.pairs[::max(1, len(comp.pairs) // 64)]:
+        radii = [4.0 * spacing / 2 ** j for j in range(4)]
+        has_both = [all(_reference_sign_pattern(state, p.t, p.x, r))
+                    for r in radii]
+        votes.append("yes" if all(has_both)
+                     else "no" if not any(has_both) else "undetermined")
+    if "yes" in votes:
+        return "yes", np.pi
+    if all(v == "no" for v in votes):
+        return "no", 0.0
+    return "undetermined", None
+
+
+def _counting_state(g):
+    """angle_state(g) whose alpha and beta record the size of each call."""
+    st = angle_state(g)
+    calls = {"alpha": [], "beta": []}
+
+    def counted(name, fn):
+        return lambda x: calls[name].append(np.size(x)) or fn(x)
+
+    st.alpha = counted("alpha", st.alpha)
+    st.beta = counted("beta", st.beta)
+    return st, calls
+
+
+@pytest.mark.parametrize("gauge", ["random0", "random1", "random3",
+                                   "circle", "cantor_k1"])
+def test_sign_votes_match_full_grid_reference(gauge, request):
+    if gauge.startswith("random"):
+        g = catalog.random_planar_gauge(seed=int(gauge[-1]))
+    else:
+        g = request.getfixturevalue(gauge)
+        g = g[0] if gauge == "cantor_k1" else g
+    spacing = g.E0 / singular.DEFAULT_GRID
+    st, calls = _counting_state(g)
+    voted = 0
+    for comp in find_antipodal_pairs(g).components:
+        calls["alpha"].clear()
+        try:
+            cc = classify_sing_star(g, comp, state=st)
+        except PreconditionError:
+            continue
+        if comp.kind == "full_time_slice":
+            assert (cc.sing_star, cc.tangent_gap) == ("no", 0.0)
+        elif calls["alpha"] and calls["alpha"][0] > 1:   # the voting path
+            assert (cc.sing_star, cc.tangent_gap) == \
+                _reference_votes(st, comp, spacing)
+            voted += 1
+    assert voted > 0 or gauge == "circle"
+
+
+def test_sign_votes_evaluate_two_lifts_per_component():
+    g = catalog.random_planar_gauge(seed=0)
+    st, calls = _counting_state(g)
+    voted = 0
+    for comp in find_antipodal_pairs(g).components:
+        calls["alpha"].clear()
+        calls["beta"].clear()
+        try:
+            classify_sing_star(g, comp, state=st)
+        except PreconditionError:
+            continue
+        voters = len(comp.pairs[::max(1, len(comp.pairs) // 64)])
+        for name in ("alpha", "beta"):
+            assert len(calls[name]) <= 1
+            assert sum(calls[name]) <= 4 * 48 * voters
+        voted += len(calls["alpha"])
+    assert voted > 5
+
+
+def _scaled_vector(draw, pool=()):
+    scale = draw(hst.sampled_from([1e-12, 1e-10, 1e-9, 1e-6, 1e-3, 1.0, 1e3]))
+    unit = hst.one_of(hst.sampled_from([0.0, 1.0, -1.0, 0.5, -0.5]),
+                      hst.floats(-1.0, 1.0))
+    elems = unit.map(lambda u: u * scale)
+    if pool:
+        elems = hst.one_of(elems, hst.sampled_from(pool))  # ties with A
+    return np.array(draw(hst.lists(elems, min_size=1, max_size=12)))
+
+
+@hst.composite
+def _vector_pair(draw):
+    A = _scaled_vector(draw)
+    B = _scaled_vector(draw, pool=tuple(A.tolist()))
+    shift = draw(hst.sampled_from([0.0, 1e-12, -1e-9, 1e-3]))
+    return A + shift, B                     # shifts straddle the threshold
+
+
+@settings(max_examples=400, deadline=None)
+@given(_vector_pair())
+def test_sign_content_matches_outer_difference(pair):
+    A, B = pair
+    F = A[:, None] - B[None, :]
+    thresh = 1e-9 * max(1.0, np.abs(F).max())
+    has_pos, has_neg = singular._sign_content(A, B)
+    assert (bool(has_pos), bool(has_neg)) == \
+        (bool((F > thresh).any()), bool((F < -thresh).any()))
 
 
 def test_null_tangent_circle(circle):
