@@ -200,10 +200,6 @@ class UnitSpeedCurve:
         out = self.basepoint + self._integrator().integral(xb)
         return out[0] if scalar else out
 
-    # spec-facing name
-    def eval(self, x):
-        return self.position(x)
-
     def drift(self):
         """Integral of the tangent over one period (zero for closed curves)."""
         return self._integrator().per_period.copy()

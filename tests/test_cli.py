@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from worldsheet import cli
+from worldsheet import cli, serialize
 
 
 def run_cli(tmp_path, scenario, name="scen.json", extra=()):
@@ -171,3 +171,15 @@ def test_removed_flag_rejected(tmp_path, capsys, flag):
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_write_csv_float_array_matches_per_cell_text(tmp_path):
+    values = [-0.0, 0.0, np.nan, np.inf, -np.inf, 1e-300, 1e300, 0.1 + 0.2, -5e-324, 1.0]
+    rows = np.array(values * 2000).reshape(-1, 4)     # 5000 rows: two chunks
+    header = ["p_0", "p_1", "p_2", "p_3"]
+    serialize.write_csv(tmp_path / "fast.csv", header, rows)
+    # a list of rows takes the per-cell repr(float(v)) path
+    serialize.write_csv(tmp_path / "cells.csv", header, list(rows))
+    fast = (tmp_path / "fast.csv").read_bytes()
+    assert fast == (tmp_path / "cells.csv").read_bytes()
+    assert fast.splitlines()[1] == b"-0.0,0.0,nan,inf"

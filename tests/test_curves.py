@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from worldsheet import catalog, constructions
-from worldsheet.curves import (PlateauSpline, SphereSamplesTangent,
-                               UnitSpeedCurve, from_tangent_image,
-                               sampled_hausdorff, smoothstep)
+from worldsheet.curves import (CallableTangent, PlateauSpline,
+                               SphereSamplesTangent, UnitSpeedCurve,
+                               from_tangent_image, sampled_hausdorff,
+                               smoothstep)
 from worldsheet.errors import PreconditionError
-from worldsheet.quadrature import adaptive_simpson
+from worldsheet.quadrature import _panel_gl, adaptive_simpson
 
 TWO_PI = 2.0 * np.pi
 
@@ -68,7 +69,6 @@ def test_closure_circle():
 def test_closure_straight_tangent_open():
     rep_t = lambda x: np.stack([np.ones_like(np.asarray(x, float)),
                                 np.zeros_like(np.asarray(x, float))], axis=-1)
-    from worldsheet.curves import CallableTangent
     c = UnitSpeedCurve(CallableTangent(rep_t, 1.0, 2), np.zeros(2))
     rep = c.closure_defect()
     assert not rep.closed
@@ -293,3 +293,70 @@ def test_tangent_image_dwells_exactly_constant(name, curve):
 def test_meridian_loops_dwells_exactly_constant(meridian_loops):
     _assert_exact_dwells(meridian_loops.a)
     _assert_exact_dwells(meridian_loops.b)
+
+
+def _subdivided_position(curve, x, sub=32):
+    """Reference positions from fresh Gauss-Legendre rules: the uniform
+    2048-panel grid cut at the tangent's breakpoints, each panel cut again
+    into ``sub`` equal sub-panels.  Sub-panels are summed inside their panel
+    first, so the running sum over the period sees 2048 terms."""
+    P = curve.period
+    edges = np.unique(np.concatenate([np.linspace(0.0, P, 2049),
+                                      np.mod(np.asarray(curve.rep.breakpoints, float), P)]))
+    width = np.diff(edges)
+    lo = edges[:-1, None] + width[:, None] * (np.arange(sub) / sub)
+    hi = np.concatenate([lo[:, 1:], edges[1:, None]], axis=1)
+    parts = _panel_gl(curve.rep, lo.ravel(), hi.ravel()).reshape(len(width), sub, -1)
+    within = np.concatenate([np.zeros((len(width), 1, curve.dim)),
+                             np.cumsum(parts, axis=1)], axis=1)
+    prefix = np.vstack([np.zeros(curve.dim), np.cumsum(within[:, -1], axis=0)])
+    wraps = np.floor(x / P)
+    y = x - wraps * P
+    i = np.clip(np.searchsorted(edges, y, side="right") - 1, 0, len(width) - 1)
+    k = np.clip((lo[i] <= y[:, None]).sum(axis=1) - 1, 0, sub - 1)
+    return (curve.basepoint + prefix[i] + within[i, k] + _panel_gl(curve.rep, lo[i, k], y)
+            + wraps[:, None] * prefix[-1])
+
+
+POSITION_GAUGES = {
+    "circle": lambda fx: [fx("circle")],
+    "hopf": lambda fx: [fx("hopf")],
+    "meridian_loops": lambda fx: [fx("meridian_loops")],
+    "wavy_pair": lambda fx: [fx("wavy_pair")],
+    "random_planar_0": lambda fx: [catalog.random_planar_gauge(0)],
+    "nonuniq_n3": lambda fx: list(fx("nonuniq")[:2]),
+    "nonuniq_n4": lambda fx: list(constructions.nonuniqueness_pair(n=4)[:2]),
+    "same_surface": lambda fx: list(constructions.same_surface_family()),
+    "cantor_k1": lambda fx: [fx("cantor_k1")[0]],
+    "cantor_k2": lambda fx: [fx("cantor_k2")[0]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(POSITION_GAUGES))
+def test_positions_match_subdivided_reference(name, request):
+    rng = np.random.default_rng(sorted(POSITION_GAUGES).index(name))
+    for g in POSITION_GAUGES[name](request.getfixturevalue):
+        for curve in (g.a, g.b):
+            P = curve.period
+            x = np.concatenate([rng.uniform(0.0, P, 48), rng.uniform(-4 * P, 0.0, 16),
+                                rng.uniform(2 * P, 7 * P, 16)])
+            err = np.abs(curve.position(x) - _subdivided_position(curve, x)).max()
+            assert err < 1e-12, (name, err)
+
+
+def test_position_makes_no_tangent_calls_after_construction():
+    calls = []
+    circle = catalog.circle_curve().rep
+
+    def tangent(x):
+        calls.append(len(x))
+        return circle(x)
+
+    curve = UnitSpeedCurve(CallableTangent(tangent, TWO_PI, 2), np.array([1.0, 0.0]))
+    curve.drift()
+    built = len(calls)
+    assert built > 0
+    x = np.linspace(-3 * TWO_PI, 3 * TWO_PI, 1001)
+    p = curve.position(x)
+    assert len(calls) == built
+    assert np.abs(p - np.stack([np.cos(x), np.sin(x)], axis=-1)).max() < 1e-13

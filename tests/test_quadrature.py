@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from worldsheet.errors import QuadratureError
 from worldsheet.quadrature import PrefixIntegrator, adaptive_simpson
@@ -60,3 +61,66 @@ def test_prefix_integrator_breakpoints_exact_on_pieces():
     pre = PrefixIntegrator(f, 1.0, n_panels=8, breakpoints=[brk])
     exact = brk ** 3 / 3 + ((1 - 1.0) ** 3 - (brk - 1.0) ** 3) / 3
     assert abs(pre.per_period[0] - exact) < 1e-15
+
+
+@st.composite
+def piecewise_polynomials(draw):
+    """Period, sorted breakpoints and per-piece local coefficients (degree <= 7)."""
+    period = draw(st.floats(0.5, 8.0))
+    cuts = draw(st.lists(st.floats(0.01, 0.99), min_size=0, max_size=6, unique=True))
+    starts = np.concatenate([[0.0], np.sort(cuts) * period])
+    degree = draw(st.integers(0, 7))
+    coefs = draw(st.lists(
+        st.lists(st.floats(-2.0, 2.0), min_size=2 * (degree + 1), max_size=2 * (degree + 1)),
+        min_size=len(starts), max_size=len(starts)))
+    return period, starts, np.array(coefs).reshape(len(starts), degree + 1, 2)
+
+
+def _piece_of(starts, x):
+    return np.searchsorted(starts, x, side="right") - 1
+
+
+def _piecewise(starts, coefs):
+    def f(x):
+        j = _piece_of(starts, x)
+        u = (x - starts[j])[:, None]
+        return sum(coefs[j, k] * u ** k for k in range(coefs.shape[1]))
+    return f
+
+
+def _exact_integral(period, starts, coefs, x):
+    """Integral from 0 of the piecewise polynomial, by its exact antiderivative."""
+    powers = np.arange(1, coefs.shape[1] + 1)[None, :, None]
+    ends = np.append(starts[1:], period)
+
+    def anti(j, u):
+        return (coefs[j] / powers[0] * u[:, None, None] ** powers[0]).sum(axis=1)
+
+    pieces = anti(np.arange(len(starts)), ends - starts)
+    prefix = np.vstack([np.zeros(2), np.cumsum(pieces, axis=0)])
+    wraps = np.floor(x / period)
+    y = x - wraps * period
+    j = _piece_of(starts, y)
+    return prefix[j] + anti(j, y - starts[j]) + wraps[:, None] * prefix[-1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(piecewise_polynomials(), st.lists(st.floats(-2.0, 3.0), min_size=1, max_size=24),
+       st.integers(1, 64))
+def test_prefix_integrator_exact_on_piecewise_polynomials(poly, fracs, n_panels):
+    period, starts, coefs = poly
+    pre = PrefixIntegrator(_piecewise(starts, coefs), period, n_panels=n_panels,
+                           breakpoints=starts)
+    x = np.array(fracs) * period
+    # relative to the integral of |f| over the queried range
+    widths = np.diff(np.append(starts, period))[:, None, None]
+    bound = (np.abs(coefs) * widths ** np.arange(coefs.shape[1])[None, :, None]).sum(axis=1).max()
+    scale = bound * (period + np.abs(x).max())
+    got = pre.integral(x)
+    assert np.abs(got - _exact_integral(period, starts, coefs, x)).max() <= 1e-13 * scale
+    # dense output hits the full-panel table exactly at every edge
+    assert np.array_equal(pre.integral(pre.edges), pre.prefix)
+    # whole periods come from the per-period total
+    for k in (-3, 1, 5):
+        shifted = pre.integral(x + k * period) - k * pre.per_period
+        assert np.abs(shifted - got).max() <= 1e-13 * scale
