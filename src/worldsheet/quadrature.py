@@ -149,7 +149,7 @@ class PrefixIntegrator:
         self.prefix = np.vstack([np.zeros(self.dim), np.cumsum(panel_ints, axis=0)])
         self.per_period = self.prefix[-1].copy()
         # (8, panels, d) Legendre coefficients of each panel's running mean
-        self._mean = np.ascontiguousarray(np.einsum("jk,pkd->jpd", _TO_MEAN, vals))
+        self._mean = np.einsum("jk,pkd->jpd", _TO_MEAN, vals)
 
     def integral(self, x):
         """Integral of f from 0 to x (x array-like, any real values):

@@ -272,10 +272,10 @@ def write_csv(path, header, rows):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        # csv writes a float as repr(float); 4096-row chunks keep lists small
+        # csv writes a float as repr(float); 1024-row chunks keep lists small
         if isinstance(rows, np.ndarray) and rows.dtype == np.float64:
-            for i in range(0, len(rows), 4096):
-                w.writerows(rows[i:i + 4096].tolist())
+            for i in range(0, len(rows), 1024):
+                w.writerows(rows[i:i + 1024].tolist())
             return
         for row in rows:
             w.writerow([repr(float(v)) if isinstance(v, (float, np.floating))

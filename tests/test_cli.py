@@ -175,7 +175,7 @@ def test_removed_flag_rejected(tmp_path, capsys, flag):
 
 def test_write_csv_float_array_matches_per_cell_text(tmp_path):
     values = [-0.0, 0.0, np.nan, np.inf, -np.inf, 1e-300, 1e300, 0.1 + 0.2, -5e-324, 1.0]
-    rows = np.array(values * 2000).reshape(-1, 4)     # 5000 rows: two chunks
+    rows = np.array(values * 2000).reshape(-1, 4)     # 5000 rows: several chunks
     header = ["p_0", "p_1", "p_2", "p_3"]
     serialize.write_csv(tmp_path / "fast.csv", header, rows)
     # a list of rows takes the per-cell repr(float(v)) path
