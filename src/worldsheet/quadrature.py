@@ -134,6 +134,7 @@ class PrefixIntegrator:
         if edges[-1] < self.period:
             edges = np.concatenate([edges, [self.period]])
         vals = _gl_values(f, edges[:-1], edges[1:])
+        # queries see the interpolant, which unlike the rule is exact only to degree 7
         for _ in range(16):
             tail = np.abs(np.einsum("jk,pkd->pjd", _TO_LEG[6:], vals)).sum(axis=1)
             at = np.flatnonzero(np.diff(edges) * tail.max(axis=1) > 1e-14 * self.period)
@@ -152,9 +153,8 @@ class PrefixIntegrator:
         self._mean = np.einsum("jk,pkd->jpd", _TO_MEAN, vals)
 
     def integral(self, x):
-        """Integral of f from 0 to x (x array-like, any real values):
-        the prefix up to x's panel plus (x - panel start) times the
-        interpolant's running mean, summed by Clenshaw in place."""
+        """Integral of f from 0 to x (x array-like, any real values): the
+        prefix to x's panel + (x - panel start) * the interpolant's mean."""
         x = np.asarray(x, dtype=float)
         shape = x.shape
         x = np.ravel(x)

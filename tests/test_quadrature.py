@@ -90,11 +90,11 @@ def _piecewise(starts, coefs):
 
 def _exact_integral(period, starts, coefs, x):
     """Integral from 0 of the piecewise polynomial, by its exact antiderivative."""
-    powers = np.arange(1, coefs.shape[1] + 1)[None, :, None]
+    powers = np.arange(1, coefs.shape[1] + 1)[:, None]
     ends = np.append(starts[1:], period)
 
     def anti(j, u):
-        return (coefs[j] / powers[0] * u[:, None, None] ** powers[0]).sum(axis=1)
+        return (coefs[j] / powers * u[:, None, None] ** powers).sum(axis=1)
 
     pieces = anti(np.arange(len(starts)), ends - starts)
     prefix = np.vstack([np.zeros(2), np.cumsum(pieces, axis=0)])
