@@ -6,6 +6,9 @@ subluminal velocity field.  Normalization reparametrizes it so that
 curves are read off algebraically:
 
     a' = gamma0' + v0,      b' = gamma0' - v0.
+
+``gauge_from_couple`` reads (gamma0', v0) once per node set, through
+``AdmissibleCouple.fields``, and checks normalization on its bake nodes.
 """
 
 from __future__ import annotations
@@ -49,10 +52,14 @@ class AdmissibleCouple:
         out = self.basepoint + self._prefix.integral(xb)
         return out[0] if scalar else out
 
+    def fields(self, x):
+        """(gamma0'(x), v0(x)) as float arrays."""
+        return (np.asarray(self.gamma0_deriv(x), dtype=float),
+                np.asarray(self.v0(x), dtype=float))
+
     def validate(self, samples=2048, ortho_tol=1e-9):
         x = np.linspace(0.0, self.period, samples, endpoint=False)
-        gp = np.asarray(self.gamma0_deriv(x), dtype=float)
-        v = np.asarray(self.v0(x), dtype=float)
+        gp, v = self.fields(x)
         speed = np.linalg.norm(gp, axis=1)
         vmag = np.linalg.norm(v, axis=1)
         ortho = np.abs((gp * v).sum(axis=1)).max()
@@ -67,10 +74,20 @@ class AdmissibleCouple:
 
     def is_normalized(self, samples=2048, tol=1e-9):
         x = np.linspace(0.0, self.period, samples, endpoint=False)
-        gp = np.asarray(self.gamma0_deriv(x), dtype=float)
-        v = np.asarray(self.v0(x), dtype=float)
-        resid = np.abs((gp * gp).sum(axis=1) + (v * v).sum(axis=1) - 1.0).max()
-        return float(resid) <= tol, float(resid)
+        resid = _norm_residual(*self.fields(x))
+        return resid <= tol, resid
+
+
+def _norm_residual(gp, v):
+    """max | |gamma0'|^2 + |v0|^2 - 1 | over sampled fields."""
+    return float(np.abs((gp * gp).sum(axis=1) + (v * v).sum(axis=1)
+                        - 1.0).max())
+
+
+def _density(couple, x):
+    """|gamma0'| / sqrt(1 - |v0|^2), the speed of the normalized parameter."""
+    gp, v = couple.fields(x)
+    return np.linalg.norm(gp, axis=1) / np.sqrt(1.0 - (v * v).sum(axis=1))
 
 
 @dataclass
@@ -130,17 +147,26 @@ def period_E0(couple: AdmissibleCouple, tol=1e-10):
     """Common period of the normalized couple:
     integral over one period of |gamma0'| / sqrt(1 - |v0|^2)."""
     couple.validate()
-
-    def integrand(x):
-        gp = np.asarray(couple.gamma0_deriv(x), dtype=float)
-        v = np.asarray(couple.v0(x), dtype=float)
-        return np.linalg.norm(gp, axis=1) / np.sqrt(
-            1.0 - (v * v).sum(axis=1))
-
-    return float(adaptive_simpson(integrand, 0.0, couple.period, tol=tol))
+    return float(adaptive_simpson(lambda x: _density(couple, x), 0.0,
+                                  couple.period, tol=tol))
 
 
-def normalize(couple: AdmissibleCouple, nodes=4096):
+class _Reparametrized(AdmissibleCouple):
+    """Couple whose gamma0' and v0 are both read from one ``fields(s)``
+    call.  ``fields`` must not refer to the couple: a reference cycle
+    would keep every normalized couple alive until a full collection."""
+
+    def __init__(self, fields, period, parent):
+        super().__init__(lambda s: fields(s)[0], lambda s: fields(s)[1],
+                         period, parent.dim, parent.basepoint,
+                         metadata={"parent": parent.metadata})
+        self._fields = fields
+
+    def fields(self, s):
+        return self._fields(s)
+
+
+def normalize(couple: AdmissibleCouple):
     """Equivalent couple reparametrized so |gamma0'|^2 + |v0|^2 = 1.
 
     The new parameter s runs over [0, E0].  The monotone change of
@@ -150,22 +176,14 @@ def normalize(couple: AdmissibleCouple, nodes=4096):
     sqrt(1 - |v0(lambda)|^2), so the normalization holds structurally.
     """
     couple.validate()
-    normalized, _ = couple.is_normalized()
+    if couple.is_normalized()[0]:
+        return couple
     L = couple.period
-
-    def density(x):
-        gp = np.asarray(couple.gamma0_deriv(x), dtype=float)
-        v = np.asarray(couple.v0(x), dtype=float)
-        return (np.linalg.norm(gp, axis=1)
-                / np.sqrt(1.0 - (v * v).sum(axis=1)))[:, None]
-
-    mu = PrefixIntegrator(density, L, n_panels=nodes,
+    mu = PrefixIntegrator(lambda x: _density(couple, x)[:, None], L,
+                          n_panels=4096,
                           breakpoints=couple.metadata.get("breakpoints", ()))
     E0 = float(mu.per_period[0])
-    if normalized:
-        return couple
-
-    grid = np.linspace(0.0, L, nodes + 1)
+    grid = np.linspace(0.0, L, 4097)
     mu_vals = mu.integral(grid)[:, 0]
     # strictly increasing by the immersion hypothesis
     inverse_seed = PchipInterpolator(mu_vals, grid)
@@ -177,96 +195,74 @@ def normalize(couple: AdmissibleCouple, nodes=4096):
         x = np.clip(inverse_seed(np.clip(y, 0.0, E0)), 0.0, L)
         for _ in range(3):
             f = mu.integral(x)[..., 0] - y
-            fp = density(np.ravel(x)).reshape(x.shape)
+            fp = _density(couple, np.ravel(x)).reshape(x.shape)
             x = np.clip(x - f / fp, 0.0, L)
         return x + wraps * L
 
-    # gauge_from_couple reads gamma0' and v0 on the same node sets, once
-    # for a' and once for b'; lambda is solved once per node set and the
-    # fields of the last four node sets are kept
-    memo = {}
-
     def fields(s):
-        s = np.asarray(s, dtype=float)
-        key = (s.shape, s.tobytes())
-        if key not in memo:
-            x = lam(s)
-            gp = np.asarray(couple.gamma0_deriv(x), dtype=float)
-            v = np.asarray(couple.v0(x), dtype=float)
-            speed = np.linalg.norm(gp, axis=-1, keepdims=True)
-            scale = np.sqrt(1.0 - (v * v).sum(axis=-1, keepdims=True))
-            if len(memo) >= 4:
-                del memo[next(iter(memo))]
-            memo[key] = (gp / speed * scale, v)
-        return memo[key]
+        # lambda is solved once for both fields
+        gp, v = couple.fields(lam(s))
+        speed = np.linalg.norm(gp, axis=-1, keepdims=True)
+        scale = np.sqrt(1.0 - (v * v).sum(axis=-1, keepdims=True))
+        return gp / speed * scale, v
 
-    def new_deriv(s):
-        return fields(s)[0].copy()
-
-    def new_v0(s):
-        return fields(s)[1].copy()
-
-    return AdmissibleCouple(new_deriv, new_v0, E0, couple.dim,
-                            couple.basepoint,
-                            metadata={"parent": couple.metadata})
+    return _Reparametrized(fields, E0, couple)
 
 
-def gauge_from_couple(couple: AdmissibleCouple, smoothness=3, bake=4096):
+def gauge_from_couple(couple: AdmissibleCouple):
     """Orthogonal gauge (a, b) of a normalized couple:
     a' = gamma0' + v0, b' = gamma0' - v0, with a(0) = b(0) = gamma0(0).
 
-    ``bake`` resamples the algebraic tangent fields into renormalized
-    periodic splines for fast evaluation; the resampling error is
-    measured at panel midpoints and the node count doubled until it is
-    below 2e-10, so the gauge keeps the analytic tolerance class.
+    The fields (gamma0', v0) are read once per node set.  Normalization
+    is checked on the first bake nodes.  Each algebraic tangent field is
+    resampled into a renormalized periodic spline for fast evaluation;
+    the resampling error is measured at the panel midpoints, and the
+    node count is doubled (to at most 32768) until it is below 2e-10
+    for both a' and b', so the gauge keeps the analytic tolerance class.
     Piecewise couples (with breakpoints) are never baked.
     """
-    ok, resid = couple.is_normalized()
-    if not ok:
+    P = couple.period
+    nodes = 4096
+    xs = np.linspace(0.0, P, nodes, endpoint=False)
+    gp, v = couple.fields(xs)
+    resid = _norm_residual(gp, v)
+    if resid > 1e-9:
         raise PreconditionError(
             f"couple not normalized (residual {resid:.3e}); call normalize first")
 
-    def a_tan(x):
-        return (np.asarray(couple.gamma0_deriv(x), dtype=float)
-                + np.asarray(couple.v0(x), dtype=float))
-
-    def b_tan(x):
-        return (np.asarray(couple.gamma0_deriv(x), dtype=float)
-                - np.asarray(couple.v0(x), dtype=float))
-
     breaks = couple.metadata.get("breakpoints", ())
-    if bake and not breaks:
-        reps = []
-        for tan in (a_tan, b_tan):
-            nodes = int(bake)
-            while True:
-                xs = np.linspace(0.0, couple.period, nodes, endpoint=False)
-                rep = SphereSamplesTangent(tan(xs), couple.period,
-                                           smoothness=smoothness,
-                                           tol_class="analytic")
-                mids = xs + 0.5 * couple.period / nodes
-                err = np.abs(rep(mids) - tan(mids)).max()
-                if err <= 2e-10 or nodes >= 32768:
-                    break
-                nodes *= 2
-            if err > 2e-10:
-                rep = None
-            reps.append(rep)
-        if all(r is not None for r in reps):
-            a = UnitSpeedCurve(reps[0], couple.basepoint)
-            b = UnitSpeedCurve(reps[1], couple.basepoint)
-            g = OrthogonalGauge(a, b, metadata={"from_couple": True,
-                                                "baked_nodes": nodes})
-            g.validate()
-            return g
+    reps = [None, None]                     # a, b
+    if not breaks:
+        while True:
+            mids = xs + 0.5 * P / nodes
+            gm, vm = couple.fields(mids)
+            for i, sign in enumerate((1.0, -1.0)):
+                if reps[i] is None:
+                    rep = SphereSamplesTangent(gp + sign * v, P, smoothness=3,
+                                               tol_class="analytic")
+                    if np.abs(rep(mids) - (gm + sign * vm)).max() <= 2e-10:
+                        reps[i] = rep
+            if all(r is not None for r in reps) or nodes >= 32768:
+                break
+            nodes *= 2
+            xs = np.linspace(0.0, P, nodes, endpoint=False)
+            gp, v = couple.fields(xs)
+    metadata = {"from_couple": True, "baked_nodes": nodes}
+    if any(r is None for r in reps):
+        def a_tan(x):
+            gp, v = couple.fields(x)
+            return gp + v
 
-    a = UnitSpeedCurve(CallableTangent(a_tan, couple.period, couple.dim,
-                                       smoothness=smoothness, breakpoints=breaks),
-                       couple.basepoint)
-    b = UnitSpeedCurve(CallableTangent(b_tan, couple.period, couple.dim,
-                                       smoothness=smoothness, breakpoints=breaks),
-                       couple.basepoint)
-    g = OrthogonalGauge(a, b, metadata={"from_couple": True})
+        def b_tan(x):
+            gp, v = couple.fields(x)
+            return gp - v
+
+        reps = [CallableTangent(tan, P, couple.dim, smoothness=3,
+                                breakpoints=breaks) for tan in (a_tan, b_tan)]
+        metadata = {"from_couple": True}
+    g = OrthogonalGauge(UnitSpeedCurve(reps[0], couple.basepoint),
+                        UnitSpeedCurve(reps[1], couple.basepoint),
+                        metadata=metadata)
     g.validate()
     return g
 

@@ -95,12 +95,9 @@ def _rotation_to_pole(q, dim):
     w = q - c * e
     w = w / np.linalg.norm(w)
     s = float(q @ w)
-    R = np.eye(dim)
-    for (u, v) in ((e, w),):
-        block = np.array([[c, s], [-s, c]])
-        P = np.stack([u, v])             # 2 x dim
-        R = R - np.outer(u, u) - np.outer(v, v) + P.T @ block @ P
-    return R
+    block = np.array([[c, s], [-s, c]])
+    P = np.stack([e, w])                 # 2 x dim
+    return np.eye(dim) - np.outer(e, e) - np.outer(w, w) + P.T @ block @ P
 
 
 def _stereographic(points, center):
@@ -156,7 +153,7 @@ def _planar_winding(loop, z):
     return w, float(abs(total - w))
 
 
-def winding_number(d: SphereDiagram, check_center=True, check_doubling=True):
+def winding_number(d: SphereDiagram):
     """Winding of the projected a'-curve around the -b'-curve (n = 3).
 
     The projection center maximizes clearance from both curves; a second
@@ -194,26 +191,25 @@ def winding_number(d: SphereDiagram, check_center=True, check_doubling=True):
 
     w1 = value(q1, d.curve_a, d.curve_mb)
 
-    if check_doubling and d.source is not None:
+    if d.source is not None:
         dd = diagram(d.source, m=min(2 * d.m, 4096))
         w2 = value(q1, dd.curve_a, dd.curve_mb)
         if w2 != w1:
             raise UnderResolvedError("winding unstable under sample doubling")
 
-    if check_center:
-        margin = 0.5 * clearance[order[0]]
-        for idx in order[1:]:
-            q2 = cands[idx]
-            if clearance[idx] < max(2 * EPS_DIAG, margin):
-                break
-            if float(q1 @ q2) > np.cos(0.5):
-                continue
-            if _clear_geodesic(q1, q2, tree, EPS_DIAG):
-                w2 = value(q2, d.curve_a, d.curve_mb)
-                if w2 != w1:
-                    raise UnderResolvedError(
-                        "winding differs between same-component centers")
-                break
+    margin = 0.5 * clearance[order[0]]
+    for idx in order[1:]:
+        q2 = cands[idx]
+        if clearance[idx] < max(2 * EPS_DIAG, margin):
+            break
+        if float(q1 @ q2) > np.cos(0.5):
+            continue
+        if _clear_geodesic(q1, q2, tree, EPS_DIAG):
+            w2 = value(q2, d.curve_a, d.curve_mb)
+            if w2 != w1:
+                raise UnderResolvedError(
+                    "winding differs between same-component centers")
+            break
     return w1
 
 
@@ -260,7 +256,7 @@ class LinkingResult:
     residual: float
 
 
-def linking_number(d: SphereDiagram, check_doubling=True, check_center=True):
+def linking_number(d: SphereDiagram):
     """Linking number in S^3 of the diagram curves (n = 4), via
     stereographic projection and the Gauss integral over segment pairs.
 
@@ -294,19 +290,18 @@ def linking_number(d: SphereDiagram, check_doubling=True, check_center=True):
 
     center = cands[order[0]]
     v1, lk1, r1 = value(center, d.curve_a, d.curve_mb)
-    if check_center:
-        for idx in order[1:]:
-            q2 = cands[idx]
-            if float(center @ q2) > np.cos(0.5):
-                continue
-            if clearance[idx] < max(2 * EPS_DIAG, 0.5 * clearance[order[0]]):
-                break
-            v2, _, _ = value(q2, d.curve_a, d.curve_mb)
-            if v2 != v1:
-                raise UnderResolvedError(
-                    "linking differs between projection centers")
+    for idx in order[1:]:
+        q2 = cands[idx]
+        if float(center @ q2) > np.cos(0.5):
+            continue
+        if clearance[idx] < max(2 * EPS_DIAG, 0.5 * clearance[order[0]]):
             break
-    if check_doubling and d.source is not None:
+        v2, _, _ = value(q2, d.curve_a, d.curve_mb)
+        if v2 != v1:
+            raise UnderResolvedError(
+                "linking differs between projection centers")
+        break
+    if d.source is not None:
         dd = diagram(d.source, m=min(2 * d.m, 4096))
         v2, _, _ = value(center, dd.curve_a, dd.curve_mb)
         if v2 != v1:

@@ -3,9 +3,9 @@ import pytest
 
 from worldsheet import catalog
 from worldsheet.errors import PreconditionError
-from worldsheet.gauge import (AdmissibleCouple, couple_from_gauge,
-                              equivalent_gauges, gauge_from_couple, normalize,
-                              period_E0)
+from worldsheet.gauge import (AdmissibleCouple, OrthogonalGauge,
+                              couple_from_gauge, equivalent_gauges,
+                              gauge_from_couple, normalize, period_E0)
 from worldsheet.quadrature import adaptive_simpson
 
 TWO_PI = 2.0 * np.pi
@@ -159,10 +159,11 @@ def test_immersion_rejected():
 
 
 def test_bake_reparametrizes_each_node_set_once(monkeypatch):
-    # normalize evaluates gamma0' 4 times; each node set then costs 7
-    # (3 Newton steps of 2, plus the fields): the is_normalized grid, the
-    # bake nodes and their midpoints.  Re-solving lambda per field and per
-    # tangent costs 69.
+    # normalize evaluates gamma0' 3 times (validate, is_normalized and the
+    # mu build); gauge_from_couple reads the fields on 2 node sets, the
+    # bake nodes and their midpoints, at 4 evaluations each (3 Newton
+    # steps plus the field read).  A separate normalization grid costs
+    # one more node set.
     calls = []
     make = catalog.fourier_couple
 
@@ -175,7 +176,19 @@ def test_bake_reparametrizes_each_node_set_once(monkeypatch):
     monkeypatch.setattr(catalog, "fourier_couple", counted)
     g = catalog.random_planar_gauge(seed=0)
     assert g.metadata["baked_nodes"] == 4096
-    assert len(calls) <= 4 + 3 * 7
+    assert len(calls) <= 3 + 2 * 4
+
+
+def test_baked_nodes_is_the_larger_node_count():
+    # a' needs 8192 nodes to resample within tolerance, b' only 4096
+    wiggly = catalog.angle_curve(
+        lambda x: x + 0.5 * np.pi + 0.3 * np.sin(20 * x),
+        lambda x: 1 + 6 * np.cos(20 * x))
+    g = OrthogonalGauge(wiggly, catalog.circle_curve())
+    baked = gauge_from_couple(couple_from_gauge(g))
+    assert len(baked.a.rep.samples) == 8192
+    assert len(baked.b.rep.samples) == 4096
+    assert baked.metadata["baked_nodes"] == 8192
 
 
 def test_normalized_couple_never_serves_stale_node_set():

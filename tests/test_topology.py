@@ -35,7 +35,7 @@ def test_meridian_loops_diagram_and_winding(meridian_loops):
     d = diagram(meridian_loops, m=1024)
     assert d.disjoint
     assert d.min_distance > 0.05
-    w = winding_number(d, check_center=True, check_doubling=True)
+    w = winding_number(d)
     assert w == 0
 
 
@@ -47,18 +47,18 @@ def test_winding_equator_around_polar_loop():
     loop = np.stack([np.cos(lat) * np.cos(th), np.cos(lat) * np.sin(th),
                      np.full_like(th, np.sin(lat))], axis=1)
     d = synthetic_diagram(eq, loop)
-    w = winding_number(d, check_center=False, check_doubling=False)
+    w = winding_number(d)
     assert w == 1
     # reversing the equator's orientation negates the winding
     d2 = synthetic_diagram(eq[::-1], loop)
-    assert winding_number(d2, check_center=False, check_doubling=False) == -1
+    assert winding_number(d2) == -1
 
 
 def test_winding_stable_under_doubling(meridian_loops):
     d1 = diagram(meridian_loops, m=512)
     d2 = diagram(meridian_loops, m=1024)
-    w1 = winding_number(d1, check_center=False, check_doubling=False)
-    w2 = winding_number(d2, check_center=False, check_doubling=False)
+    w1 = winding_number(d1)
+    w2 = winding_number(d2)
     assert w1 == w2
 
 
