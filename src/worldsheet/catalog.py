@@ -207,6 +207,43 @@ def wavy_circle_path(wave=0.25, phase=0.0, axis_frame=None):
 # ---------------------------------------------------------------------------
 # random couples (Fourier position + scaled normal velocity)
 
+def fourier_loop_deriv(n, modes=(), radius=1.0):
+    """gamma0' of a circle of the given radius in the first two
+    coordinates of R^n plus Fourier modes (m, c, s), each adding
+    c cos(m x) + s sin(m x) (c, s in R^n) to gamma0."""
+    def deriv(x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape + (n,))
+        out[..., 0] = -radius * np.sin(x)
+        out[..., 1] = radius * np.cos(x)
+        for m, c, s in modes:
+            out += (np.multiply.outer(-m * np.sin(m * x), c)
+                    + np.multiply.outer(m * np.cos(m * x), s))
+        return out
+
+    return deriv
+
+
+def normal_velocity_fields(deriv, rho, n):
+    """Couple fields x -> (gamma0'(x), rho(x) N(x)) for a unit normal N
+    of gamma0': the rotated tangent in n = 2, otherwise e3 minus its
+    tangential part, renormalized."""
+    def fields(x):
+        x = np.asarray(x, dtype=float)
+        gp = deriv(x)
+        unit = gp / np.linalg.norm(gp, axis=-1, keepdims=True)
+        if n == 2:
+            normal = np.stack([-unit[..., 1], unit[..., 0]], axis=-1)
+        else:
+            ref = np.zeros(n)
+            ref[2] = 1.0
+            normal = ref - unit * (unit @ ref)[..., None]
+            normal = normal / np.linalg.norm(normal, axis=-1, keepdims=True)
+        return gp, rho(x)[..., None] * normal
+
+    return fields
+
+
 def fourier_couple(n=2, seed=0, modes=3, v_scale=0.5, amp=0.5):
     """Random periodic admissible couple: a unit circle in the first two
     coordinates perturbed by Fourier modes 2..modes+1, with velocity
@@ -222,36 +259,12 @@ def fourier_couple(n=2, seed=0, modes=3, v_scale=0.5, amp=0.5):
     scale = min(amp, 0.55) / budget if budget > 0 else 0.0
     coef_c *= scale
     coef_s *= scale
-
-    def gamma_deriv(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape + (n,))
-        out[..., 0] = -np.sin(x)
-        out[..., 1] = np.cos(x)
-        for j, m in enumerate(ms):
-            out += (np.multiply.outer(-m * np.sin(m * x), coef_c[j])
-                    + np.multiply.outer(m * np.cos(m * x), coef_s[j]))
-        return out
-
     phase = rng.uniform(0.0, TWO_PI)
-
-    def v0(x):
-        x = np.asarray(x, dtype=float)
-        gp = gamma_deriv(x)
-        unit = gp / np.linalg.norm(gp, axis=-1, keepdims=True)
-        if n == 2:
-            normal = np.stack([-unit[..., 1], unit[..., 0]], axis=-1)
-        else:
-            ref = np.zeros(n)
-            ref[2] = 1.0
-            proj = unit * (unit @ ref)[..., None]
-            normal = ref - proj
-            normal = normal / np.linalg.norm(normal, axis=-1, keepdims=True)
-        rho = v_scale * (0.6 + 0.4 * np.sin(x + phase))
-        return rho[..., None] * normal
-
     base = rng.normal(scale=0.2, size=n)
-    return AdmissibleCouple(gamma_deriv, v0, TWO_PI, n, base,
+    fields = normal_velocity_fields(
+        fourier_loop_deriv(n, list(zip(ms, coef_c, coef_s))),
+        lambda x: v_scale * (0.6 + 0.4 * np.sin(x + phase)), n)
+    return AdmissibleCouple(fields, TWO_PI, n, base,
                             metadata={"seed": seed, "modes": modes})
 
 

@@ -482,7 +482,7 @@ def _check_symmetric_convex(curve):
     if sym > 1e-9:
         raise PreconditionError(
             f"curve not centrally symmetric (residual {sym:.2e})")
-    if not isinstance(curve.rep, AngleTangent) or curve.rep.alpha_prime is None:
+    if not isinstance(curve.rep, AngleTangent):
         raise PreconditionError("extinction gluing needs an angle-represented "
                                 "curve with its turning rate")
     turn = curve.rep.alpha_prime(xs)

@@ -55,7 +55,7 @@ class TangentRep:
 class AngleTangent(TangentRep):
     """Planar tangent e^{i alpha(x)} given by a (lifted) angle function."""
 
-    def __init__(self, alpha, period, alpha_prime=None, smoothness=3,
+    def __init__(self, alpha, period, alpha_prime, smoothness=3,
                  breakpoints=()):
         super().__init__(period, 2, smoothness)
         self.alpha = alpha
@@ -68,8 +68,6 @@ class AngleTangent(TangentRep):
 
     def derivative(self, x, h=1e-6):
         x = np.asarray(x, dtype=float)
-        if self.alpha_prime is None:
-            return super().derivative(x, h)
         a = np.asarray(self.alpha(x))
         ap = np.asarray(self.alpha_prime(x))
         return ap[..., None] * np.stack([-np.sin(a), np.cos(a)], axis=-1)

@@ -1,14 +1,15 @@
 """Admissible initial couples and the orthogonal-gauge representation.
 
 A couple is a periodic immersed curve together with an orthogonal,
-subluminal velocity field.  Normalization reparametrizes it so that
-|gamma0'|^2 + |v0|^2 = 1, after which the two unit-speed half-wave
-curves are read off algebraically:
+subluminal velocity field, held as one vectorized callable
+``fields(x) -> (gamma0'(x), v0(x))``.  Normalization reparametrizes it
+so that |gamma0'|^2 + |v0|^2 = 1, after which the two unit-speed
+half-wave curves are read off algebraically:
 
     a' = gamma0' + v0,      b' = gamma0' - v0.
 
-``gauge_from_couple`` reads (gamma0', v0) once per node set, through
-``AdmissibleCouple.fields``, and checks normalization on its bake nodes.
+``gauge_from_couple`` reads the fields once per node set and checks
+normalization on its bake nodes.
 """
 
 from __future__ import annotations
@@ -26,13 +27,14 @@ from .quadrature import PrefixIntegrator, adaptive_simpson
 
 @dataclass
 class AdmissibleCouple:
-    """Initial data (gamma0, v0): gamma0' and v0 as vectorized callables.
+    """Initial data (gamma0, v0) as one vectorized callable
+    ``fields(x) -> (gamma0'(x), v0(x))``, two float arrays of shape
+    x.shape + (dim,).
 
-    gamma0 is reconstructed as basepoint + integral of gamma0_deriv.
+    gamma0 is reconstructed as basepoint + integral of gamma0'.
     """
 
-    gamma0_deriv: object            # x -> (m, n)
-    v0: object                      # x -> (m, n)
+    fields: object
     period: float
     dim: int
     basepoint: np.ndarray
@@ -45,25 +47,19 @@ class AdmissibleCouple:
     def gamma0(self, x):
         if self._prefix is None:
             self._prefix = PrefixIntegrator(
-                lambda y: np.asarray(self.gamma0_deriv(y), dtype=float),
-                self.period, n_panels=2048,
+                lambda y: self.fields(y)[0], self.period, n_panels=2048,
                 breakpoints=self.metadata.get("breakpoints", ()))
         xb, scalar = _as_batch(x)
         out = self.basepoint + self._prefix.integral(xb)
         return out[0] if scalar else out
 
-    def fields(self, x):
-        """(gamma0'(x), v0(x)) as float arrays."""
-        return (np.asarray(self.gamma0_deriv(x), dtype=float),
-                np.asarray(self.v0(x), dtype=float))
-
-    def validate(self, samples=2048, ortho_tol=1e-9):
-        x = np.linspace(0.0, self.period, samples, endpoint=False)
+    def validate(self):
+        x = np.linspace(0.0, self.period, 2048, endpoint=False)
         gp, v = self.fields(x)
         speed = np.linalg.norm(gp, axis=1)
         vmag = np.linalg.norm(v, axis=1)
         ortho = np.abs((gp * v).sum(axis=1)).max()
-        if ortho > ortho_tol * max(1.0, speed.max()):
+        if ortho > 1e-9 * max(1.0, speed.max()):
             raise PreconditionError(
                 f"v0 not orthogonal to gamma0': max residual {ortho:.3e}")
         if vmag.max() >= 1.0 - 1e-9:
@@ -72,10 +68,10 @@ class AdmissibleCouple:
             raise PreconditionError("gamma0 is not an immersion (|gamma0'| ~ 0)")
         return float(ortho), float(vmag.max()), float(speed.min())
 
-    def is_normalized(self, samples=2048, tol=1e-9):
-        x = np.linspace(0.0, self.period, samples, endpoint=False)
+    def is_normalized(self):
+        x = np.linspace(0.0, self.period, 2048, endpoint=False)
         resid = _norm_residual(*self.fields(x))
-        return resid <= tol, resid
+        return resid <= 1e-9, resid
 
 
 def _norm_residual(gp, v):
@@ -143,27 +139,12 @@ class OrthogonalGauge:
         return m
 
 
-def period_E0(couple: AdmissibleCouple, tol=1e-10):
+def period_E0(couple: AdmissibleCouple):
     """Common period of the normalized couple:
     integral over one period of |gamma0'| / sqrt(1 - |v0|^2)."""
     couple.validate()
     return float(adaptive_simpson(lambda x: _density(couple, x), 0.0,
-                                  couple.period, tol=tol))
-
-
-class _Reparametrized(AdmissibleCouple):
-    """Couple whose gamma0' and v0 are both read from one ``fields(s)``
-    call.  ``fields`` must not refer to the couple: a reference cycle
-    would keep every normalized couple alive until a full collection."""
-
-    def __init__(self, fields, period, parent):
-        super().__init__(lambda s: fields(s)[0], lambda s: fields(s)[1],
-                         period, parent.dim, parent.basepoint,
-                         metadata={"parent": parent.metadata})
-        self._fields = fields
-
-    def fields(self, s):
-        return self._fields(s)
+                                  couple.period, tol=1e-10))
 
 
 def normalize(couple: AdmissibleCouple):
@@ -200,13 +181,16 @@ def normalize(couple: AdmissibleCouple):
         return x + wraps * L
 
     def fields(s):
-        # lambda is solved once for both fields
+        # lambda is solved once for both fields.  This closure must not
+        # refer to the new couple: a reference cycle would keep every
+        # normalized couple alive until a full collection.
         gp, v = couple.fields(lam(s))
         speed = np.linalg.norm(gp, axis=-1, keepdims=True)
         scale = np.sqrt(1.0 - (v * v).sum(axis=-1, keepdims=True))
         return gp / speed * scale, v
 
-    return _Reparametrized(fields, E0, couple)
+    return AdmissibleCouple(fields, E0, couple.dim, couple.basepoint,
+                            metadata={"parent": couple.metadata})
 
 
 def gauge_from_couple(couple: AdmissibleCouple):
@@ -272,17 +256,14 @@ def couple_from_gauge(g: OrthogonalGauge):
     gamma0 = (a + b)/2, v0 = (a' - b')/2."""
     g.validate()
 
-    def deriv(x):
-        return 0.5 * (g.a.tangent(np.asarray(x, dtype=float))
-                      + g.b.tangent(np.asarray(x, dtype=float)))
-
-    def v0(x):
-        return 0.5 * (g.a.tangent(np.asarray(x, dtype=float))
-                      - g.b.tangent(np.asarray(x, dtype=float)))
+    def fields(x):
+        x = np.asarray(x, dtype=float)
+        ta, tb = g.a.tangent(x), g.b.tangent(x)
+        return 0.5 * (ta + tb), 0.5 * (ta - tb)
 
     base = 0.5 * (g.a.basepoint + g.b.basepoint)
     breaks = tuple(g.a.rep.breakpoints) + tuple(g.b.rep.breakpoints)
-    return AdmissibleCouple(deriv, v0, g.E0, g.dim, base,
+    return AdmissibleCouple(fields, g.E0, g.dim, base,
                             metadata={"breakpoints": breaks})
 
 

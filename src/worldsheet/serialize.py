@@ -82,81 +82,47 @@ def couple_from_spec(spec):
     kind = g0.get("kind")
     if kind == "circle":
         radius = float(g0.get("radius", 1.0))
-        n = int(g0.get("n", 2))
-
-        def deriv(x):
-            x = np.asarray(x, dtype=float)
-            out = np.zeros(x.shape + (n,))
-            out[..., 0] = -radius * np.sin(x)
-            out[..., 1] = radius * np.cos(x)
-            return out
-
-        base = np.zeros(n)
+        dim = int(g0.get("n", 2))
+        deriv = catalog.fourier_loop_deriv(dim, radius=radius)
+        base = np.zeros(dim)
         base[0] = radius
-        period = 2.0 * np.pi
-        dim = n
     elif kind == "fourier_loop":
-        n = int(g0["n"])
+        dim = int(g0["n"])
         modes = [(int(m), np.asarray(c, float), np.asarray(s, float))
                  for m, c, s in g0["modes"]]
-        base = np.asarray(g0.get("basepoint", np.zeros(n)), dtype=float)
-
-        def deriv(x):
-            x = np.asarray(x, dtype=float)
-            out = np.zeros(x.shape + (n,))
-            out[..., 0] = -np.sin(x)
-            out[..., 1] = np.cos(x)
-            for m, c, s in modes:
-                out += (np.multiply.outer(-m * np.sin(m * x), c)
-                        + np.multiply.outer(m * np.cos(m * x), s))
-            return out
-
-        period = 2.0 * np.pi
-        dim = n
+        deriv = catalog.fourier_loop_deriv(dim, modes)
+        base = np.asarray(g0.get("basepoint", np.zeros(dim)), dtype=float)
     else:
         raise PreconditionError(f"unknown gamma0 kind {kind!r}")
 
     v0spec = spec.get("v0", {"kind": "zero"})
     vkind = v0spec.get("kind", "zero")
     if vkind == "zero":
-        def v0(x):
-            x = np.asarray(x, dtype=float)
-            return np.zeros(x.shape + (dim,))
-    elif vkind in ("normal_scale", "fourier"):
-        if vkind == "normal_scale":
-            scale = float(v0spec.get("scale", 0.5))
-            phase = float(v0spec.get("phase", 0.0))
-            wobble = float(v0spec.get("wobble", 0.0))
-
-            def rho(x):
-                return scale * (1.0 + wobble * np.sin(x + phase))
-        else:
-            coeffs = [(int(m), float(c), float(s))
-                      for m, c, s in v0spec.get("modes", [])]
-            base_rho = float(v0spec.get("mean", 0.0))
-
-            def rho(x):
-                out = np.full_like(np.asarray(x, dtype=float), base_rho)
-                for m, c, s in coeffs:
-                    out = out + c * np.cos(m * x) + s * np.sin(m * x)
-                return out
-
-        def v0(x):
-            x = np.asarray(x, dtype=float)
+        def fields(x):
             gp = deriv(x)
-            unit = gp / np.linalg.norm(gp, axis=-1, keepdims=True)
-            if dim == 2:
-                normal = np.stack([-unit[..., 1], unit[..., 0]], axis=-1)
-            else:
-                ref = np.zeros(dim)
-                ref[2] = 1.0
-                normal = ref - unit * (unit @ ref)[..., None]
-                normal = normal / np.linalg.norm(normal, axis=-1, keepdims=True)
-            return rho(x)[..., None] * normal
+            return gp, np.zeros_like(gp)
+    elif vkind == "normal_scale":
+        scale = float(v0spec.get("scale", 0.5))
+        phase = float(v0spec.get("phase", 0.0))
+        wobble = float(v0spec.get("wobble", 0.0))
+        fields = catalog.normal_velocity_fields(
+            deriv, lambda x: scale * (1.0 + wobble * np.sin(x + phase)), dim)
+    elif vkind == "fourier":
+        coeffs = [(int(m), float(c), float(s))
+                  for m, c, s in v0spec.get("modes", [])]
+        base_rho = float(v0spec.get("mean", 0.0))
+
+        def rho(x):
+            out = np.full_like(x, base_rho)
+            for m, c, s in coeffs:
+                out = out + c * np.cos(m * x) + s * np.sin(m * x)
+            return out
+
+        fields = catalog.normal_velocity_fields(deriv, rho, dim)
     else:
         raise PreconditionError(f"unknown v0 kind {vkind!r}")
 
-    return AdmissibleCouple(deriv, v0, period, dim, base)
+    return AdmissibleCouple(fields, 2.0 * np.pi, dim, base)
 
 
 # ---------------------------------------------------------------------------

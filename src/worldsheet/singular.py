@@ -31,6 +31,7 @@ DEFAULT_GRID = 512
 SEED_LEVEL = 0.1          # squared-residual level below which minima seed GN
 OSC_YES = 1e-2            # tangent oscillation certifying no limit
 OSC_NO = 1e-4             # oscillation below which the limit is accepted
+LIFT_SAMPLES = 8192       # samples of a spline angle lift per period
 
 
 @dataclass
@@ -100,12 +101,12 @@ def grid_residuals(g: OrthogonalGauge, grid_n=DEFAULT_GRID):
     return np.sqrt(np.clip(r2, 0.0, None)), s
 
 
-def _gauss_newton(g, s0, sig0, tol, iters=40):
+def _gauss_newton(g, s0, sig0):
     s = np.asarray(s0, dtype=float).copy()
     sig = np.asarray(sig0, dtype=float).copy()
     active = np.ones(len(s), dtype=bool)
     lim = 8.0 * g.E0 / DEFAULT_GRID
-    for _ in range(iters):
+    for _ in range(40):
         if not active.any():
             break
         sa, oa = s[active], sig[active]
@@ -189,8 +190,7 @@ def find_antipodal_pairs(g: OrthogonalGauge, grid_n=DEFAULT_GRID, tol=None):
     if len(seeds) == 0:
         return DetectionReport([], grid_n, min_grid, tol)
 
-    s_ref, sig_ref, res = _gauss_newton(
-        g, grid[seeds[:, 0]], grid[seeds[:, 1]], tol)
+    s_ref, sig_ref, res = _gauss_newton(g, grid[seeds[:, 0]], grid[seeds[:, 1]])
     ok = res <= tol
     if not ok.any():
         return DetectionReport([], grid_n, min_grid, tol)
@@ -302,7 +302,7 @@ class TwoDAngleState:
         return self.alpha(x + t) + self.beta(x - t)
 
 
-def _angle_callable_from_rep(curve, negate, samples=8192):
+def _angle_callable_from_rep(curve, negate):
     """(angle, angle') for a planar tangent field, exact when the
     representation stores the angle, otherwise a periodic spline lift."""
     rep = curve.rep
@@ -311,14 +311,10 @@ def _angle_callable_from_rep(curve, negate, samples=8192):
         alpha = rep.alpha
         alpha_p = rep.alpha_prime
         fn = (lambda x: np.asarray(alpha(np.asarray(x, dtype=float))) + offset)
-        if alpha_p is None:
-            h = 1e-6 * curve.period
-            fp = lambda x: (fn(np.asarray(x) + h) - fn(np.asarray(x) - h)) / (2 * h)
-        else:
-            fp = lambda x: np.asarray(alpha_p(np.asarray(x, dtype=float)))
+        fp = lambda x: np.asarray(alpha_p(np.asarray(x, dtype=float)))
         return fn, fp
     P = curve.period
-    xs = np.linspace(0.0, P, samples + 1)
+    xs = np.linspace(0.0, P, LIFT_SAMPLES + 1)
     v = curve.tangent(xs)
     if negate:
         v = -v
@@ -344,13 +340,13 @@ def _angle_callable_from_rep(curve, negate, samples=8192):
     return fn, fp
 
 
-def angle_state(g: OrthogonalGauge, samples=8192):
+def angle_state(g: OrthogonalGauge):
     """Lift the tangent angles of a' and -b' and normalize alpha by the
     2 pi k making the angle images overlap as much as possible."""
     if g.dim != 2:
         raise PreconditionError("angle machinery requires a planar gauge")
-    alpha, alpha_p = _angle_callable_from_rep(g.a, negate=False, samples=samples)
-    beta, beta_p = _angle_callable_from_rep(g.b, negate=True, samples=samples)
+    alpha, alpha_p = _angle_callable_from_rep(g.a, negate=False)
+    beta, beta_p = _angle_callable_from_rep(g.b, negate=True)
     xs = np.linspace(0.0, g.E0, 4096)
     ia = alpha(xs)
     ib = beta(xs)
@@ -401,6 +397,15 @@ def _sign_content(A, B):
     return f_max > thresh, f_min < -thresh
 
 
+def _half_g_jump_ok(st, t, s0, s1):
+    """Whether G/2 jumps by pi (mod 2 pi, to 1e-6) across the interval
+    of zeros [s0, s1] of F(t, .): the one-sided matching rule under
+    which the tangent has a limit there."""
+    g_jump = 0.5 * (float(st.G(t, s1)) - float(st.G(t, s0)))
+    dev = np.mod(g_jump - np.pi, 2.0 * np.pi)
+    return min(dev, 2.0 * np.pi - dev) <= 1e-6
+
+
 def classify_sing_star(g: OrthogonalGauge, component: SingComponent,
                        state: TwoDAngleState | None = None,
                        grid_n=DEFAULT_GRID):
@@ -449,10 +454,8 @@ def classify_sing_star(g: OrthogonalGauge, component: SingComponent,
             eta = 2.0 * spacing
             f_left = float(st.F(tbar, s0 - eta))
             f_right = float(st.F(tbar, s1 + eta))
-            g_jump = 0.5 * (float(st.G(tbar, s1)) - float(st.G(tbar, s0)))
-            jump_ok = np.abs(np.mod(g_jump - np.pi, 2.0 * np.pi)) <= 1e-6 or \
-                np.abs(np.mod(g_jump - np.pi, 2.0 * np.pi) - 2.0 * np.pi) <= 1e-6
-            if np.sign(f_left) == -np.sign(f_right) and f_left != 0 and jump_ok:
+            if (np.sign(f_left) == -np.sign(f_right) and f_left != 0
+                    and _half_g_jump_ok(st, tbar, s0, s1)):
                 comp.sing_star = "no"
                 comp.tangent_gap = 0.0
             else:
@@ -577,9 +580,7 @@ def sing_star_time_extent(g: OrthogonalGauge, t_samples=512, x_samples=2048,
             # interval component: apply the one-sided matching rule
             s0 = xs[(ci + 1) % x_samples]
             s1 = xs[(ci + width) % x_samples]
-            g_jump = 0.5 * (float(st.G(t, s1)) - float(st.G(t, s0)))
-            dev = np.mod(g_jump - np.pi, 2.0 * np.pi)
-            if min(dev, 2.0 * np.pi - dev) > 1e-6:
+            if not _half_g_jump_ok(st, t, s0, s1):
                 marked[i] = True
                 break
     if not marked.any():

@@ -160,6 +160,22 @@ def test_gauge_roundtrip_through_spec(tmp_path):
     assert abs(g2.E0 - g.E0) < 1e-12
 
 
+@pytest.mark.parametrize("v0, E0", [
+    ({"kind": "zero"}, 6.2983),
+    ({"kind": "normal_scale", "scale": 0.4, "wobble": 0.3}, 6.9153),
+    ({"kind": "fourier", "mean": 0.3, "modes": [[1, 0.1, 0.05]]}, 6.6399),
+])
+def test_fourier_loop_couple_spec(v0, E0):
+    gamma0 = {"kind": "fourier_loop", "n": 3,
+              "modes": [[2, [0.05, 0.02, 0.01], [0.0, 0.03, 0.02]]]}
+    g = serialize.gauge_from_spec({"couple": {"gamma0": gamma0, "v0": v0}})
+    xs = np.linspace(0, g.E0, 1000, endpoint=False)
+    for curve in (g.a, g.b):
+        assert np.abs(np.linalg.norm(curve.tangent(xs), axis=1) - 1).max() < 1e-9
+    assert g.min_sum_norm() > 0.5
+    assert abs(g.E0 - E0) < 1e-4
+
+
 @pytest.mark.parametrize("flag", ["--tol", "--parallel"])
 def test_removed_flag_rejected(tmp_path, capsys, flag):
     scen = tmp_path / "scen.json"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from worldsheet import catalog
+from worldsheet.curves import UnitSpeedCurve
 from worldsheet.errors import PreconditionError
 from worldsheet.gauge import (AdmissibleCouple, OrthogonalGauge,
                               couple_from_gauge, equivalent_gauges,
@@ -12,17 +13,13 @@ TWO_PI = 2.0 * np.pi
 
 
 def circle_couple(radius=1.0, v_scale=0.0):
-    def deriv(x):
+    def fields(x):
         x = np.asarray(x, dtype=float)
-        return radius * np.stack([-np.sin(x), np.cos(x)], axis=-1)
-
-    def v0(x):
-        x = np.asarray(x, dtype=float)
+        tangent = np.stack([-np.sin(x), np.cos(x)], axis=-1)
         inward = -np.stack([np.cos(x), np.sin(x)], axis=-1)
-        return v_scale * inward
+        return radius * tangent, v_scale * inward
 
-    return AdmissibleCouple(deriv, v0, TWO_PI, 2,
-                            np.array([radius, 0.0]))
+    return AdmissibleCouple(fields, TWO_PI, 2, np.array([radius, 0.0]))
 
 
 def test_period_unit_circle():
@@ -73,8 +70,7 @@ def test_normalize_idempotent():
     xs = np.linspace(0, nc.period, 512)
     again = normalize(nc)
     assert again is nc or np.abs(
-        np.asarray(again.gamma0_deriv(xs)) - np.asarray(nc.gamma0_deriv(xs))
-    ).max() < 1e-9
+        again.fields(xs)[0] - nc.fields(xs)[0]).max() < 1e-9
 
 
 def test_subluminal_rejection():
@@ -109,7 +105,7 @@ def test_gauge_from_random_couple_membership_seed7():
 def test_couple_from_gauge_circle(circle):
     c = couple_from_gauge(circle)
     xs = np.linspace(0, TWO_PI, 128)
-    v = np.asarray(c.v0(xs))
+    _, v = c.fields(xs)
     assert np.abs(v).max() < 1e-12
     ok, _ = c.is_normalized()
     assert ok
@@ -118,8 +114,7 @@ def test_couple_from_gauge_circle(circle):
 def test_couple_from_gauge_hopf_half_energies(hopf):
     c = couple_from_gauge(hopf)
     xs = np.linspace(0, TWO_PI, 256)
-    gp = np.asarray(c.gamma0_deriv(xs))
-    v = np.asarray(c.v0(xs))
+    gp, v = c.fields(xs)
     assert np.abs((gp * gp).sum(1) - 0.5).max() < 1e-12
     assert np.abs((v * v).sum(1) - 0.5).max() < 1e-12
 
@@ -136,6 +131,23 @@ def test_round_trip_identity_seed11():
     assert np.abs((g2.a.position(xs) - shift) - g.a.position(xs)).max() < 1e-9
 
 
+def test_couple_from_gauge_reads_each_tangent_once(monkeypatch):
+    # g.validate() evaluates the source tangents 6 times; each of the 2
+    # field reads in gauge_from_couple then costs one a' and one b'.
+    g = catalog.random_planar_gauge(seed=3)
+    calls = []
+    tangent = UnitSpeedCurve.tangent
+
+    def counted(self, x):
+        if self is g.a or self is g.b:
+            calls.append(1)
+        return tangent(self, x)
+
+    monkeypatch.setattr(UnitSpeedCurve, "tangent", counted)
+    gauge_from_couple(couple_from_gauge(g))
+    assert len(calls) == 10
+
+
 def test_equivalence_predicate_detects_shift():
     g = catalog.circle_gauge()
     # shifted witness: a(x + x0) differs from a(x) unless x0 = 0 mod 2pi
@@ -146,31 +158,31 @@ def test_equivalence_predicate_detects_shift():
 
 
 def test_immersion_rejected():
-    def deriv(x):
+    def fields(x):
         x = np.asarray(x, dtype=float)
         # speed vanishes at x = 0
-        return (1 - np.cos(x))[..., None] * np.stack(
+        gp = (1 - np.cos(x))[..., None] * np.stack(
             [-np.sin(x), np.cos(x)], axis=-1)
+        return gp, np.zeros_like(gp)
 
-    c = AdmissibleCouple(deriv, lambda x: np.zeros(np.shape(x) + (2,)),
-                         TWO_PI, 2, np.zeros(2))
+    c = AdmissibleCouple(fields, TWO_PI, 2, np.zeros(2))
     with pytest.raises(PreconditionError, match="immersion"):
         c.validate()
 
 
 def test_bake_reparametrizes_each_node_set_once(monkeypatch):
-    # normalize evaluates gamma0' 3 times (validate, is_normalized and the
-    # mu build); gauge_from_couple reads the fields on 2 node sets, the
-    # bake nodes and their midpoints, at 4 evaluations each (3 Newton
-    # steps plus the field read).  A separate normalization grid costs
-    # one more node set.
+    # normalize reads the couple's fields 3 times (validate,
+    # is_normalized and the mu build); gauge_from_couple reads the
+    # fields on 2 node sets, the bake nodes and their midpoints, at 4
+    # reads each (3 Newton steps plus the field read).  A separate
+    # normalization grid costs one more node set.
     calls = []
     make = catalog.fourier_couple
 
     def counted(*args, **kwargs):
         couple = make(*args, **kwargs)
-        deriv = couple.gamma0_deriv
-        couple.gamma0_deriv = lambda x: calls.append(1) or deriv(x)
+        fields = couple.fields
+        couple.fields = lambda x: calls.append(1) or fields(x)
         return couple
 
     monkeypatch.setattr(catalog, "fourier_couple", counted)
@@ -196,11 +208,11 @@ def test_normalized_couple_never_serves_stale_node_set():
     fresh = normalize(catalog.fourier_couple(2, seed=3))
     xs = np.linspace(0.0, couple.period, 64, endpoint=False)
     for j in range(8):                      # more node sets than are kept
-        couple.gamma0_deriv(xs + 0.01 * j)
-        couple.v0(xs[: 8 + j])
+        couple.fields(xs + 0.01 * j)
+        couple.fields(xs[: 8 + j])
     probes = [xs, xs + 0.03, xs[:8], xs.reshape(8, 8), xs[5], xs[:1]]
     for x in probes:
-        couple.gamma0_deriv(x)[...] = 0.0   # callers may scribble on results
-        couple.v0(x)[...] = 0.0
-        assert np.array_equal(couple.gamma0_deriv(x), fresh.gamma0_deriv(x))
-        assert np.array_equal(couple.v0(x), fresh.v0(x))
+        for arr in couple.fields(x):        # callers may scribble on results
+            arr[...] = 0.0
+        for got, want in zip(couple.fields(x), fresh.fields(x)):
+            assert np.array_equal(got, want)
