@@ -66,7 +66,7 @@ class AngleTangent(TangentRep):
         a = np.asarray(self.alpha(np.asarray(x, dtype=float)))
         return np.stack([np.cos(a), np.sin(a)], axis=-1)
 
-    def derivative(self, x, h=1e-6):
+    def derivative(self, x):
         x = np.asarray(x, dtype=float)
         a = np.asarray(self.alpha(x))
         ap = np.asarray(self.alpha_prime(x))
@@ -106,7 +106,7 @@ class SphereSamplesTangent(TangentRep):
         v = self._raw(np.asarray(x, dtype=float))
         return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
-    def derivative(self, x, h=1e-6):
+    def derivative(self, x):
         x = np.asarray(x, dtype=float)
         v = self._raw(x)
         dv = self._dspline(np.mod(x, self.period))

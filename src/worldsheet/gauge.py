@@ -53,25 +53,34 @@ class AdmissibleCouple:
         out = self.basepoint + self._prefix.integral(xb)
         return out[0] if scalar else out
 
-    def validate(self):
+    def _check_fields(self):
+        """The fields on the 2048-point check grid of ``validate`` and
+        ``is_normalized``."""
         x = np.linspace(0.0, self.period, 2048, endpoint=False)
-        gp, v = self.fields(x)
-        speed = np.linalg.norm(gp, axis=1)
-        vmag = np.linalg.norm(v, axis=1)
-        ortho = np.abs((gp * v).sum(axis=1)).max()
-        if ortho > 1e-9 * max(1.0, speed.max()):
-            raise PreconditionError(
-                f"v0 not orthogonal to gamma0': max residual {ortho:.3e}")
-        if vmag.max() >= 1.0 - 1e-9:
-            raise PreconditionError("velocity not uniformly subluminal")
-        if speed.min() <= 1e-6:
-            raise PreconditionError("gamma0 is not an immersion (|gamma0'| ~ 0)")
-        return float(ortho), float(vmag.max()), float(speed.min())
+        return self.fields(x)
+
+    def validate(self):
+        return _validate_fields(*self._check_fields())
 
     def is_normalized(self):
-        x = np.linspace(0.0, self.period, 2048, endpoint=False)
-        resid = _norm_residual(*self.fields(x))
+        resid = _norm_residual(*self._check_fields())
         return resid <= 1e-9, resid
+
+
+def _validate_fields(gp, v):
+    """Orthogonality, subluminality and immersion checks of sampled
+    fields; returns (ortho residual, max |v0|, min |gamma0'|)."""
+    speed = np.linalg.norm(gp, axis=1)
+    vmag = np.linalg.norm(v, axis=1)
+    ortho = np.abs((gp * v).sum(axis=1)).max()
+    if ortho > 1e-9 * max(1.0, speed.max()):
+        raise PreconditionError(
+            f"v0 not orthogonal to gamma0': max residual {ortho:.3e}")
+    if vmag.max() >= 1.0 - 1e-9:
+        raise PreconditionError("velocity not uniformly subluminal")
+    if speed.min() <= 1e-6:
+        raise PreconditionError("gamma0 is not an immersion (|gamma0'| ~ 0)")
+    return float(ortho), float(vmag.max()), float(speed.min())
 
 
 def _norm_residual(gp, v):
@@ -156,8 +165,9 @@ def normalize(couple: AdmissibleCouple):
     tangent uses the algebraic identity |gamma0'(lambda)| lambda'(s) =
     sqrt(1 - |v0(lambda)|^2), so the normalization holds structurally.
     """
-    couple.validate()
-    if couple.is_normalized()[0]:
+    gp, v = couple._check_fields()           # one read serves both checks
+    _validate_fields(gp, v)
+    if _norm_residual(gp, v) <= 1e-9:
         return couple
     L = couple.period
     mu = PrefixIntegrator(lambda x: _density(couple, x)[:, None], L,

@@ -4,7 +4,10 @@ The diagram disjointness margin is the global immersion margin; winding
 (n = 3) and linking (n = 4) numbers label connected components of the
 smooth regime.  Both invariants are computed through stereographic
 projection from a maximal-clearance center, with integer stability
-checks under sample doubling and center re-selection.
+checks under sample doubling and center re-selection.  The linking
+number's value comes from the Gauss integral at the primary center
+only; its two checks are exact signed crossing counts of a generic
+planar projection.
 """
 
 from __future__ import annotations
@@ -248,6 +251,85 @@ def _gauss_linking_polylines(P, Q):
     return total / (2.0 * np.pi)
 
 
+CROSSING_ROTATIONS = 8          # projection directions tried before giving up
+CROSSING_TOL = 1e-9             # crossing parameter distance to an endpoint
+
+
+def _generic_rotation(k):
+    """The k-th fixed pseudo-random proper rotation of R^3."""
+    Qm, Rm = np.linalg.qr(np.random.default_rng(k).normal(size=(3, 3)))
+    Qm = Qm * np.sign(np.diag(Rm))
+    if np.linalg.det(Qm) < 0:
+        Qm[:, 0] = -Qm[:, 0]
+    return Qm
+
+
+def _signed_crossings(P, Q):
+    """Linking number of two closed polylines from the crossings of their
+    xy-projections, or None when the projection is not generic.
+
+    A P segment p0 + t dp crosses a Q segment q0 + u dq where t, u lie in
+    [0, 1); the crossing has sign sign(d_over x d_under) seen from +z.
+    Lk is the signed count of the crossings where P is over Q, and again
+    of those where Q is over P; the two must agree.  The projection is
+    not generic when a crossing lies within CROSSING_TOL of a segment
+    end, when two overlapping segments are parallel to 1e-12, or when
+    the heights at a crossing differ by less than 1e-12.
+    """
+    dp = np.roll(P, -1, axis=0) - P
+    dq = np.roll(Q, -1, axis=0) - Q
+    nq = np.hypot(dq[:, 0], dq[:, 1])
+    q_lo = np.minimum(Q, Q + dq)[:, :2]
+    q_hi = np.maximum(Q, Q + dq)[:, :2]
+    over = under = 0
+    block = 256
+    for i0 in range(0, len(P), block):
+        p = P[i0:i0 + block, None, :]
+        d = dp[i0:i0 + block, None, :]
+        rx = Q[:, 0] - p[..., 0]
+        ry = Q[:, 1] - p[..., 1]
+        den = d[..., 0] * dq[:, 1] - d[..., 1] * dq[:, 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (rx * dq[:, 1] - ry * dq[:, 0]) / den
+            u = (rx * d[..., 1] - ry * d[..., 0]) / den
+        near = ((t > -CROSSING_TOL) & (t < 1.0 + CROSSING_TOL)
+                & (u > -CROSSING_TOL) & (u < 1.0 + CROSSING_TOL))
+        ii, jj = np.nonzero(near)
+        ti, uj = t[ii, jj], u[ii, jj]
+        if np.any(np.abs(np.concatenate([ti, 1.0 - ti, uj, 1.0 - uj]))
+                  < CROSSING_TOL):
+            return None
+        # (nearly) parallel segment pairs whose bounding boxes meet
+        pi, pj = np.nonzero(np.abs(den) <= 1e-12 * nq
+                            * np.hypot(d[..., 0], d[..., 1]))
+        pa = P[i0 + pi, :2]
+        pb = pa + dp[i0 + pi, :2]
+        if np.any(np.all((np.maximum(pa, pb) >= q_lo[pj])
+                         & (np.minimum(pa, pb) <= q_hi[pj]), axis=1)):
+            return None
+        zp = P[i0 + ii, 2] + ti * dp[i0 + ii, 2]
+        zq = Q[jj, 2] + uj * dq[jj, 2]
+        if np.any(np.abs(zp - zq) < 1e-12):
+            return None
+        sign = np.sign(den[ii, jj])
+        over += int(sign[zp > zq].sum())
+        under -= int(sign[zp < zq].sum())
+    return over if over == under else None
+
+
+def _crossing_linking(P, Q):
+    """Exact linking number of two disjoint closed polylines in R^3: the
+    signed crossing count of a generic planar projection (Rolfsen, Knots
+    and Links, ch. 5D).  Non-generic projections are re-rotated."""
+    for k in range(CROSSING_ROTATIONS):
+        R = _generic_rotation(k)
+        lk = _signed_crossings(P @ R.T, Q @ R.T)
+        if lk is not None:
+            return lk
+    raise UnderResolvedError(
+        f"no generic projection in {CROSSING_ROTATIONS} rotations")
+
+
 @dataclass
 class LinkingResult:
     value: int
@@ -258,12 +340,16 @@ class LinkingResult:
 
 def linking_number(d: SphereDiagram):
     """Linking number in S^3 of the diagram curves (n = 4), via
-    stereographic projection and the Gauss integral over segment pairs.
+    stereographic projection from a maximal-clearance center.
 
-    Orientations are the parameter-increasing ones; the signed value and
-    its absolute value are reported separately.  A second projection
-    center must reproduce the integer (the complement of a point in S^3
-    is connected, so any admissible center sees the same link).
+    The value, its integral and residual come from the Gauss integral
+    over segment pairs at the primary center.  Orientations are the
+    parameter-increasing ones; the signed value and its absolute value
+    are reported separately.  Two checks must reproduce the integer as
+    exact signed crossing counts: a second projection center (the
+    complement of a point in S^3 is connected, so any admissible center
+    sees the same link), and the diagram at doubled sampling when the
+    source gauge is known.
     """
     if d.dim != 4:
         raise PreconditionError("linking number requires diagram on S^3")
@@ -277,34 +363,31 @@ def linking_number(d: SphereDiagram):
     if clearance[order[0]] < EPS_DIAG:
         raise PreconditionError("no projection center with required clearance")
 
-    def value(center, A, MB):
-        pa = _stereographic(A, center)
-        pm = _stereographic(MB, center)
-        lk = _gauss_linking_polylines(pa, pm)
-        v = int(np.round(lk))
-        resid = abs(lk - v)
-        if resid > 0.1:
-            raise UnderResolvedError(
-                f"linking integral {lk:.4f} too far from an integer")
-        return v, lk, resid
+    def crossings(center, A, MB):
+        return _crossing_linking(_stereographic(A, center),
+                                 _stereographic(MB, center))
 
     center = cands[order[0]]
-    v1, lk1, r1 = value(center, d.curve_a, d.curve_mb)
+    lk1 = _gauss_linking_polylines(_stereographic(d.curve_a, center),
+                                   _stereographic(d.curve_mb, center))
+    v1 = int(np.round(lk1))
+    r1 = abs(lk1 - v1)
+    if r1 > 0.1:
+        raise UnderResolvedError(
+            f"linking integral {lk1:.4f} too far from an integer")
     for idx in order[1:]:
         q2 = cands[idx]
         if float(center @ q2) > np.cos(0.5):
             continue
         if clearance[idx] < max(2 * EPS_DIAG, 0.5 * clearance[order[0]]):
             break
-        v2, _, _ = value(q2, d.curve_a, d.curve_mb)
-        if v2 != v1:
+        if crossings(q2, d.curve_a, d.curve_mb) != v1:
             raise UnderResolvedError(
                 "linking differs between projection centers")
         break
     if d.source is not None:
         dd = diagram(d.source, m=min(2 * d.m, 4096))
-        v2, _, _ = value(center, dd.curve_a, dd.curve_mb)
-        if v2 != v1:
+        if crossings(center, dd.curve_a, dd.curve_mb) != v1:
             raise UnderResolvedError("linking unstable under sample doubling")
     return LinkingResult(value=v1, sign=int(np.sign(v1)) if v1 else 0,
                          integral=lk1, residual=r1)

@@ -171,11 +171,11 @@ def test_immersion_rejected():
 
 
 def test_bake_reparametrizes_each_node_set_once(monkeypatch):
-    # normalize reads the couple's fields 3 times (validate,
-    # is_normalized and the mu build); gauge_from_couple reads the
-    # fields on 2 node sets, the bake nodes and their midpoints, at 4
-    # reads each (3 Newton steps plus the field read).  A separate
-    # normalization grid costs one more node set.
+    # normalize reads the couple's fields 2 times (one check grid for
+    # validation and the normalization residual, and the mu build);
+    # gauge_from_couple reads the fields on 2 node sets, the bake nodes
+    # and their midpoints, at 4 reads each (3 Newton steps plus the
+    # field read).  A separate normalization grid costs one more node set.
     calls = []
     make = catalog.fourier_couple
 
@@ -188,7 +188,7 @@ def test_bake_reparametrizes_each_node_set_once(monkeypatch):
     monkeypatch.setattr(catalog, "fourier_couple", counted)
     g = catalog.random_planar_gauge(seed=0)
     assert g.metadata["baked_nodes"] == 4096
-    assert len(calls) <= 3 + 2 * 4
+    assert len(calls) <= 2 + 2 * 4
 
 
 def test_baked_nodes_is_the_larger_node_count():

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from worldsheet import catalog
+from worldsheet import catalog, topology
 from worldsheet.errors import PreconditionError
-from worldsheet.topology import (diagram, genericity_probe, linking_number,
+from worldsheet.topology import (_crossing_linking, _gauss_linking_polylines,
+                                 diagram, genericity_probe, linking_number,
                                  synthetic_diagram, transversal_count,
                                  winding_number)
 
@@ -94,6 +96,52 @@ def test_linking_orientation_reversal():
     lk_f = linking_number(synthetic_diagram(c1, c2))
     lk_r = linking_number(synthetic_diagram(c1, c2[::-1]))
     assert lk_f.value == -lk_r.value != 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(5, 40), st.integers(5, 40), st.integers(0, 2**32 - 1),
+       st.floats(0.0, 2.0))
+def test_crossing_linking_matches_gauss(n_p, n_q, seed, shift):
+    rng = np.random.default_rng(seed)
+    P = rng.normal(size=(n_p, 3))
+    Q = rng.normal(size=(n_q, 3)) + shift * rng.normal(size=3)
+    lk = _crossing_linking(P, Q)
+    gauss = _gauss_linking_polylines(P, Q)
+    if abs(gauss - round(gauss)) < 1e-6:
+        assert lk == round(gauss)
+    assert _crossing_linking(P, Q[::-1]) == -lk
+    assert _crossing_linking(Q, P) == lk
+
+
+def test_crossing_linking_rerotates_non_generic_projection(monkeypatch):
+    # In the frame of the first rotation, vertex (1, 0.3, 0.5) of the
+    # quadrilateral projects onto the edge x = 1 of the unit square, whose
+    # disk the quadrilateral pierces once.
+    square = np.array([[-1., -1., 0.], [1., -1., 0.], [1., 1., 0.],
+                       [-1., 1., 0.]])
+    quad = np.array([[0., 0., 1.], [0.3, 0.2, -1.], [2., 0.1, -1.],
+                     [1., 0.3, 0.5]])
+    R0 = topology._generic_rotation(0)
+    P, Q = quad @ R0, square @ R0
+    used = []
+    rotation = topology._generic_rotation
+    monkeypatch.setattr(topology, "_generic_rotation",
+                        lambda k: used.append(k) or rotation(k))
+    lk = _crossing_linking(P, Q)
+    assert used[:2] == [0, 1]
+    assert topology._signed_crossings(P @ R0.T, Q @ R0.T) is None
+    assert abs(lk) == 1
+    assert lk == round(_gauss_linking_polylines(P, Q))
+
+
+def test_linking_evaluates_gauss_integral_once(hopf, monkeypatch):
+    calls = []
+    gauss = topology._gauss_linking_polylines
+    monkeypatch.setattr(topology, "_gauss_linking_polylines",
+                        lambda P, Q: calls.append(1) or gauss(P, Q))
+    lk = linking_number(diagram(hopf, m=512))
+    assert abs(lk.value) == 1
+    assert len(calls) == 1
 
 
 def test_probe_hopf_all_smooth(hopf):
