@@ -22,6 +22,9 @@ from .gauge import OrthogonalGauge
 from .singular import find_antipodal_pairs
 
 EPS_DIAG = 1e-4
+GEODESIC_SAMPLES = 64           # arc samples of the clear-geodesic test
+PROBE_NODES = 4096              # tangent nodes of a perturbed curve
+PROBE_MODES = 8                 # Fourier modes per perturbation component
 
 
 @dataclass
@@ -44,13 +47,17 @@ def _min_pair_distance(A, MB):
     return float(np.sqrt(max(0.0, 2.0 - 2.0 * gram.max())))
 
 
+def _diagram_samples(g: OrthogonalGauge, m):
+    """The diagram curves a'(s) and -b'(s) at m equispaced s per period."""
+    s = np.linspace(0.0, g.E0, m, endpoint=False)
+    return s, g.a.tangent(s), -g.b.tangent(s)
+
+
 def diagram(g: OrthogonalGauge, m=1024):
     """Sampled sphere diagram with a locally refined minimum distance."""
     if m > 4096:
         raise PreconditionError("diagram sampling capped at 4096 per curve")
-    s = np.linspace(0.0, g.E0, m, endpoint=False)
-    A = g.a.tangent(s)
-    MB = -g.b.tangent(s)
+    s, A, MB = _diagram_samples(g, m)
     gram = A @ MB.T
     i, j = np.unravel_index(np.argmax(gram), gram.shape)
     # local refinement of the closest approach
@@ -131,14 +138,14 @@ def _candidate_centers(dim, n):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _clear_geodesic(q1, q2, tree, margin, samples=64):
+def _clear_geodesic(q1, q2, tree, margin):
     """True if the great-circle arc q1 -> q2 stays ``margin`` away from
     the diagram curves (a same-component certificate for the centers)."""
     dot = float(np.clip(q1 @ q2, -1.0, 1.0))
     ang = np.arccos(dot)
     if ang < 1e-9:
         return True
-    ts = np.linspace(0.0, 1.0, samples)
+    ts = np.linspace(0.0, 1.0, GEODESIC_SAMPLES)
     arc = (np.sin((1 - ts) * ang)[:, None] * q1
            + np.sin(ts * ang)[:, None] * q2) / np.sin(ang)
     d, _ = tree.query(arc)
@@ -195,8 +202,8 @@ def winding_number(d: SphereDiagram):
     w1 = value(q1, d.curve_a, d.curve_mb)
 
     if d.source is not None:
-        dd = diagram(d.source, m=min(2 * d.m, 4096))
-        w2 = value(q1, dd.curve_a, dd.curve_mb)
+        _, A2, MB2 = _diagram_samples(d.source, 2 * d.m)
+        w2 = value(q1, A2, MB2)
         if w2 != w1:
             raise UnderResolvedError("winding unstable under sample doubling")
 
@@ -218,33 +225,31 @@ def winding_number(d: SphereDiagram):
 
 def _gauss_linking_polylines(P, Q):
     """Signed linking number integral of two closed polylines in R^3
-    (exact per segment pair, up to rounding)."""
-    p0 = P
-    p1 = np.roll(P, -1, axis=0)
-    q0 = Q
-    q1 = np.roll(Q, -1, axis=0)
+    (exact per segment pair, up to rounding).  Pair (i, j) reads
+    D = P - Q at (i, j), (i, j+1), (i+1, j+1), (i+1, j): each block forms
+    D as three planes, and its norms and adjacent dot products, once.
+    3-term sums run left to right, as numpy's length-3 reductions do."""
+    Pc = np.vstack([P, P[:1]])
+    Qc = np.vstack([Q, Q[:1]])
     total = 0.0
     block = 256
     for i0 in range(0, len(P), block):
-        a0 = p0[i0:i0 + block][:, None, :]
-        a1 = p1[i0:i0 + block][:, None, :]
-        b0 = q0[None, :, :]
-        b1 = q1[None, :, :]
-        a = a0 - b0
-        b = a0 - b1
-        c = a1 - b1
-        dd = a1 - b0
-        cross_bc = np.cross(b, c)
-        p = (a * cross_bc).sum(-1)
-        na = np.linalg.norm(a, axis=-1)
-        nb = np.linalg.norm(b, axis=-1)
-        nc = np.linalg.norm(c, axis=-1)
-        nd = np.linalg.norm(dd, axis=-1)
-        ab = (a * b).sum(-1)
-        bc = (b * c).sum(-1)
-        ca = (c * a).sum(-1)
-        ad = (a * dd).sum(-1)
-        dc = (dd * c).sum(-1)
+        x, y, z = (Pc[i0:i0 + block + 1, k, None] - Qc[None, :, k]
+                   for k in range(3))
+        norm = np.sqrt(x * x + y * y + z * z)
+        H = x[:, :-1] * x[:, 1:] + y[:, :-1] * y[:, 1:] + z[:, :-1] * z[:, 1:]
+        V = x[:-1] * x[1:] + y[:-1] * y[1:] + z[:-1] * z[1:]
+        a = (x[:-1, :-1], y[:-1, :-1], z[:-1, :-1])
+        b = (x[:-1, 1:], y[:-1, 1:], z[:-1, 1:])
+        c = (x[1:, 1:], y[1:, 1:], z[1:, 1:])
+        na, nb = norm[:-1, :-1], norm[:-1, 1:]
+        nc, nd = norm[1:, 1:], norm[1:, :-1]
+        ab, dc = H[:-1], H[1:]
+        ad, bc = V[:, :-1], V[:, 1:]
+        ca = c[0] * a[0] + c[1] * a[1] + c[2] * a[2]
+        p = (a[0] * (b[1] * c[2] - b[2] * c[1])
+             + a[1] * (b[2] * c[0] - b[0] * c[2])
+             + a[2] * (b[0] * c[1] - b[1] * c[0]))
         d1 = na * nb * nc + ab * nc + bc * na + ca * nb
         d2 = na * nd * nc + ad * nc + dc * na + ca * nd
         total += (np.arctan2(p, d1) + np.arctan2(p, d2)).sum()
@@ -274,47 +279,64 @@ def _signed_crossings(P, Q):
     of those where Q is over P; the two must agree.  The projection is
     not generic when a crossing lies within CROSSING_TOL of a segment
     end, when two overlapping segments are parallel to 1e-12, or when
-    the heights at a crossing differ by less than 1e-12.
+    the heights at a crossing differ by less than 1e-12.  The tests run
+    only on the pairs whose xy bounding boxes overlap, widened by
+    1e-6 (max|dp| + max|dq|).
     """
     dp = np.roll(P, -1, axis=0) - P
     dq = np.roll(Q, -1, axis=0) - Q
-    nq = np.hypot(dq[:, 0], dq[:, 1])
+    p_lo = np.minimum(P, P + dp)[:, :2]
+    p_hi = np.maximum(P, P + dp)[:, :2]
     q_lo = np.minimum(Q, Q + dq)[:, :2]
     q_hi = np.maximum(Q, Q + dq)[:, :2]
-    over = under = 0
-    block = 256
-    for i0 in range(0, len(P), block):
-        p = P[i0:i0 + block, None, :]
-        d = dp[i0:i0 + block, None, :]
-        rx = Q[:, 0] - p[..., 0]
-        ry = Q[:, 1] - p[..., 1]
-        den = d[..., 0] * dq[:, 1] - d[..., 1] * dq[:, 0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = (rx * dq[:, 1] - ry * dq[:, 0]) / den
-            u = (rx * d[..., 1] - ry * d[..., 0]) / den
-        near = ((t > -CROSSING_TOL) & (t < 1.0 + CROSSING_TOL)
-                & (u > -CROSSING_TOL) & (u < 1.0 + CROSSING_TOL))
-        ii, jj = np.nonzero(near)
-        ti, uj = t[ii, jj], u[ii, jj]
-        if np.any(np.abs(np.concatenate([ti, 1.0 - ti, uj, 1.0 - uj]))
-                  < CROSSING_TOL):
-            return None
-        # (nearly) parallel segment pairs whose bounding boxes meet
-        pi, pj = np.nonzero(np.abs(den) <= 1e-12 * nq
-                            * np.hypot(d[..., 0], d[..., 1]))
-        pa = P[i0 + pi, :2]
-        pb = pa + dp[i0 + pi, :2]
-        if np.any(np.all((np.maximum(pa, pb) >= q_lo[pj])
-                         & (np.minimum(pa, pb) <= q_hi[pj]), axis=1)):
-            return None
-        zp = P[i0 + ii, 2] + ti * dp[i0 + ii, 2]
-        zq = Q[jj, 2] + uj * dq[jj, 2]
-        if np.any(np.abs(zp - zq) < 1e-12):
-            return None
-        sign = np.sign(den[ii, jj])
-        over += int(sign[zp > zq].sum())
-        under -= int(sign[zp < zq].sum())
+    pad = 1e-6 * (np.abs(dp[:, :2]).max() + np.abs(dq[:, :2]).max())
+    ii, jj = _box_overlaps(p_lo, p_hi, q_lo, q_hi, pad)
+    d0, d1 = dp[ii, 0], dp[ii, 1]
+    e0, e1 = dq[jj, 0], dq[jj, 1]
+    rx = Q[jj, 0] - P[ii, 0]
+    ry = Q[jj, 1] - P[ii, 1]
+    den = d0 * e1 - d1 * e0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (rx * e1 - ry * e0) / den
+        u = (rx * d1 - ry * d0) / den
+    near = ((t > -CROSSING_TOL) & (t < 1.0 + CROSSING_TOL)
+            & (u > -CROSSING_TOL) & (u < 1.0 + CROSSING_TOL))
+    ti, uj = t[near], u[near]
+    if np.any(np.abs(np.concatenate([ti, 1.0 - ti, uj, 1.0 - uj]))
+              < CROSSING_TOL):
+        return None
+    # (nearly) parallel segment pairs whose bounding boxes meet
+    par = np.abs(den) <= 1e-12 * np.hypot(e0, e1) * np.hypot(d0, d1)
+    pi, pj = ii[par], jj[par]
+    if np.any(np.all((p_hi[pi] >= q_lo[pj]) & (p_lo[pi] <= q_hi[pj]),
+                     axis=1)):
+        return None
+    zp = P[ii[near], 2] + ti * dp[ii[near], 2]
+    zq = Q[jj[near], 2] + uj * dq[jj[near], 2]
+    if np.any(np.abs(zp - zq) < 1e-12):
+        return None
+    sign = np.sign(den[near])
+    over = int(sign[zp > zq].sum())
+    under = -int(sign[zp < zq].sum())
     return over if over == under else None
+
+
+def _box_overlaps(p_lo, p_hi, q_lo, q_hi, pad):
+    """Index pairs (i, j) of the boxes [p_lo, p_hi] and [q_lo, q_hi]
+    (rows are 2-d boxes) that overlap once widened by ``pad``: a sweep
+    over the q boxes sorted by their lower x edge."""
+    order = np.argsort(q_lo[:, 0], kind="stable")
+    xs = q_lo[order, 0]
+    width = (q_hi[:, 0] - q_lo[:, 0]).max()
+    start = np.searchsorted(xs, p_lo[:, 0] - width - pad, side="left")
+    stop = np.searchsorted(xs, p_hi[:, 0] + pad, side="right")
+    counts = stop - start
+    ii = np.repeat(np.arange(len(p_lo)), counts)
+    offset = np.arange(len(ii)) - np.repeat(np.cumsum(counts) - counts, counts)
+    jj = order[np.repeat(start, counts) + offset]
+    keep = np.all((q_hi[jj] >= p_lo[ii] - pad) & (q_lo[jj] <= p_hi[ii] + pad),
+                  axis=1)
+    return ii[keep], jj[keep]
 
 
 def _crossing_linking(P, Q):
@@ -386,8 +408,8 @@ def linking_number(d: SphereDiagram):
                 "linking differs between projection centers")
         break
     if d.source is not None:
-        dd = diagram(d.source, m=min(2 * d.m, 4096))
-        if crossings(center, dd.curve_a, dd.curve_mb) != v1:
+        _, A2, MB2 = _diagram_samples(d.source, 2 * d.m)
+        if crossings(center, A2, MB2) != v1:
             raise UnderResolvedError("linking unstable under sample doubling")
     return LinkingResult(value=v1, sign=int(np.sign(v1)) if v1 else 0,
                          integral=lk1, residual=r1)
@@ -411,66 +433,68 @@ class PerturbationReport:
         return {"smooth": self.n_smooth, "singular": self.n_singular}
 
 
-def _band_limited_field(rng, period, dim, n_modes=8):
-    """Random trig-polynomial field with modes 1..n_modes per component."""
-    ms = np.arange(1, n_modes + 1)
-    cc = rng.normal(size=(n_modes, dim)) / ms[:, None]
-    ss = rng.normal(size=(n_modes, dim)) / ms[:, None]
+class _ProbeBasis:
+    """What every perturbation of one curve shares: the nodes, the base
+    tangent, the drift, the re-closure bump (integral 1) and the cos/sin
+    tables of the band-limited field and of its derivative, mode-major."""
 
-    def fld(x):
-        x = np.asarray(x, dtype=float)
-        w = 2.0 * np.pi / period
-        out = np.zeros(x.shape + (dim,))
-        for j, m in enumerate(ms):
-            out += (np.multiply.outer(np.cos(m * w * x), cc[j])
-                    + np.multiply.outer(np.sin(m * w * x), ss[j]))
-        return out
+    def __init__(self, curve):
+        P = curve.period
+        self.curve = curve
+        self.xs = np.linspace(0.0, P, PROBE_NODES, endpoint=False)
+        self.base = curve.tangent(self.xs)
+        self.target = curve.drift()
+        self.bump = (1.0 + np.cos(2.0 * np.pi * (self.xs / P - 0.5))) / P
+        self.ms = np.arange(1, PROBE_MODES + 1)
+        w = 2.0 * np.pi / P
+        phase = (self.ms * w)[:, None] * self.xs
+        self.cos, self.sin = np.cos(phase), np.sin(phase)
+        self.dcos = (-self.ms * w)[:, None] * self.sin
+        self.dsin = (self.ms * w)[:, None] * self.cos
 
-    def fld_d(x):
-        x = np.asarray(x, dtype=float)
-        w = 2.0 * np.pi / period
-        out = np.zeros(x.shape + (dim,))
-        for j, m in enumerate(ms):
-            out += (np.multiply.outer(-m * w * np.sin(m * w * x), cc[j])
-                    + np.multiply.outer(m * w * np.cos(m * w * x), ss[j]))
-        return out
+    def field(self, rng):
+        """A random trig-polynomial field, modes 1..PROBE_MODES per
+        component, and its derivative at the nodes, each (nodes, dim)."""
+        dim = self.curve.dim
+        cc = rng.normal(size=(PROBE_MODES, dim)) / self.ms[:, None]
+        ss = rng.normal(size=(PROBE_MODES, dim)) / self.ms[:, None]
+        fld = np.zeros((dim, PROBE_NODES))
+        fld_d = np.zeros((dim, PROBE_NODES))
+        for j in range(PROBE_MODES):
+            fld += cc[j, :, None] * self.cos[j] + ss[j, :, None] * self.sin[j]
+            fld_d += (cc[j, :, None] * self.dcos[j]
+                      + ss[j, :, None] * self.dsin[j])
+        # node-major and C-ordered, so sums over the nodes keep their order
+        return fld.T.copy(), fld_d.T
 
-    return fld, fld_d
 
-
-def _perturb_curve(curve, rng, epsilon, nodes=4096):
-    """C^1-bounded band-limited perturbation of the tangent field,
-    renormalized to the sphere and re-closed to the original period
-    integral by smooth bump redistribution.
+def _perturb_curve(basis, rng, epsilon):
+    """C^1-bounded band-limited perturbation of the tangent field of
+    ``basis.curve``, renormalized to the sphere and re-closed to the
+    original period integral by smooth bump redistribution.
 
     Returns (new curve, achieved C^1 magnitude) or None if re-closure
     fails (defect above 0.1)."""
     from .curves import SphereSamplesTangent, UnitSpeedCurve
 
+    curve = basis.curve
     P = curve.period
-    dim = curve.dim
-    fld, fld_d = _band_limited_field(rng, P, dim)
-    xs = np.linspace(0.0, P, nodes, endpoint=False)
-    base = curve.tangent(xs)
-    dv = fld(xs)
-    dvd = fld_d(xs)
+    dv, dvd = basis.field(rng)
     size = max(np.linalg.norm(dv, axis=1).max(),
                np.linalg.norm(dvd, axis=1).max())
     if size == 0:
         return None
     scale = epsilon / size
-    target = curve.drift()
-
-    vals = base + scale * dv
-    w = (1.0 + np.cos(2.0 * np.pi * (xs / P - 0.5))) / P      # bump, integral 1
-    dx = P / nodes
+    target = basis.target
+    vals = basis.base + scale * dv
+    dx = P / PROBE_NODES
     for _ in range(8):
         vals = vals / np.linalg.norm(vals, axis=1, keepdims=True)
         integral = vals.sum(axis=0) * dx
         defect = integral - target
         if np.linalg.norm(defect) <= 1e-12:
             break
-        vals = vals - w[:, None] * defect[None, :]
+        vals = vals - basis.bump[:, None] * defect[None, :]
     vals = vals / np.linalg.norm(vals, axis=1, keepdims=True)
     defect = np.linalg.norm(vals.sum(axis=0) * dx - target)
     if defect > 0.1:
@@ -478,7 +502,7 @@ def _perturb_curve(curve, rng, epsilon, nodes=4096):
     rep = SphereSamplesTangent(vals, P, smoothness=curve.smoothness,
                                tol_class="analytic")
     new = UnitSpeedCurve(rep, curve.basepoint.copy())
-    ach = float(np.linalg.norm(rep(xs) - base, axis=1).max())
+    ach = float(np.linalg.norm(rep(basis.xs) - basis.base, axis=1).max())
     return new, ach
 
 
@@ -488,9 +512,10 @@ def genericity_probe(g: OrthogonalGauge, epsilon, trials, seed, grid_n=256):
     rng = np.random.default_rng(seed)
     rep = PerturbationReport(epsilon=float(epsilon), trials=int(trials),
                              n_smooth=0, n_singular=0, n_discarded=0)
+    basis_a, basis_b = _ProbeBasis(g.a), _ProbeBasis(g.b)
     for _ in range(trials):
-        pa = _perturb_curve(g.a, rng, epsilon)
-        pb = _perturb_curve(g.b, rng, epsilon)
+        pa = _perturb_curve(basis_a, rng, epsilon)
+        pb = _perturb_curve(basis_b, rng, epsilon)
         if pa is None or pb is None:
             rep.n_discarded += 1
             continue

@@ -237,11 +237,11 @@ def test_criterion_10_genericity(hopf, wavy_pair):
     assert rep_p.n_singular == 50 and rep_p.n_smooth == 0
 
     assert transversal_count(wavy_pair) == 2
-    from worldsheet.topology import _perturb_curve
+    from worldsheet.topology import _ProbeBasis, _perturb_curve
     rng = np.random.default_rng(29)
     for _ in range(3):
-        pa = _perturb_curve(wavy_pair.a, rng, 1e-3)
-        pb = _perturb_curve(wavy_pair.b, rng, 1e-3)
+        pa = _perturb_curve(_ProbeBasis(wavy_pair.a), rng, 1e-3)
+        pb = _perturb_curve(_ProbeBasis(wavy_pair.b), rng, 1e-3)
         pert = OrthogonalGauge(pa[0], pb[0])
         assert transversal_count(pert) == 2
     elapsed = time.perf_counter() - t0

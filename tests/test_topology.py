@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from worldsheet import catalog, topology
 from worldsheet.errors import PreconditionError
+from worldsheet.gauge import OrthogonalGauge
+from worldsheet.singular import find_antipodal_pairs
 from worldsheet.topology import (_crossing_linking, _gauss_linking_polylines,
                                  diagram, genericity_probe, linking_number,
                                  synthetic_diagram, transversal_count,
@@ -144,6 +148,246 @@ def test_linking_evaluates_gauss_integral_once(hopf, monkeypatch):
     assert len(calls) == 1
 
 
+def _signed_crossings_all_pairs(P, Q):
+    """Reference for ``_signed_crossings``: every segment pair is tested,
+    256 P segments at a time."""
+    dp = np.roll(P, -1, axis=0) - P
+    dq = np.roll(Q, -1, axis=0) - Q
+    nq = np.hypot(dq[:, 0], dq[:, 1])
+    q_lo = np.minimum(Q, Q + dq)[:, :2]
+    q_hi = np.maximum(Q, Q + dq)[:, :2]
+    tol = topology.CROSSING_TOL
+    over = under = 0
+    block = 256
+    for i0 in range(0, len(P), block):
+        p = P[i0:i0 + block, None, :]
+        d = dp[i0:i0 + block, None, :]
+        rx = Q[:, 0] - p[..., 0]
+        ry = Q[:, 1] - p[..., 1]
+        den = d[..., 0] * dq[:, 1] - d[..., 1] * dq[:, 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (rx * dq[:, 1] - ry * dq[:, 0]) / den
+            u = (rx * d[..., 1] - ry * d[..., 0]) / den
+        near = ((t > -tol) & (t < 1.0 + tol) & (u > -tol) & (u < 1.0 + tol))
+        ii, jj = np.nonzero(near)
+        ti, uj = t[ii, jj], u[ii, jj]
+        if np.any(np.abs(np.concatenate([ti, 1.0 - ti, uj, 1.0 - uj]))
+                  < tol):
+            return None
+        pi, pj = np.nonzero(np.abs(den) <= 1e-12 * nq
+                            * np.hypot(d[..., 0], d[..., 1]))
+        pa = P[i0 + pi, :2]
+        pb = pa + dp[i0 + pi, :2]
+        if np.any(np.all((np.maximum(pa, pb) >= q_lo[pj])
+                         & (np.minimum(pa, pb) <= q_hi[pj]), axis=1)):
+            return None
+        zp = P[i0 + ii, 2] + ti * dp[i0 + ii, 2]
+        zq = Q[jj, 2] + uj * dq[jj, 2]
+        if np.any(np.abs(zp - zq) < 1e-12):
+            return None
+        sign = np.sign(den[ii, jj])
+        over += int(sign[zp > zq].sum())
+        under -= int(sign[zp < zq].sum())
+    return over if over == under else None
+
+
+def _force_degeneracy(P, Q, kind, rng):
+    """Make P meet Q non-generically in the xy-plane (kind 1: a vertex on
+    an edge, 2: collinear overlapping edges, 3: a crossing at equal
+    heights) or everywhere (kind 4: small-integer vertices; kind 5: the
+    same, P nudged by 1e-11, so that axis-parallel edges just miss)."""
+    i, j = rng.integers(len(P)), rng.integers(len(Q))
+    q0, q1 = Q[j], Q[(j + 1) % len(Q)]
+    f = rng.uniform(0.1, 0.9)
+    if kind == 1:
+        P[i, :2] = q0[:2] + f * (q1[:2] - q0[:2])
+    elif kind == 2:
+        i1 = (i + 1) % len(P)
+        P[i, :2] = q0[:2] + rng.uniform(-0.5, 0.5) * (q1[:2] - q0[:2])
+        P[i1, :2] = q0[:2] + rng.uniform(0.5, 1.5) * (q1[:2] - q0[:2])
+    elif kind == 3:
+        x = q0 + f * (q1 - q0)
+        v = rng.normal(size=3)
+        P[i], P[(i + 1) % len(P)] = x + v, x - rng.uniform(0.2, 5.0) * v
+    elif kind >= 4:
+        P[:], Q[:] = rng.integers(-2, 3, size=P.shape), rng.integers(
+            -2, 3, size=Q.shape)
+        if kind == 5:
+            P += 1e-11 * rng.integers(-1, 2, size=P.shape)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(3, 40), st.integers(3, 40), st.integers(0, 2**32 - 1),
+       st.integers(0, 5))
+def test_signed_crossings_sweep_matches_all_pairs(n_p, n_q, seed, kind):
+    rng = np.random.default_rng(seed)
+    P = rng.normal(size=(n_p, 3))
+    Q = rng.normal(size=(n_q, 3)) + rng.normal(size=3)
+    _force_degeneracy(P, Q, kind, rng)
+    frames = [np.eye(3)] + [topology._generic_rotation(k)
+                            for k in range(topology.CROSSING_ROTATIONS)]
+    for R in frames:
+        Pr, Qr = P @ R.T, Q @ R.T
+        assert (topology._signed_crossings(Pr, Qr)
+                == _signed_crossings_all_pairs(Pr, Qr))
+
+
+def test_signed_crossings_tests_few_pairs(hopf, monkeypatch):
+    _, A, MB = topology._diagram_samples(hopf, 2048)
+    center = topology._candidate_centers(4, 8192)[0]
+    P = topology._stereographic(A, center)
+    Q = topology._stereographic(MB, center)
+    pairs = []
+    overlaps = topology._box_overlaps
+
+    def counted(*args):
+        ii, jj = overlaps(*args)
+        pairs.append(len(ii))
+        return ii, jj
+
+    monkeypatch.setattr(topology, "_box_overlaps", counted)
+    assert abs(_crossing_linking(P, Q)) == 1
+    assert pairs and max(pairs) < 64
+
+
+def _gauss_linking_reference(P, Q):
+    """Reference for ``_gauss_linking_polylines``: every difference,
+    norm and dot product is formed per segment pair."""
+    p1 = np.roll(P, -1, axis=0)
+    q1 = np.roll(Q, -1, axis=0)
+    total = 0.0
+    for i0 in range(0, len(P), 256):
+        a0 = P[i0:i0 + 256][:, None, :]
+        a1 = p1[i0:i0 + 256][:, None, :]
+        a, b = a0 - Q[None], a0 - q1[None]
+        c, dd = a1 - q1[None], a1 - Q[None]
+        p = (a * np.cross(b, c)).sum(-1)
+        na, nb, nc, nd = (np.linalg.norm(v, axis=-1) for v in (a, b, c, dd))
+        ab, bc, ca = (a * b).sum(-1), (b * c).sum(-1), (c * a).sum(-1)
+        ad, dc = (a * dd).sum(-1), (dd * c).sum(-1)
+        d1 = na * nb * nc + ab * nc + bc * na + ca * nb
+        d2 = na * nd * nc + ad * nc + dc * na + ca * nd
+        total += (np.arctan2(p, d1) + np.arctan2(p, d2)).sum()
+    return total / (2.0 * np.pi)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(5, 600), st.integers(5, 600), st.integers(0, 2**32 - 1))
+@example(5, 600, 0)
+@example(256, 257, 1)
+@example(513, 255, 2)
+def test_gauss_linking_planes_bit_identical(n_p, n_q, seed):
+    rng = np.random.default_rng(seed)
+    t_p = np.linspace(0.0, TWO_PI, n_p, endpoint=False)
+    t_q = np.linspace(0.0, TWO_PI, n_q, endpoint=False)
+    P = np.stack([np.cos(t_p), np.sin(t_p), 0 * t_p], axis=1)
+    Q = np.stack([1 + np.cos(t_q), 0 * t_q, np.sin(t_q)], axis=1)
+    P += 0.1 * rng.normal(size=P.shape)
+    Q += 0.1 * rng.normal(size=Q.shape)
+    assert _gauss_linking_polylines(P, Q) == _gauss_linking_reference(P, Q)
+
+
+def _reference_probe(g, epsilon, trials, seed, nodes=4096, n_modes=8):
+    """Reference for ``genericity_probe``: a fresh random field closure and
+    fresh trig evaluations for every perturbed curve."""
+    from worldsheet.curves import SphereSamplesTangent, UnitSpeedCurve
+
+    def field(rng, period, dim):
+        ms = np.arange(1, n_modes + 1)
+        cc = rng.normal(size=(n_modes, dim)) / ms[:, None]
+        ss = rng.normal(size=(n_modes, dim)) / ms[:, None]
+
+        def fld(x):
+            w = 2.0 * np.pi / period
+            out = np.zeros(x.shape + (dim,))
+            for j, m in enumerate(ms):
+                out += (np.multiply.outer(np.cos(m * w * x), cc[j])
+                        + np.multiply.outer(np.sin(m * w * x), ss[j]))
+            return out
+
+        def fld_d(x):
+            w = 2.0 * np.pi / period
+            out = np.zeros(x.shape + (dim,))
+            for j, m in enumerate(ms):
+                out += (np.multiply.outer(-m * w * np.sin(m * w * x), cc[j])
+                        + np.multiply.outer(m * w * np.cos(m * w * x), ss[j]))
+            return out
+
+        return fld, fld_d
+
+    def perturb(curve, rng):
+        P = curve.period
+        fld, fld_d = field(rng, P, curve.dim)
+        xs = np.linspace(0.0, P, nodes, endpoint=False)
+        base = curve.tangent(xs)
+        dv, dvd = fld(xs), fld_d(xs)
+        size = max(np.linalg.norm(dv, axis=1).max(),
+                   np.linalg.norm(dvd, axis=1).max())
+        vals = base + epsilon / size * dv
+        w = (1.0 + np.cos(2.0 * np.pi * (xs / P - 0.5))) / P
+        for _ in range(8):
+            vals = vals / np.linalg.norm(vals, axis=1, keepdims=True)
+            defect = vals.sum(axis=0) * (P / nodes) - curve.drift()
+            if np.linalg.norm(defect) <= 1e-12:
+                break
+            vals = vals - w[:, None] * defect[None, :]
+        vals = vals / np.linalg.norm(vals, axis=1, keepdims=True)
+        rep = SphereSamplesTangent(vals, P, smoothness=curve.smoothness,
+                                   tol_class="analytic")
+        ach = float(np.linalg.norm(rep(xs) - base, axis=1).max())
+        return UnitSpeedCurve(rep, curve.basepoint.copy()), ach
+
+    rng = np.random.default_rng(seed)
+    counts, margins, achieved = [0, 0], [], []
+    for _ in range(trials):
+        (ca, ea), (cb, eb) = perturb(g.a, rng), perturb(g.b, rng)
+        pert = OrthogonalGauge(ca, cb)
+        pert.validate(samples=1024)
+        report = find_antipodal_pairs(pert, grid_n=256)
+        counts[report.empty] += 1
+        margins.append(report.min_grid_residual)
+        achieved.append(max(ea, eb))
+    return counts, margins, achieved
+
+
+@pytest.mark.parametrize("seed", [3, 42])
+@pytest.mark.parametrize("name", ["hopf", "meridian_loops"])
+def test_probe_basis_matches_per_trial_fields(name, seed, request):
+    g = request.getfixturevalue(name)
+    rep = genericity_probe(g, 0.05, 3, seed=seed)
+    (n_singular, n_smooth), margins, achieved = _reference_probe(
+        g, 0.05, 3, seed)
+    assert rep.n_discarded == 0
+    assert (rep.n_smooth, rep.n_singular) == (n_smooth, n_singular)
+    assert rep.margins == margins
+    assert rep.achieved == achieved
+
+
+def test_doubling_checks_see_twice_the_samples(hopf, meridian_loops,
+                                               monkeypatch):
+    # m = 4096 is the cap of diagram(), whose Gram matrix is O(m^2); the
+    # diagrams are resampled there without it, and the doubling checks
+    # must still see 8192 samples per curve
+    def resampled(g):
+        _, A, MB = topology._diagram_samples(g, 4096)
+        return dataclasses.replace(diagram(g, m=512), curve_a=A,
+                                   curve_mb=MB, m=4096)
+
+    seen = []
+    winding, crossing = topology._planar_winding, topology._crossing_linking
+    monkeypatch.setattr(topology, "_planar_winding",
+                        lambda loop, z: seen.append(len(loop))
+                        or winding(loop, z))
+    monkeypatch.setattr(topology, "_crossing_linking",
+                        lambda P, Q: seen.append((len(P), len(Q)))
+                        or crossing(P, Q))
+    assert winding_number(resampled(meridian_loops)) == 0
+    assert 8192 in seen
+    seen.clear()
+    assert abs(linking_number(resampled(hopf)).value) == 1
+    assert (8192, 8192) in seen
+
+
 def test_probe_hopf_all_smooth(hopf):
     rep = genericity_probe(hopf, 0.05, 10, seed=42)
     assert rep.n_smooth == 10
@@ -191,11 +435,11 @@ def test_transversal_count_rejects_extended_components(circle):
 
 def test_transversal_count_perturbation_invariant(wavy_pair):
     from worldsheet.gauge import OrthogonalGauge
-    from worldsheet.topology import _perturb_curve
+    from worldsheet.topology import _ProbeBasis, _perturb_curve
     rng = np.random.default_rng(11)
     for _ in range(3):
-        pa = _perturb_curve(wavy_pair.a, rng, 1e-3)
-        pb = _perturb_curve(wavy_pair.b, rng, 1e-3)
+        pa = _perturb_curve(_ProbeBasis(wavy_pair.a), rng, 1e-3)
+        pb = _perturb_curve(_ProbeBasis(wavy_pair.b), rng, 1e-3)
         assert pa is not None and pb is not None
         pert = OrthogonalGauge(pa[0], pb[0])
         assert transversal_count(pert) == 2
