@@ -196,16 +196,18 @@ def _task_nonuniq(g, params, out, ctx):
             n=int(params.get("n", 3)))
         times = np.linspace(0.0, delta, int(params.get("coincidence_times", 4)))
         extra = [0.5]
-    else:
+    elif variant == "same_surface":
         g1, g2 = constructions.same_surface_family()
         delta = None
         times = np.linspace(0.0, 3.0, int(params.get("times", 8)),
                             endpoint=False)
         extra = []
+    else:
+        raise ValueError(f"unknown nonuniq variant {variant!r}; "
+                         f"expected 'pair' or 'same_surface'")
     rows = []
     for t in list(times) + extra:
-        d = surface.slice_set_distance(g1, g2, float(t), m_sparse=256,
-                                       m_dense=2 ** 17)
+        d = surface.slice_set_distance(g1, g2, float(t), m_sparse=256)
         rows.append({"t": float(t), "slice_distance": d})
     report = {"task": "nonuniq", "variant": variant, "delta": delta,
               "distances": rows}

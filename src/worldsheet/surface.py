@@ -20,11 +20,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .gauge import OrthogonalGauge
 from .quadrature import _GL_NODES, _GL_WEIGHTS
 
 METRIC_DEGENERACY_EPS = 1e-12
+
+# closest-point projection in slice_set_distance: coarse seed samples per
+# slice, nearest samples searched and seeds kept per projected point,
+# Newton step cap per seed, and the step (in coarse spacings) that ends it
+SEED_SAMPLES = 4096
+SEED_CANDIDATES = 32
+SEED_NEIGHBOURS = 4
+NEWTON_STEPS = 32
+NEWTON_XTOL = 1e-6
 
 
 def gamma(g: OrthogonalGauge, t, x):
@@ -102,38 +112,88 @@ def slice_curve(g: OrthogonalGauge, t, m=512):
 
 
 def slice_set_distance(g1: OrthogonalGauge, g2: OrthogonalGauge, t,
-                       m_sparse=512, m_dense=65536):
+                       m_sparse=512):
     """Symmetric set distance between the time-t slices of two gauges.
 
-    Each sparse sample is measured against a dense sample of the other
-    slice, so reparametrizations of the same curve read as ~0 (the
-    dense-sampling error is quadratic in the dense spacing) while genuine
-    set differences on parameter windows wider than the sparse spacing
-    are detected.
+    Each of m_sparse equispaced samples p of one slice is projected onto
+    the other slice gamma(t, .), whose tangent gamma_x = (a'(x+t) +
+    b'(x-t))/2 and curvature vector gamma_xx = (a''(x+t) + b''(x-t))/2 are
+    known in closed form.
+
+    Seeds: of the SEED_CANDIDATES samples nearest to p among SEED_SAMPLES
+    equispaced samples of the other slice, the SEED_NEIGHBOURS nearest at
+    which the sampled distance has a local minimum along the slice (padded
+    with the nearest other candidates).  Bracket: each seed x_j stays in
+    [x_j - h, x_j + h], h = E0 / SEED_SAMPLES.  Newton on f(x) = |r|^2 / 2,
+    r = gamma(t,x) - p, with f' = r.gamma_x and f'' = |gamma_x|^2 +
+    r.gamma_xx; where f'' <= 0 (near a singular point gamma_x = 0, or past
+    a local maximum of f) no step is taken, and every iterate is clipped
+    to its bracket.  A seed stops once its step is below NEWTON_XTOL * h
+    or after NEWTON_STEPS steps; the cap is set by the linear convergence
+    (ratio 2/3) of Newton at a cusp, where f has a quartic minimum.
+
+    A point's distance is the least over its nearest sample and its Newton
+    end points, so every value is the distance to an actual point of the
+    curve, also where gamma_x = 0: an upper bound on the true
+    point-to-curve distance that is exact to rounding once Newton has
+    converged.  Reparametrizations of the same curve therefore read as
+    ~1e-15, while set differences on parameter windows wider than the
+    sparse spacing are detected.
     """
-    from scipy.spatial import cKDTree
     d = 0.0
     for ga, gb in ((g1, g2), (g2, g1)):
         sparse = slice_curve(ga, t, m=m_sparse).points
-        dense = slice_curve(gb, t, m=m_dense).points
-        _, knn = cKDTree(dense).query(sparse, k=6)
-        # distance to the closed polyline around each candidate sample,
-        # not to the samples themselves
-        best = np.full(len(sparse), np.inf)
-        for col in range(knn.shape[1]):
-            idx = knn[:, col]
-            for off in (-1, 0):
-                seg_a = dense[(idx + off) % m_dense]
-                seg_b = dense[(idx + off + 1) % m_dense]
-                ab = seg_b - seg_a
-                denom = (ab * ab).sum(axis=1)
-                denom[denom == 0] = 1.0
-                u = ((sparse - seg_a) * ab).sum(axis=1) / denom
-                u = np.clip(u, 0.0, 1.0)
-                proj = seg_a + u[:, None] * ab
-                best = np.minimum(best, np.linalg.norm(sparse - proj, axis=1))
-        d = max(d, float(best.max()))
+        d = max(d, float(_project_distances(gb, float(t), sparse).max()))
     return d
+
+
+def _project_distances(g: OrthogonalGauge, t, pts):
+    """Distance from each row of pts to the slice gamma(t, .) of g, by
+    safeguarded Newton from coarse samples (see slice_set_distance)."""
+    xs = np.linspace(0.0, g.E0, SEED_SAMPLES, endpoint=False)
+    coarse = gamma(g, np.full(SEED_SAMPLES, t), xs)
+    near_dist, near = cKDTree(coarse).query(pts, k=SEED_CANDIDATES)
+    x = xs[_local_minimum_seeds(coarse, pts, near)].ravel()
+    h = g.E0 / SEED_SAMPLES
+    lo, hi = x - h, x + h
+    p = np.repeat(pts, SEED_NEIGHBOURS, axis=0)
+    active = np.arange(len(x))
+    for _ in range(NEWTON_STEPS):
+        xa, pa = x[active], p[active]
+        r = gamma(g, t, xa) - pa
+        s, sig = xa + t, xa - t
+        gx = 0.5 * (g.a.tangent(s) + g.b.tangent(sig))
+        gxx = 0.5 * (g.a.tangent_derivative(s) + g.b.tangent_derivative(sig))
+        f1 = (r * gx).sum(axis=1)
+        f2 = (gx * gx).sum(axis=1) + (r * gxx).sum(axis=1)
+        convex = f2 > 0
+        step = np.where(convex, -f1 / np.where(convex, f2, 1.0), 0.0)
+        x[active] = np.clip(xa + step, lo[active], hi[active])
+        active = active[np.abs(x[active] - xa) > NEWTON_XTOL * h]
+        if not active.size:
+            break
+    end_dist = np.linalg.norm(gamma(g, t, x) - p, axis=1)
+    end_dist = end_dist.reshape(-1, SEED_NEIGHBOURS).min(axis=1)
+    return np.minimum(near_dist[:, 0], end_dist)
+
+
+def _local_minimum_seeds(coarse, pts, near):
+    """The SEED_NEIGHBOURS nearest of the candidate samples near (indices
+    into coarse, nearest first) at which the sampled distance to pts has a
+    local minimum along the slice; rows short of minima are padded with
+    the nearest other candidates.  The foot of a point on a smooth arc lies
+    within one coarse spacing of such a minimum, whereas the plain nearest
+    samples can all crowd onto other, slow arcs where the slice nearly
+    touches itself."""
+    n = len(coarse)
+
+    def dist(idx):
+        return np.linalg.norm(coarse[idx % n] - pts[:, None, :], axis=2)
+
+    d = dist(near)
+    minimum = (d <= dist(near - 1)) & (d <= dist(near + 1))
+    cols = np.argsort(~minimum, axis=1, kind="stable")[:, :SEED_NEIGHBOURS]
+    return np.take_along_axis(near, cols, axis=1)
 
 
 def _second_difference(curve, ys, h):

@@ -165,11 +165,10 @@ def test_criterion_07_nonuniqueness(nonuniq):
     g_id, g_pi, delta = nonuniq
     worst = 0.0
     for t in np.linspace(0.0, delta, 8):
-        d = slice_set_distance(g_id, g_pi, float(t), m_sparse=256,
-                               m_dense=2 ** 17)
+        d = slice_set_distance(g_id, g_pi, float(t), m_sparse=256)
         worst = max(worst, d)
         assert d <= 1e-6
-    split = slice_set_distance(g_id, g_pi, 0.5, m_sparse=512, m_dense=2 ** 16)
+    split = slice_set_distance(g_id, g_pi, 0.5, m_sparse=512)
     assert split >= 0.01
     for g in (g_id, g_pi):
         ok, _ = is_global_immersion(g)
@@ -177,8 +176,7 @@ def test_criterion_07_nonuniqueness(nonuniq):
     h_id, h_pi = constructions.same_surface_family()
     worst_same = 0.0
     for t in np.linspace(0.0, 3.0, 32, endpoint=False):
-        d = slice_set_distance(h_id, h_pi, float(t), m_sparse=192,
-                               m_dense=2 ** 17)
+        d = slice_set_distance(h_id, h_pi, float(t), m_sparse=192)
         worst_same = max(worst_same, d)
         assert d <= 1e-6
     _report(7, f"coincidence <= {worst:.1e} on [0,{delta}], split "

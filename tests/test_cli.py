@@ -149,6 +149,23 @@ def test_nonuniq_task(tmp_path):
     assert rows[-1]["slice_distance"] >= 0.01
 
 
+def test_nonuniq_same_surface_task(tmp_path):
+    scen = {"name": "same", "task": "nonuniq",
+            "params": {"variant": "same_surface", "times": 3}}
+    code, report, _ = run_cli(tmp_path, scen)
+    assert code == 0
+    assert report["variant"] == "same_surface"
+    assert len(report["distances"]) == 3
+    assert all(row["slice_distance"] <= 1e-6 for row in report["distances"])
+
+
+def test_nonuniq_unknown_variant_exit_one(tmp_path):
+    scen = {"name": "typo", "task": "nonuniq", "params": {"variant": "pairs"}}
+    code, report, _ = run_cli(tmp_path, scen)
+    assert code == 1
+    assert report is None
+
+
 def test_gauge_roundtrip_through_spec(tmp_path):
     from worldsheet import catalog
     from worldsheet.serialize import gauge_from_spec, gauge_to_spec

@@ -166,10 +166,8 @@ def test_nonuniq_straight_segment(nonuniq):
 def test_nonuniq_slices_coincide_then_split(nonuniq):
     g_id, g_pi, delta = nonuniq
     for t in np.linspace(0, delta, 4):
-        assert slice_set_distance(g_id, g_pi, t, m_sparse=256,
-                                  m_dense=2 ** 17) <= 1e-6
-    assert slice_set_distance(g_id, g_pi, 0.5, m_sparse=512,
-                              m_dense=2 ** 16) >= 0.01
+        assert slice_set_distance(g_id, g_pi, t, m_sparse=256) <= 1e-6
+    assert slice_set_distance(g_id, g_pi, 0.5, m_sparse=512) >= 0.01
 
 
 def test_nonuniq_globally_immersed(nonuniq):
@@ -211,8 +209,7 @@ def test_nonuniq_embedding_dimension():
 def test_same_surface_family_all_times():
     h_id, h_pi = C.same_surface_family()
     for t in np.linspace(0, 3, 8, endpoint=False):
-        assert slice_set_distance(h_id, h_pi, t, m_sparse=256,
-                                  m_dense=2 ** 17) <= 1e-6
+        assert slice_set_distance(h_id, h_pi, t, m_sparse=256) <= 1e-6
     xs = np.linspace(0, 3, 512, endpoint=False)
     point_dev = np.abs(gamma(h_id, np.full(512, 0.5), xs)
                        - gamma(h_pi, np.full(512, 0.5), xs)).max()

@@ -1,10 +1,14 @@
 import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.spatial import cKDTree
 
-from worldsheet import catalog
+from worldsheet import catalog, constructions
 from worldsheet.curves import CallableTangent, UnitSpeedCurve
 from worldsheet.gauge import OrthogonalGauge, couple_from_gauge
 from worldsheet.surface import (constraint_residuals, derivatives, gamma,
-                                metric_det, sample, slice_curve)
+                                metric_det, sample, slice_curve,
+                                slice_set_distance)
 
 TWO_PI = 2.0 * np.pi
 
@@ -149,3 +153,75 @@ def test_finite_propagation_bit_identical():
     v1 = gamma(g1, t, x)
     v2 = gamma(g2, t, x)
     assert (v1 == v2).all()
+
+
+# slice set distance ----------------------------------------------------------
+
+def polyline_set_distance(g1, g2, t, m_sparse, m_dense):
+    """Reference slice distance: each sparse sample against the closed
+    polyline through m_dense samples of the other slice, around its 6
+    nearest samples.  Its error is quadratic in the dense spacing."""
+    d = 0.0
+    for ga, gb in ((g1, g2), (g2, g1)):
+        sparse = slice_curve(ga, t, m=m_sparse).points
+        dense = slice_curve(gb, t, m=m_dense).points
+        _, knn = cKDTree(dense).query(sparse, k=6)
+        best = np.full(len(sparse), np.inf)
+        for col in range(knn.shape[1]):
+            for off in (-1, 0):
+                seg_a = dense[(knn[:, col] + off) % m_dense]
+                seg_b = dense[(knn[:, col] + off + 1) % m_dense]
+                ab = seg_b - seg_a
+                denom = np.maximum((ab * ab).sum(axis=1), np.finfo(float).tiny)
+                u = np.clip(((sparse - seg_a) * ab).sum(axis=1) / denom,
+                            0.0, 1.0)
+                best = np.minimum(best, np.linalg.norm(
+                    sparse - seg_a - u[:, None] * ab, axis=1))
+        d = max(d, float(best.max()))
+    return d
+
+
+def test_slice_distance_matches_dense_polyline(nonuniq):
+    g_id, g_pi, _ = nonuniq
+    for t in (0.3, 0.5, 1.7):
+        ref = polyline_set_distance(g_id, g_pi, t, m_sparse=256,
+                                    m_dense=2 ** 20)
+        assert abs(slice_set_distance(g_id, g_pi, t, m_sparse=256) - ref) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_slice_distance_exact_at_coincidence(n):
+    g_id, g_pi, delta = constructions.nonuniqueness_pair(n=n)
+    for t in np.linspace(0.0, delta, 4):
+        assert slice_set_distance(g_id, g_pi, t, m_sparse=256) <= 1e-12
+
+
+def test_slice_distance_exact_on_same_surface():
+    h_id, h_pi = constructions.same_surface_family()
+    for t in np.linspace(0.0, 3.0, 8, endpoint=False):
+        assert slice_set_distance(h_id, h_pi, t, m_sparse=256) <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def projection_gauges():
+    return {"hopf": catalog.hopf_gauge(), "nonconvex": catalog.nonconvex_gauge(),
+            "circle": catalog.circle_gauge()}
+
+
+@settings(max_examples=20, deadline=None)
+@given(name=st.sampled_from(["hopf", "nonconvex", "circle"]),
+       shift=st.floats(0.0, 1.0), time=st.floats(0.0, 1.0))
+# three arcs of the slice within 1e-4 of each other: the 4 nearest coarse
+# samples all lie on the two wrong ones
+@example(name="nonconvex", shift=0.7432841596377239, time=0.7421875)
+# a foot 0.05 coarse spacings from a cusp, where Newton converges linearly
+@example(name="nonconvex", shift=0.9916861960144647, time=0.7264246392278)
+def test_slice_distance_reparametrization_invariant(projection_gauges, name,
+                                                    shift, time):
+    # h is the same surface with the parameter origin moved by c
+    g = projection_gauges[name]
+    c, t = shift * g.E0, time * g.E0
+    h = OrthogonalGauge(g.a.shifted(c), g.b.shifted(c))
+    d = slice_set_distance(g, h, t, m_sparse=256)
+    assert d <= 1e-12
+    assert d == slice_set_distance(h, g, t, m_sparse=256)
