@@ -38,8 +38,7 @@ def _task_evolve(g, params, out, ctx):
         serialize.write_csv(
             os.path.join(out, f"slice_{j:03d}.csv"),
             ["x"] + [f"gamma_{i}" for i in range(g.dim)],
-            [[x] + list(p) for x, p in
-             zip(np.linspace(0.0, g.E0, m, endpoint=False), sl.points)])
+            np.column_stack([np.linspace(0.0, g.E0, m, endpoint=False), sl.points]))
         summary.append({"t": float(t), "min_radius": float(radii.min()),
                         "max_radius": float(radii.max()),
                         "closure_gap": sl.closure_gap})
@@ -134,7 +133,7 @@ def _task_construct(g, params, out, ctx):
             os.path.join(out, f"curve_{label}.csv"),
             ["x"] + [f"a_{i}" for i in range(g.dim)]
             + [f"ap_{i}" for i in range(g.dim)],
-            [[x] + list(p) + list(v) for x, p, v in zip(xs, pos, tan)])
+            np.column_stack([xs, pos, tan]))
     report = {"task": "construct",
               "E0": float(g.E0), "dim": g.dim,
               "a_closure_defect": g.a.closure_defect().defect,

@@ -8,13 +8,13 @@ of scales, reported with its fit quality and a confidence interval.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import PreconditionError
 from .gauge import OrthogonalGauge
-from .surface import gamma
 
 DEFAULT_SCALES = tuple(2.0 ** -j for j in range(3, 10))
 MIN_R2 = 0.98
@@ -74,6 +74,34 @@ class SlopeEstimate:
         return (self.slope - self.stderr, self.slope + self.stderr)
 
 
+def _count_boxes(pts, lo, hi, eps):
+    """Number of occupied boxes of side eps anchored at the corner lo.
+
+    A point's box is ``floor((p - lo) / eps + 1e-9)`` per coordinate: the
+    relative nudge keeps points that sit a few ulps below a cell edge
+    (exactly aligned self-similar data) from leaking into a spurious extra
+    cell.  The same operations on the column maxima hi give each column's
+    extent, so the boxes pack by mixed radix into one int64 key, built a
+    column at a time; equal consecutive keys (the cloud runs along
+    characteristics) are dropped before one 1-D sort.  Extents whose
+    product reaches 2**62 fall back to grouping the integer rows.
+    """
+    ext = np.floor((hi - lo) / eps + 1e-9).astype(np.int64) + 1
+    if math.prod(ext.tolist()) >= 2 ** 62:
+        cells = np.floor((pts - lo) / eps + 1e-9).astype(np.int64)
+        return np.count_nonzero(_row_groups(cells)[1])
+    key = np.zeros(len(pts), dtype=np.int64)
+    for j in range(pts.shape[1]):
+        c = pts[:, j] - lo[j]
+        c /= eps
+        c += 1e-9
+        key *= ext[j]
+        key += np.floor(c, out=c).astype(np.int64)
+    key = key[np.concatenate([[True], key[1:] != key[:-1]])]
+    key.sort()
+    return 1 + np.count_nonzero(key[1:] != key[:-1])
+
+
 def box_count(cloud: PointCloud, scales=DEFAULT_SCALES):
     """Occupied-box counts over the scale ladder and the fitted slope of
     log N versus log(1/eps)."""
@@ -86,15 +114,9 @@ def box_count(cloud: PointCloud, scales=DEFAULT_SCALES):
     if scales[0] > 0.25 * diam:
         raise PreconditionError(
             f"largest scale {scales[0]:.3g} exceeds diameter/4 = {diam / 4:.3g}")
-    counts = []
     lo = cloud.points.min(axis=0)
-    for eps in scales:
-        # anchor at the cloud corner; the relative nudge keeps points that
-        # sit a few ulps below a cell edge (exactly aligned self-similar
-        # data) from leaking into a spurious extra cell
-        cells = np.floor((cloud.points - lo) / eps + 1e-9).astype(np.int64)
-        counts.append(np.count_nonzero(_row_groups(cells)[1]))
-    counts = np.asarray(counts)
+    hi = cloud.points.max(axis=0)
+    counts = np.array([_count_boxes(cloud.points, lo, hi, eps) for eps in scales])
     x = np.log(1.0 / scales)
     y = np.log(counts.astype(float))
     slope, intercept = np.polyfit(x, y, 1)
@@ -124,8 +146,11 @@ def singstar_cloud(g: OrthogonalGauge, resolution=1024, which="sing_star"):
         ts = np.linspace(t_lo, t_hi, resolution)
         pts = []
         for s in s_vals:
+            # gamma(g, ts, xs) with a read once per distinct x + t: on a
+            # characteristic (s - ts) + ts rounds to one or few values
             xs = s - ts
-            gm = gamma(g, ts, xs)
+            u, inv = np.unique(xs + ts, return_inverse=True)
+            gm = 0.5 * (g.a.position(u)[inv] + g.b.position(xs - ts))
             pts.append(np.column_stack([ts, gm]))
         cloud = PointCloud(np.vstack(pts),
                            provenance={"gauge": g.metadata.get("name", "?"),

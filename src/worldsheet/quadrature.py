@@ -145,7 +145,8 @@ class PrefixIntegrator:
             vals = np.insert(vals, at + 1, 0.0, axis=0)
             vals[halves] = _gl_values(f, edges[halves], edges[halves + 1])
         self.edges = edges
-        panel_ints = (vals * _GL_WEIGHTS[None, :, None]).sum(axis=1) * np.diff(edges)[:, None]
+        self.widths = np.diff(edges)
+        panel_ints = (vals * _GL_WEIGHTS[None, :, None]).sum(axis=1) * self.widths[:, None]
         self.dim = panel_ints.shape[1]
         self.prefix = np.vstack([np.zeros(self.dim), np.cumsum(panel_ints, axis=0)])
         self.per_period = self.prefix[-1].copy()
@@ -165,7 +166,7 @@ class PrefixIntegrator:
         idx = np.searchsorted(self.edges, y, side="right") - 1
         idx = np.clip(idx, 0, len(self.edges) - 2)
         y -= self.edges[idx]
-        t = (2.0 * y / np.diff(self.edges)[idx] - 1.0)[:, None]
+        t = (2.0 * y / self.widths[idx] - 1.0)[:, None]
         # b_j = c_j + (2j+1)/(j+1) t b_{j+1} - (j+1)/(j+2) b_{j+2}; sum = b_0
         b1, b2, tmp = (np.zeros((len(y), self.dim)) for _ in range(3))
         for j in range(7, -1, -1):

@@ -238,10 +238,13 @@ def write_csv(path, header, rows):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        # csv writes a float as repr(float); 1024-row chunks keep lists small
+        # csv writes a float as repr(float) and ends rows with \r\n; joining
+        # the text directly skips its per-cell overhead, and 1024-row chunks
+        # keep the lists small
         if isinstance(rows, np.ndarray) and rows.dtype == np.float64:
             for i in range(0, len(rows), 1024):
-                w.writerows(rows[i:i + 1024].tolist())
+                cols = [map(repr, c) for c in rows[i:i + 1024].T.tolist()]
+                fh.write("".join(",".join(r) + "\r\n" for r in zip(*cols)))
             return
         for row in rows:
             w.writerow([repr(float(v)) if isinstance(v, (float, np.floating))

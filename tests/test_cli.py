@@ -207,12 +207,21 @@ def test_removed_flag_rejected(tmp_path, capsys, flag):
 
 
 def test_write_csv_float_array_matches_per_cell_text(tmp_path):
-    values = [-0.0, 0.0, np.nan, np.inf, -np.inf, 1e-300, 1e300, 0.1 + 0.2, -5e-324, 1.0]
-    rows = np.array(values * 2000).reshape(-1, 4)     # 5000 rows: several chunks
+    values = [-0.0, 0.0, np.nan, np.inf, -np.inf, 1e-300, 1e300, 0.1 + 0.2,
+              -5e-324, 1.0, 5e-324]
     header = ["p_0", "p_1", "p_2", "p_3"]
-    serialize.write_csv(tmp_path / "fast.csv", header, rows)
-    # a list of rows takes the per-cell repr(float(v)) path
-    serialize.write_csv(tmp_path / "cells.csv", header, list(rows))
-    fast = (tmp_path / "fast.csv").read_bytes()
-    assert fast == (tmp_path / "cells.csv").read_bytes()
-    assert fast.splitlines()[1] == b"-0.0,0.0,nan,inf"
+    # empty, one row, and around the 1024-row chunk edge
+    for n_rows in (0, 1, 1023, 1024, 1025, 5000):
+        rows = np.resize(np.array(values), n_rows * 4).reshape(n_rows, 4)
+        serialize.write_csv(tmp_path / "fast.csv", header, rows)
+        # a list of rows takes the per-cell repr(float(v)) path
+        serialize.write_csv(tmp_path / "cells.csv", header, list(rows))
+        fast = (tmp_path / "fast.csv").read_bytes()
+        assert fast == (tmp_path / "cells.csv").read_bytes()
+        lines = fast.split(b"\r\n")
+        assert lines[0] == b"p_0,p_1,p_2,p_3"
+        assert len(lines) == n_rows + 2 and lines[-1] == b""
+        if n_rows:
+            assert lines[1] == b"-0.0,0.0,nan,inf"
+        if n_rows >= 3:
+            assert lines[3] == b"-5e-324,1.0,5e-324,-0.0"

@@ -1,9 +1,13 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from worldsheet.dimension import (PointCloud, _row_groups, box_count,
-                                  singstar_cloud)
+from worldsheet import dimension, surface
+from worldsheet.dimension import (PointCloud, _count_boxes, _row_groups,
+                                  box_count, singstar_cloud)
 from worldsheet.errors import PreconditionError
 
 
@@ -129,6 +133,55 @@ def test_box_count_matches_unique_per_scale(keys):
         cells = np.floor((cloud.points - lo) / eps + 1e-9).astype(np.int64)
         ref.append(len(np.unique(cells, axis=0)))
     assert est.counts.tolist() == ref
+
+
+@st.composite
+def box_cells(draw):
+    """Integer cells, d in 1..4, that come in runs of equal consecutive rows
+    and repeat across runs; the corners 0 and ext - 1 pin the extents, whose
+    product is either small or within one last-column step of 2**62."""
+    d = draw(st.integers(1, 4))
+    if d > 1 and draw(st.booleans()):
+        ext = draw(st.lists(st.integers(2 ** 10, 2 ** 20), min_size=d - 1,
+                            max_size=d - 1))
+        ext.append(2 ** 62 // math.prod(ext) + draw(st.integers(-1, 1)))
+    else:
+        ext = draw(st.lists(st.integers(1, 6), min_size=d, max_size=d))
+    pool = [[0] * d, [e - 1 for e in ext]] + draw(st.lists(
+        st.tuples(*[st.integers(0, e - 1) for e in ext]).map(list), max_size=6))
+    runs = draw(st.lists(st.tuples(st.integers(0, len(pool) - 1),
+                                   st.integers(1, 40)), min_size=1, max_size=12))
+    rows = [pool[0], pool[1]] + [pool[i] for i, n in runs for _ in range(n)]
+    return np.array(rows, dtype=np.int64), ext
+
+
+@settings(max_examples=200, deadline=None)
+@given(box_cells())
+@example((np.array([[0, 0], [2 ** 31 - 1, 2 ** 31 - 2]] * 3), [2 ** 31, 2 ** 31 - 1]))
+@example((np.array([[0, 0], [2 ** 31 - 1, 2 ** 31 - 1]] * 3), [2 ** 31, 2 ** 31]))
+def test_packed_box_count_matches_row_groups(drawn):
+    cells, ext = drawn
+    # integer coordinates at eps = 1 land in exactly their own cells
+    pts = cells.astype(float)
+    with mock.patch.object(dimension, "_row_groups",
+                           wraps=dimension._row_groups) as spy:
+        count = _count_boxes(pts, pts.min(axis=0), pts.max(axis=0), 1.0)
+    assert count == np.count_nonzero(_row_groups(cells)[1])
+    # the packed key is used below 2**62, the row grouping from there on
+    assert spy.called == (math.prod(ext) >= 2 ** 62)
+
+
+@pytest.mark.parametrize("which", ["sing_star", "sing"])
+@pytest.mark.parametrize("fixture", ["cantor_k1", "cantor_k2"])
+def test_singstar_cloud_is_gamma_on_product_grid(request, fixture, which):
+    g, _ = request.getfixturevalue(fixture)
+    resolution = 256
+    cloud = singstar_cloud(g, resolution=resolution, which=which)
+    pred = g.metadata["cantor_prediction"]
+    ts = np.linspace(*pred["t_window"], resolution)
+    ref = np.vstack([np.column_stack([ts, surface.gamma(g, ts, s - ts)])
+                     for s in pred["sigma_sing" if which == "sing" else "sigma_star"]])
+    assert np.array_equal(cloud.points, PointCloud(ref).points)
 
 
 def test_unreliable_flag():
