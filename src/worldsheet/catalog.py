@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .curves import AngleTangent, CallableTangent, UnitSpeedCurve
+from .curves import (AngleTangent, CallableTangent, UnitSpeedCurve,
+                     from_tangent_image)
 from .gauge import AdmissibleCouple, OrthogonalGauge
 
 TWO_PI = 2.0 * np.pi
@@ -83,33 +84,30 @@ def degenerate_slice_gauge():
 # ---------------------------------------------------------------------------
 # four-dimensional Hopf pair
 
+def _unit_circle(x, order):
+    """(cos x, sin x) for order 0, its derivative (-sin x, cos x) for
+    order 1, and zeros, for the coordinate planes of the Hopf pair."""
+    x = np.asarray(x, dtype=float)
+    if order == 0:
+        return np.cos(x), np.sin(x), np.zeros_like(x)
+    return -np.sin(x), np.cos(x), np.zeros_like(x)
+
+
 def hopf_gauge():
     """a and b are unit circles in orthogonal coordinate planes of R^4;
     the tangent images on S^3 form a Hopf-linked pair with margin sqrt 2."""
-    def a_tan(x):
-        x = np.asarray(x, dtype=float)
-        z = np.zeros_like(x)
-        return np.stack([np.cos(x), np.sin(x), z, z], axis=-1)
+    def a_tan(x, order):
+        c, s, z = _unit_circle(x, order)
+        return np.stack([c, s, z, z], axis=-1)
 
-    def a_tan_d(x):
-        x = np.asarray(x, dtype=float)
-        z = np.zeros_like(x)
-        return np.stack([-np.sin(x), np.cos(x), z, z], axis=-1)
+    def b_tan(x, order):
+        c, s, z = _unit_circle(x, order)
+        return np.stack([z, z, c, s], axis=-1)
 
-    def b_tan(x):
-        x = np.asarray(x, dtype=float)
-        z = np.zeros_like(x)
-        return np.stack([z, z, np.cos(x), np.sin(x)], axis=-1)
-
-    def b_tan_d(x):
-        x = np.asarray(x, dtype=float)
-        z = np.zeros_like(x)
-        return np.stack([z, z, -np.sin(x), np.cos(x)], axis=-1)
-
-    a = UnitSpeedCurve(CallableTangent(a_tan, TWO_PI, 4, deriv=a_tan_d,
-                                       smoothness=7), np.array([0., -1., 0., 0.]))
-    b = UnitSpeedCurve(CallableTangent(b_tan, TWO_PI, 4, deriv=b_tan_d,
-                                       smoothness=7), np.array([0., 0., 0., -1.]))
+    a = UnitSpeedCurve(CallableTangent(a_tan, TWO_PI, 4, smoothness=7),
+                       np.array([0., -1., 0., 0.]))
+    b = UnitSpeedCurve(CallableTangent(b_tan, TWO_PI, 4, smoothness=7),
+                       np.array([0., 0., 0., -1.]))
     return OrthogonalGauge(a, b, metadata={"name": "hopf"})
 
 
@@ -118,25 +116,21 @@ def mirrored_hopf_gauge():
     g = hopf_gauge()
     rep = g.b.rep
 
-    def b_tan(x):
-        v = rep(x).copy()
-        v[..., 3] = -v[..., 3]
-        return v
-
-    def b_tan_d(x):
-        v = rep.derivative(x).copy()
+    def b_tan(x, order):
+        v = rep(x, order)
         v[..., 3] = -v[..., 3]
         return v
 
     base = g.b.basepoint.copy()
     base[3] = -base[3]
-    b = UnitSpeedCurve(CallableTangent(b_tan, TWO_PI, 4, deriv=b_tan_d,
-                                       smoothness=7), base)
+    b = UnitSpeedCurve(CallableTangent(b_tan, TWO_PI, 4, smoothness=7), base)
     return OrthogonalGauge(g.a, b, metadata={"name": "hopf-mirrored"})
 
 
 # ---------------------------------------------------------------------------
-# spherical paths for the tangent-image builder (S^2 in R^3)
+# spherical paths for the tangent-image builder (S^2 in R^3); each
+# path(u, order=0) is the point on the sphere for order 0 and its exact
+# u-derivative for order 1
 
 def meridian_oval_path(lon=0.0, width=0.25, overshoot=0.18,
                        bottom=None, pinched=False):
@@ -155,12 +149,20 @@ def meridian_oval_path(lon=0.0, width=0.25, overshoot=0.18,
     c0 = 0.5 * (np.pi + bottom - overshoot)
     c1 = 0.5 * (np.pi + bottom + overshoot)
 
-    def path(u):
+    def path(u, order=0):
         u = np.asarray(u, dtype=float)
         psi = c0 - c1 * np.cos(u)
         w = width * (np.sin(2.0 * u) if pinched else np.sin(u))
         m = np.multiply.outer(np.sin(psi), u1) + np.multiply.outer(np.cos(psi), u3)
-        return np.cos(w)[..., None] * m + np.multiply.outer(np.sin(w), u2)
+        if order == 0:
+            return np.cos(w)[..., None] * m + np.multiply.outer(np.sin(w), u2)
+        dpsi = c1 * np.sin(u)
+        dw = width * (2.0 * np.cos(2.0 * u) if pinched else np.cos(u))
+        dm = dpsi[..., None] * (np.multiply.outer(np.cos(psi), u1)
+                                - np.multiply.outer(np.sin(psi), u3))
+        return (np.cos(w)[..., None] * dm
+                + (dw * np.cos(w))[..., None] * u2
+                - (dw * np.sin(w))[..., None] * m)
 
     return path
 
@@ -171,13 +173,20 @@ def swing_path(swing=1.6, lat_max=1.22, lon_center=0.0):
     oscillates at twice the rate (lat = lat_max * sin 2u).  Passes
     exactly through the center point at u = 0 and u = pi."""
 
-    def path(u):
+    def path(u, order=0):
         u = np.asarray(u, dtype=float)
         lon = lon_center + swing * np.sin(u)
         lat = lat_max * np.sin(2.0 * u)
         cl = np.cos(lat)
-        return np.stack([cl * np.cos(lon), cl * np.sin(lon), np.sin(lat)],
-                        axis=-1)
+        if order == 0:
+            return np.stack([cl * np.cos(lon), cl * np.sin(lon), np.sin(lat)],
+                            axis=-1)
+        dlon = swing * np.cos(u)
+        dlat = 2.0 * lat_max * np.cos(2.0 * u)
+        dcl = -np.sin(lat) * dlat
+        return np.stack([dcl * np.cos(lon) - cl * np.sin(lon) * dlon,
+                         dcl * np.sin(lon) + cl * np.cos(lon) * dlon,
+                         cl * dlat], axis=-1)
 
     return path
 
@@ -193,15 +202,48 @@ def wavy_circle_path(wave=0.25, phase=0.0, axis_frame=None):
     else:
         e1, e2, e3 = axis_frame
 
-    def path(u):
+    def path(u, order=0):
         u = np.asarray(u, dtype=float)
         lam = wave * np.sin(u + phase)
         cl = np.cos(lam)
-        return (np.multiply.outer(cl * np.cos(u), e1)
-                + np.multiply.outer(cl * np.sin(u), e2)
-                + np.multiply.outer(np.sin(lam), e3))
+        if order == 0:
+            return (np.multiply.outer(cl * np.cos(u), e1)
+                    + np.multiply.outer(cl * np.sin(u), e2)
+                    + np.multiply.outer(np.sin(lam), e3))
+        dlam = wave * np.cos(u + phase)
+        dcl = -np.sin(lam) * dlam
+        return (np.multiply.outer(dcl * np.cos(u) - cl * np.sin(u), e1)
+                + np.multiply.outer(dcl * np.sin(u) + cl * np.cos(u), e2)
+                + np.multiply.outer(cl * dlam, e3))
 
     return path
+
+
+# ---------------------------------------------------------------------------
+# three-dimensional gauges realized from spherical paths
+
+def meridian_loops_gauge():
+    """a realizes a meridian oval, b a mirrored swing curve; the tangent
+    images are disjoint loops on S^2."""
+    a = from_tangent_image(
+        meridian_oval_path(lon=0.0, width=0.25, overshoot=0.18), k=3)
+    b = from_tangent_image(
+        swing_path(swing=2.0, lat_max=-0.9, lon_center=0.0),
+        k=3, period=a.period)
+    g = OrthogonalGauge(a, b, metadata={"name": "meridian-loops"})
+    g.validate()
+    return g
+
+
+def wavy_pair_gauge(wave_a=0.25, phase_a=0.0, wave_b=0.18, phase_b=1.2):
+    """a and b realize two wavy great circles, so their tangent images
+    cross transversally."""
+    a = from_tangent_image(wavy_circle_path(wave=wave_a, phase=phase_a), k=3)
+    b = from_tangent_image(wavy_circle_path(wave=wave_b, phase=phase_b),
+                           k=3, period=a.period)
+    g = OrthogonalGauge(a, b, metadata={"name": "wavy-pair"})
+    g.validate()
+    return g
 
 
 # ---------------------------------------------------------------------------

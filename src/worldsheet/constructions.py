@@ -346,26 +346,22 @@ def _assemble_period3(pieces):
     straight segment at integer junctions) on [j, j+1)."""
     dim = pieces[0].dim
 
-    def assembled(method):
-        def fn(x):
-            x = np.asarray(x, dtype=float)
-            j = np.floor(np.mod(x, 3.0)).astype(int)
-            # mod rounds to 3.0 for tiny negative x, which lies in piece 2;
-            # clamped in place, as one more temporary raises peak RSS
-            np.minimum(j, 2, out=j)
-            out = np.empty(x.shape + (dim,))
-            for i in range(3):
-                m = j == i
-                if m.any():
-                    out[m] = getattr(pieces[i], method)(x[m])
-            return out
-        return fn
+    def fn(x, order):
+        j = np.floor(np.mod(x, 3.0)).astype(int)
+        # mod rounds to 3.0 for tiny negative x, which lies in piece 2;
+        # clamped in place, as one more temporary raises peak RSS
+        np.minimum(j, 2, out=j)
+        out = np.empty(x.shape + (dim,))
+        for i in range(3):
+            m = j == i
+            if m.any():
+                out[m] = pieces[i].rep(x[m], order)
+        return out
 
     breaks = [0.0, 1.0, 2.0]
     for i, p in enumerate(pieces):
         breaks.extend(np.mod(np.asarray(p.rep.breakpoints, float), 1.0) + i)
-    rep = CallableTangent(assembled("tangent"), 3.0, dim,
-                          deriv=assembled("tangent_derivative"),
+    rep = CallableTangent(fn, 3.0, dim,
                           smoothness=min(p.smoothness for p in pieces),
                           breakpoints=sorted(breaks))
     return UnitSpeedCurve(rep, np.zeros(dim))
@@ -424,16 +420,13 @@ def _embed(curve, n):
     """Embed a curve of R^3 into R^n (extra coordinates zero)."""
     rep3 = curve.rep
 
-    def embedded(method):
-        def padded(x):
-            v = getattr(rep3, method)(np.asarray(x, dtype=float))
-            out = np.zeros(v.shape[:-1] + (n,))
-            out[..., :3] = v
-            return out
-        return padded
+    def padded(x, order):
+        v = rep3(x, order)
+        out = np.zeros(v.shape[:-1] + (n,))
+        out[..., :3] = v
+        return out
 
-    rep = CallableTangent(embedded("__call__"), curve.period, n,
-                          deriv=embedded("derivative"),
+    rep = CallableTangent(padded, curve.period, n,
                           smoothness=curve.smoothness,
                           breakpoints=rep3.breakpoints)
     base = np.zeros(n)

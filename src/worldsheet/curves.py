@@ -33,7 +33,11 @@ def _as_batch(x):
 
 
 class TangentRep:
-    """Base class for unit-tangent representations."""
+    """Base class for unit-tangent representations.
+
+    ``rep(x, order=0)`` is the unit tangent at x for order 0 and its
+    exact x-derivative for order 1, each of shape x.shape + (dim,).
+    """
 
     tol_class = "analytic"
     breakpoints = ()
@@ -43,13 +47,8 @@ class TangentRep:
         self.dim = int(dim)
         self.smoothness = int(smoothness)
 
-    def __call__(self, x):
+    def __call__(self, x, order=0):
         raise NotImplementedError
-
-    def derivative(self, x, h=1e-6):
-        """d(tangent)/dx; central finite difference unless overridden."""
-        step = h * max(self.period, 1.0)
-        return (self(x + step) - self(x - step)) / (2.0 * step)
 
 
 class AngleTangent(TangentRep):
@@ -62,13 +61,11 @@ class AngleTangent(TangentRep):
         self.alpha_prime = alpha_prime
         self.breakpoints = tuple(breakpoints)
 
-    def __call__(self, x):
-        a = np.asarray(self.alpha(np.asarray(x, dtype=float)))
-        return np.stack([np.cos(a), np.sin(a)], axis=-1)
-
-    def derivative(self, x):
+    def __call__(self, x, order=0):
         x = np.asarray(x, dtype=float)
         a = np.asarray(self.alpha(x))
+        if order == 0:
+            return np.stack([np.cos(a), np.sin(a)], axis=-1)
         ap = np.asarray(self.alpha_prime(x))
         return ap[..., None] * np.stack([-np.sin(a), np.cos(a)], axis=-1)
 
@@ -99,40 +96,31 @@ class SphereSamplesTangent(TangentRep):
         self._spline = CubicSpline(grid, closed, axis=0, bc_type="periodic")
         self._dspline = self._spline.derivative()
 
-    def _raw(self, x):
-        return self._spline(np.mod(x, self.period))
-
-    def __call__(self, x):
-        v = self._raw(np.asarray(x, dtype=float))
-        return v / np.linalg.norm(v, axis=-1, keepdims=True)
-
-    def derivative(self, x):
-        x = np.asarray(x, dtype=float)
-        v = self._raw(x)
-        dv = self._dspline(np.mod(x, self.period))
+    def __call__(self, x, order=0):
+        y = np.mod(np.asarray(x, dtype=float), self.period)
+        v = self._spline(y)
         nrm = np.linalg.norm(v, axis=-1, keepdims=True)
         t = v / nrm
+        if order == 0:
+            return t
+        dv = self._dspline(y)
         return dv / nrm - t * (t * dv).sum(axis=-1, keepdims=True) / nrm
 
 
 class CallableTangent(TangentRep):
-    """Tangent given by an arbitrary vectorized callable."""
+    """Tangent given by a vectorized callable ``fn(x, order)`` returning
+    the unit tangent (order 0) or its exact x-derivative (order 1)."""
 
-    def __init__(self, fn, period, dim, deriv=None, smoothness=3,
-                 tol_class="analytic", breakpoints=()):
+    def __init__(self, fn, period, dim, smoothness=3, tol_class="analytic",
+                 breakpoints=()):
         super().__init__(period, dim, smoothness)
         self.fn = fn
-        self._deriv = deriv
         self.tol_class = tol_class
         self.breakpoints = tuple(breakpoints)
 
-    def __call__(self, x):
-        return np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
-
-    def derivative(self, x, h=1e-6):
-        if self._deriv is None:
-            return super().derivative(x, h)
-        return np.asarray(self._deriv(np.asarray(x, dtype=float)), dtype=float)
+    def __call__(self, x, order=0):
+        return np.asarray(self.fn(np.asarray(x, dtype=float), order),
+                          dtype=float)
 
 
 @dataclass
@@ -182,7 +170,7 @@ class UnitSpeedCurve:
 
     def tangent_derivative(self, x):
         xb, scalar = _as_batch(x)
-        out = self.rep.derivative(xb)
+        out = self.rep(xb, 1)
         return out[0] if scalar else out
 
     def _integrator(self):
@@ -228,9 +216,7 @@ class UnitSpeedCurve:
         shifted_breaks = tuple(np.mod(np.asarray(rep.breakpoints, float) - x0, rep.period)) \
             if rep.breakpoints else ()
         new_rep = CallableTangent(
-            lambda y: rep(np.asarray(y, dtype=float) + x0),
-            rep.period, rep.dim,
-            deriv=lambda y: rep.derivative(np.asarray(y, dtype=float) + x0),
+            lambda y, order: rep(y + x0, order), rep.period, rep.dim,
             smoothness=rep.smoothness, tol_class=rep.tol_class,
             breakpoints=shifted_breaks)
         return UnitSpeedCurve(new_rep, base, metadata=dict(self.metadata))
@@ -321,42 +307,45 @@ def _hull_interior_lp(points, tol=1e-9):
     return float(-res.fun)
 
 
-class _TangentImageRep:
-    """Tangent c(spline(y)), y = mod(x * scale, period), of the assembled
-    move/dwell field; dwell pieces gather their precomputed vectors."""
+class _TangentImageRep(TangentRep):
+    """Tangent c(spline(y)), y = mod(x * scale, natural_period), of the
+    assembled move/dwell field; dwell pieces gather their precomputed
+    vectors."""
 
-    def __init__(self, cfun, cderiv, spline, dwell_vecs, period, scale):
-        self.cfun = cfun
-        self.cderiv = cderiv
+    def __init__(self, c, spline, dwell_vecs, natural_period, scale, period,
+                 smoothness, tol_class, breakpoints):
+        super().__init__(period, dwell_vecs.shape[1], smoothness)
+        self.c = c
         self.spline = spline
         self.dwell_vecs = dwell_vecs
-        self.period = period
+        self.natural_period = natural_period
         self.scale = scale  # natural parameter per output parameter
+        self.tol_class = tol_class
+        self.breakpoints = tuple(breakpoints)
 
     def _locate(self, x):
         """Pieces of x, and the positions and pieces of its moving points."""
-        y = np.mod(np.asarray(x, dtype=float) * self.scale, self.period)
+        y = np.mod(np.asarray(x, dtype=float) * self.scale,
+                   self.natural_period)
         j = self.spline.index(y)
         move = ~self.spline.dwell[j]
         return j, move, y[move], j[move]
 
-    # the (m, dim) temporaries of cfun/cderiv set the peak memory, so the
-    # index arrays are released before those calls
-    def __call__(self, x):
+    # the (m, dim) temporaries of c set the peak memory, so the index
+    # arrays are released before calling it
+    def __call__(self, x, order=0):
         j, move, ym, jm = self._locate(x)
-        out = np.take(self.dwell_vecs, j, axis=0)
-        c = self.spline.ramp(ym, jm, 0)
-        del j, ym, jm
-        out[move] = self.cfun(c)
-        return out
-
-    def deriv(self, x):
-        j, move, ym, jm = self._locate(x)
-        c = self.spline.ramp(ym, jm, 0)
+        if order == 0:
+            out = np.take(self.dwell_vecs, j, axis=0)
+            u = self.spline.ramp(ym, jm, 0)
+            del j, ym, jm
+            out[move] = self.c(u)
+            return out
+        u = self.spline.ramp(ym, jm, 0)
         rate = self.spline.ramp(ym, jm, 1) * self.scale
         del j, ym, jm
         out = np.zeros(move.shape + self.dwell_vecs.shape[1:])
-        out[move] = self.cderiv(c) * rate[:, None]
+        out[move] = self.c(u, 1) * rate[:, None]
         return out
 
 
@@ -381,39 +370,29 @@ def from_tangent_image(c, k=3, c_period=2.0 * np.pi, period=None,
     """Closed unit-speed curve whose tangent image is the closed spherical
     curve ``c``.
 
-    ``c`` is either a vectorized callable u -> S^{n-1} or an (m, n) array
-    of samples over one period.  Requires 0 to admit a strictly positive
-    convex combination of the sampled image (checked by linear
-    feasibility).  ``pinned`` is a sequence of (u, min_fraction) forcing a
-    dwell at c(u) occupying at least ``min_fraction`` of the final period.
+    ``c`` is either a vectorized spherical path ``c(u, order=0)`` on
+    S^{n-1}, returning the point (order 0) or its exact u-derivative
+    (order 1), or an (m, n) array of samples over one period, which is
+    interpolated by a :class:`SphereSamplesTangent`.  Requires 0 to admit
+    a strictly positive convex combination of the sampled image (checked
+    by linear feasibility).  ``pinned`` is a sequence of (u, min_fraction)
+    forcing a dwell at c(u) occupying at least ``min_fraction`` of the
+    final period.
 
     The construction selects dwell points by farthest-point sampling,
     reparametrizes the moving segments by a degree-(2k+1) plateau map
     whose derivatives 1..k vanish at the junctions, and solves a linear
     program for positive dwell lengths that cancel the moving segments'
-    integral, so the assembled curve closes.
+    integral, so the assembled curve closes.  The result's tangent
+    derivative is exact: the chain rule through ``c``'s order-1
+    derivative and the plateau map.
     """
     if callable(c):
-        cfun_raw = c
-        tol_class = "analytic"
-        cderiv_raw = None
+        cfun, tol_class = c, "analytic"
     else:
-        samples = np.asarray(c, dtype=float)
-        rep = SphereSamplesTangent(samples, c_period, smoothness=k)
-        cfun_raw = rep
-        cderiv_raw = rep.derivative
+        cfun = SphereSamplesTangent(np.asarray(c, dtype=float), c_period,
+                                    smoothness=k)
         tol_class = "sampled"
-
-    def cfun(u):
-        v = np.asarray(cfun_raw(np.asarray(u, dtype=float)), dtype=float)
-        return v
-
-    if cderiv_raw is None:
-        h = 1e-6 * c_period
-        def cderiv(u):
-            return (cfun(np.asarray(u) + h) - cfun(np.asarray(u) - h)) / (2 * h)
-    else:
-        cderiv = cderiv_raw
 
     dim = cfun(np.array([0.0])).shape[-1]
     us = np.linspace(0.0, c_period, n_samples, endpoint=False)
@@ -433,10 +412,9 @@ def from_tangent_image(c, k=3, c_period=2.0 * np.pi, period=None,
         if np.linalg.norm(raw) <= 1e-10 * c_period:
             scale = 1.0 if period is None else c_period / float(period)
             out_period = c_period if period is None else float(period)
-            fn = (lambda x: cfun(np.asarray(x, dtype=float) * scale))
-            dv = (lambda x: cderiv(np.asarray(x, dtype=float) * scale) * scale)
-            rep_out = CallableTangent(fn, out_period, dim, deriv=dv,
-                                      smoothness=k, tol_class=tol_class)
+            rep_out = CallableTangent(
+                lambda x, order: cfun(x * scale, order) * scale ** order,
+                out_period, dim, smoothness=k, tol_class=tol_class)
             base = np.zeros(dim) if basepoint is None else np.asarray(basepoint, float)
             return UnitSpeedCurve(rep_out, base,
                                   metadata={"dwells": [], "hull_margin": t_star})
@@ -542,11 +520,9 @@ def from_tangent_image(c, k=3, c_period=2.0 * np.pi, period=None,
     dwells = list(zip(starts[1::2] / scale, ends[1::2] / scale,
                       params.tolist()))
 
-    pw = _TangentImageRep(cfun, cderiv, spline, dwell_vecs, natural_period,
-                          scale)
-    rep_out = CallableTangent(pw, out_period, dim, deriv=pw.deriv,
-                              smoothness=k, tol_class=tol_class,
-                              breakpoints=tuple(starts / scale))
+    rep_out = _TangentImageRep(cfun, spline, dwell_vecs, natural_period,
+                               scale, out_period, k, tol_class,
+                               starts / scale)
     base = np.zeros(dim) if basepoint is None else np.asarray(basepoint, float)
     curve = UnitSpeedCurve(rep_out, base, metadata={"dwells": dwells,
                                                     "hull_margin": t_star})

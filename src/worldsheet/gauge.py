@@ -213,7 +213,9 @@ def gauge_from_couple(couple: AdmissibleCouple):
     the resampling error is measured at the panel midpoints, and the
     node count is doubled (to at most 32768) until it is below 2e-10
     for both a' and b', so the gauge keeps the analytic tolerance class.
-    Piecewise couples (with breakpoints) are never baked.
+    Piecewise couples (with breakpoints) are never baked: their tangents
+    read the fields directly and, since a couple carries no field
+    derivatives, their tangent derivative is a central difference.
     """
     P = couple.period
     nodes = 4096
@@ -243,16 +245,19 @@ def gauge_from_couple(couple: AdmissibleCouple):
             gp, v = couple.fields(xs)
     metadata = {"from_couple": True, "baked_nodes": nodes}
     if any(r is None for r in reps):
-        def a_tan(x):
-            gp, v = couple.fields(x)
-            return gp + v
+        step = 1e-6 * max(P, 1.0)
 
-        def b_tan(x):
-            gp, v = couple.fields(x)
-            return gp - v
+        def half_wave(sign):
+            def tan(x, order):
+                if order == 0:
+                    gp, v = couple.fields(x)
+                    return gp + sign * v
+                # a couple carries no field derivatives: central difference
+                return (tan(x + step, 0) - tan(x - step, 0)) / (2.0 * step)
+            return tan
 
-        reps = [CallableTangent(tan, P, couple.dim, smoothness=3,
-                                breakpoints=breaks) for tan in (a_tan, b_tan)]
+        reps = [CallableTangent(half_wave(sign), P, couple.dim, smoothness=3,
+                                breakpoints=breaks) for sign in (1.0, -1.0)]
         metadata = {"from_couple": True}
     g = OrthogonalGauge(UnitSpeedCurve(reps[0], couple.basepoint),
                         UnitSpeedCurve(reps[1], couple.basepoint),

@@ -137,45 +137,17 @@ _BUILDERS = {
     "random_planar": lambda p: catalog.random_planar_gauge(
         seed=int(p.get("seed", 0)), modes=int(p.get("modes", 3)),
         v_scale=float(p.get("v_scale", 0.5))),
+    "meridian_loops": lambda p: catalog.meridian_loops_gauge(),
+    "wavy_pair": lambda p: catalog.wavy_pair_gauge(
+        wave_a=float(p.get("wave_a", 0.25)),
+        phase_a=float(p.get("phase_a", 0.0)),
+        wave_b=float(p.get("wave_b", 0.18)),
+        phase_b=float(p.get("phase_b", 1.2))),
+    "cantor": lambda p: constructions.sharp_example_gauge(
+        constructions.CantorSpec.single_mode(
+            int(p.get("k", 1)), m=int(p.get("m", 8)),
+            depth=int(p.get("depth", 8))))[0],
 }
-
-
-def _meridian_loops(p):
-    from .curves import from_tangent_image
-    a = from_tangent_image(
-        catalog.meridian_oval_path(lon=0.0, width=0.25, overshoot=0.18), k=3)
-    b = from_tangent_image(
-        catalog.swing_path(swing=2.0, lat_max=-0.9, lon_center=0.0),
-        k=3, period=a.period)
-    g = OrthogonalGauge(a, b, metadata={"name": "meridian-loops"})
-    g.validate()
-    return g
-
-
-def _wavy_pair(p):
-    from .curves import from_tangent_image
-    a = from_tangent_image(
-        catalog.wavy_circle_path(wave=float(p.get("wave_a", 0.25)),
-                                 phase=float(p.get("phase_a", 0.0))), k=3)
-    b = from_tangent_image(
-        catalog.wavy_circle_path(wave=float(p.get("wave_b", 0.18)),
-                                 phase=float(p.get("phase_b", 1.2))),
-        k=3, period=a.period)
-    g = OrthogonalGauge(a, b, metadata={"name": "wavy-pair"})
-    g.validate()
-    return g
-
-
-def _cantor(p):
-    spec = constructions.CantorSpec.single_mode(
-        int(p.get("k", 1)), m=int(p.get("m", 8)), depth=int(p.get("depth", 8)))
-    g, _ = constructions.sharp_example_gauge(spec)
-    return g
-
-
-_BUILDERS["meridian_loops"] = _meridian_loops
-_BUILDERS["wavy_pair"] = _wavy_pair
-_BUILDERS["cantor"] = _cantor
 
 
 def gauge_from_spec(spec):

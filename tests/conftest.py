@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from worldsheet import catalog, constructions
-from worldsheet.curves import from_tangent_image
-from worldsheet.gauge import OrthogonalGauge
 
 
 @pytest.fixture(scope="session")
@@ -18,24 +16,12 @@ def hopf():
 
 @pytest.fixture(scope="session")
 def meridian_loops():
-    a = from_tangent_image(
-        catalog.meridian_oval_path(lon=0.0, width=0.25, overshoot=0.18), k=3)
-    b = from_tangent_image(
-        catalog.swing_path(swing=2.0, lat_max=-0.9, lon_center=0.0),
-        k=3, period=a.period)
-    g = OrthogonalGauge(a, b, metadata={"name": "meridian-loops"})
-    g.validate()
-    return g
+    return catalog.meridian_loops_gauge()
 
 
 @pytest.fixture(scope="session")
 def wavy_pair():
-    a = from_tangent_image(catalog.wavy_circle_path(wave=0.25, phase=0.0), k=3)
-    b = from_tangent_image(catalog.wavy_circle_path(wave=0.18, phase=1.2),
-                           k=3, period=a.period)
-    g = OrthogonalGauge(a, b, metadata={"name": "wavy-pair"})
-    g.validate()
-    return g
+    return catalog.wavy_pair_gauge()
 
 
 @pytest.fixture(scope="session")

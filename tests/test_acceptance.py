@@ -135,9 +135,7 @@ def test_criterion_05_tangent_formula():
 
 def test_criterion_06_tangent_image_builder():
     targets = [
-        ("equator", lambda u: np.stack(
-            [np.cos(u), np.sin(u), np.zeros_like(np.asarray(u, float))],
-            axis=-1), 2),
+        ("equator", catalog.wavy_circle_path(wave=0.0), 2),
         ("wavy-025", catalog.wavy_circle_path(wave=0.25), 3),
         ("wavy-035", catalog.wavy_circle_path(wave=0.35, phase=0.7), 3),
         ("oval", catalog.meridian_oval_path(lon=0.0, width=0.25,

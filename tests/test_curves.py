@@ -13,9 +13,8 @@ from worldsheet.quadrature import _panel_gl, adaptive_simpson
 TWO_PI = 2.0 * np.pi
 
 
-def equator(u):
-    u = np.asarray(u, dtype=float)
-    return np.stack([np.cos(u), np.sin(u), np.zeros_like(u)], axis=-1)
+# the great circle in the xy-plane
+equator = catalog.wavy_circle_path(wave=0.0)
 
 
 def test_circle_eval_at_pi():
@@ -67,8 +66,8 @@ def test_closure_circle():
 
 
 def test_closure_straight_tangent_open():
-    rep_t = lambda x: np.stack([np.ones_like(np.asarray(x, float)),
-                                np.zeros_like(np.asarray(x, float))], axis=-1)
+    rep_t = lambda x, order: np.stack([np.full_like(x, 1.0 - order),
+                                       np.zeros_like(x)], axis=-1)
     c = UnitSpeedCurve(CallableTangent(rep_t, 1.0, 2), np.zeros(2))
     rep = c.closure_defect()
     assert not rep.closed
@@ -168,6 +167,68 @@ def test_plateau_reparametrization_junction_smoothness():
         for edge in (d0, d1):
             dv = a.tangent_derivative(np.array([edge - 1e-9, edge + 1e-9]))
             assert np.abs(dv).max() < 1e-5
+
+
+# exact tangent derivatives ------------------------------------------------
+
+def _five_point(f, x, h):
+    """Fourth-order central difference of x -> f(x)."""
+    return (f(x - 2 * h) - 8 * f(x - h) + 8 * f(x + h) - f(x + 2 * h)) / (12 * h)
+
+
+_PATHS = {
+    "meridian-oval": catalog.meridian_oval_path(lon=0.3, width=0.25,
+                                                overshoot=0.18),
+    "meridian-pinched": catalog.meridian_oval_path(
+        width=0.2, overshoot=0.4, bottom=-0.1, pinched=True),
+    "swing": catalog.swing_path(swing=2.0, lat_max=-0.9, lon_center=0.4),
+    "wavy-circle": catalog.wavy_circle_path(wave=0.3, phase=0.7),
+}
+
+
+@pytest.mark.parametrize("name", list(_PATHS))
+def test_catalog_path_derivative_exact(name):
+    path = _PATHS[name]
+    us = np.random.default_rng(3).uniform(0.0, TWO_PI, 2000)
+    assert np.abs(path(us, 1) - _five_point(path, us, 1e-4)).max() <= 1e-8
+
+
+_OVAL_SAMPLES = catalog.meridian_oval_path(lon=0.0, width=0.3, overshoot=0.2)(
+    np.linspace(0.0, TWO_PI, 2048, endpoint=False))
+
+# name -> rep, built from a fixture getter
+_TANGENT_FIELDS = {
+    "angle-oval": lambda fx: catalog.symmetric_oval_curve(0.2).rep,
+    "angle-nonconvex": lambda fx: catalog.nonconvex_gauge().b.rep,
+    "sphere-samples": lambda fx: SphereSamplesTangent(_OVAL_SAMPLES, TWO_PI),
+    "hopf": lambda fx: fx("hopf").a.rep,
+    "mirrored-hopf": lambda fx: catalog.mirrored_hopf_gauge().b.rep,
+    "image-fast-path": lambda fx: from_tangent_image(
+        _PATHS["wavy-circle"], k=3, period=2.5).rep,
+    "image-dwell-path": lambda fx: fx("meridian_loops").b.rep,
+    "image-sampled": lambda fx: from_tangent_image(_OVAL_SAMPLES, k=2).rep,
+    "shifted": lambda fx: fx("meridian_loops").a.shifted(0.9).rep,
+    "period3-assembly": lambda fx: fx("nonuniq")[1].b.rep,
+    "embedded-n4": lambda fx: constructions._embed(fx("nonuniq")[0].a, 4).rep,
+}
+
+
+@pytest.mark.parametrize("name", list(_TANGENT_FIELDS))
+def test_tangent_derivative_exact(name, request):
+    # the steepest ramps of the nonuniqueness assemblies turn at |T'| ~ 300,
+    # where the difference itself is only good to ~1e-8 relative, so the
+    # tolerance is 1e-7 relative to max(1, |T'|)
+    rep = _TANGENT_FIELDS[name](request.getfixturevalue)
+    h = 2e-6
+    x = np.random.default_rng(4).uniform(0.0, rep.period, 4000)
+    if rep.breakpoints:
+        d = np.subtract.outer(x, np.asarray(rep.breakpoints, dtype=float))
+        d = np.abs(np.mod(d + 0.5 * rep.period, rep.period) - 0.5 * rep.period)
+        x = x[d.min(axis=1) > 4 * h]
+    assert len(x) > 1000
+    exact = rep(x, 1)
+    err = np.abs(exact - _five_point(rep, x, h)).max(axis=1)
+    assert np.all(err <= 1e-7 * np.maximum(1.0, np.abs(exact).max(axis=1)))
 
 
 # PlateauSpline ------------------------------------------------------------
@@ -348,9 +409,9 @@ def test_position_makes_no_tangent_calls_after_construction():
     calls = []
     circle = catalog.circle_curve().rep
 
-    def tangent(x):
+    def tangent(x, order):
         calls.append(len(x))
-        return circle(x)
+        return circle(x, order)
 
     curve = UnitSpeedCurve(CallableTangent(tangent, TWO_PI, 2), np.array([1.0, 0.0]))
     curve.drift()

@@ -216,3 +216,19 @@ def test_normalized_couple_never_serves_stale_node_set():
             arr[...] = 0.0
         for got, want in zip(couple.fields(x), fresh.fields(x)):
             assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("source", ["nonuniq", "cantor_k1"])
+def test_unbaked_couple_fallback(source, request):
+    # piecewise gauges (with breakpoints) are never baked: the round trip
+    # reads the couple's fields directly, and its tangent derivative is
+    # the central difference with step 1e-6 * max(E0, 1)
+    g = request.getfixturevalue(source)[0]
+    h = gauge_from_couple(couple_from_gauge(g))
+    assert "baked_nodes" not in h.metadata
+    xs = np.random.default_rng(13).uniform(0.0, g.E0, 2000)
+    step = 1e-6 * max(g.E0, 1.0)
+    for src, curve in ((g.a, h.a), (g.b, h.b)):
+        assert np.abs(curve.tangent(xs) - src.tangent(xs)).max() <= 1e-14
+        fd = (curve.tangent(xs + step) - curve.tangent(xs - step)) / (2.0 * step)
+        assert np.array_equal(curve.tangent_derivative(xs), fd)

@@ -24,9 +24,10 @@ def test_hopf_diagram_margin(hopf):
 
 def test_planar_gauge_in_three_dims_not_disjoint():
     # the circle gauge embedded as an equator doubles its own diagram
-    def tan3(x):
-        x = np.asarray(x, dtype=float)
-        return np.stack([-np.sin(x), np.cos(x), np.zeros_like(x)], axis=-1)
+    def tan3(x, order):
+        c, s = np.cos(x), np.sin(x)
+        d = (-s, c) if order == 0 else (-c, -s)
+        return np.stack([*d, np.zeros_like(x)], axis=-1)
 
     from worldsheet.curves import CallableTangent, UnitSpeedCurve
     from worldsheet.gauge import OrthogonalGauge
@@ -421,9 +422,10 @@ def test_transversal_count_wavy_pair(wavy_pair):
 
 
 def test_transversal_count_rejects_extended_components(circle):
-    def tan3(x):
-        x = np.asarray(x, dtype=float)
-        return np.stack([-np.sin(x), np.cos(x), np.zeros_like(x)], axis=-1)
+    def tan3(x, order):
+        c, s = np.cos(x), np.sin(x)
+        d = (-s, c) if order == 0 else (-c, -s)
+        return np.stack([*d, np.zeros_like(x)], axis=-1)
 
     from worldsheet.curves import CallableTangent, UnitSpeedCurve
     from worldsheet.gauge import OrthogonalGauge
