@@ -41,20 +41,14 @@ def angle_curve(alpha, alpha_prime, period=TWO_PI, basepoint=(0.0, 0.0),
     return UnitSpeedCurve(rep, np.asarray(basepoint, dtype=float))
 
 
-def symmetric_oval_curve(wobble=0.2, basepoint=None):
+def symmetric_oval_curve(wobble=0.2):
     """Centrally symmetric uniformly convex planar curve with tangent
     angle x + pi/2 + wobble*sin(2x); convex iff |wobble| < 1/2."""
     alpha = lambda x: x + 0.5 * np.pi + wobble * np.sin(2.0 * x)
     alpha_p = lambda x: 1.0 + 2.0 * wobble * np.cos(2.0 * x)
     curve = angle_curve(alpha, alpha_p)
-    if basepoint is None:
-        # basepoint making the curve exactly centrally symmetric
-        xs = np.linspace(0.0, np.pi, 4097)
-        tang = curve.tangent(xs)
-        from scipy.integrate import simpson
-        half = np.array([simpson(tang[:, 0], x=xs), simpson(tang[:, 1], x=xs)])
-        curve = UnitSpeedCurve(curve.rep, -0.5 * half)
-    return curve
+    # a'(x + pi) = -a'(x), so this basepoint makes a(x + pi) = -a(x)
+    return UnitSpeedCurve(curve.rep, -0.5 * curve.position(np.pi))
 
 
 def nonconvex_gauge(amplitude=0.8):

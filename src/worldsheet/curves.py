@@ -15,9 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.optimize import linprog, nnls
-from scipy.spatial import cKDTree
 
 from .errors import PreconditionError
 from .quadrature import PrefixIntegrator, _panel_gl
@@ -93,6 +90,7 @@ class SphereSamplesTangent(TangentRep):
         m = len(samples)
         grid = np.linspace(0.0, self.period, m + 1)
         closed = np.vstack([self.samples, self.samples[:1]])
+        from scipy.interpolate import CubicSpline
         self._spline = CubicSpline(grid, closed, axis=0, bc_type="periodic")
         self._dspline = self._spline.derivative()
 
@@ -277,6 +275,7 @@ class PlateauSpline:
 
 def sampled_hausdorff(a_pts, b_pts):
     """Symmetric Hausdorff distance between two point samples."""
+    from scipy.spatial import cKDTree
     ta, tb = cKDTree(a_pts), cKDTree(b_pts)
     d_ab = ta.query(b_pts)[0].max()
     d_ba = tb.query(a_pts)[0].max()
@@ -300,6 +299,7 @@ def _hull_interior_lp(points, tol=1e-9):
     b_eq[n] = 1.0
     a_ub = np.hstack([-np.eye(m), np.ones((m, 1))])
     b_ub = np.zeros(m)
+    from scipy.optimize import linprog
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
                   bounds=[(None, None)] * m + [(None, 1.0)], method="highs")
     if not res.success:
@@ -434,6 +434,7 @@ def from_tangent_image(c, k=3, c_period=2.0 * np.pi, period=None,
                 edges[:-1], edges[1:]).sum(axis=0)
         return prev, moment
 
+    from scipy.optimize import linprog, nnls
     n_start = dim + 1 + len(pinned)
     last_err = None
     for q in range(n_start, max(4 * dim, n_start) + 1, 2):

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .curves import (CallableTangent, SphereSamplesTangent, UnitSpeedCurve,
                      _as_batch)
@@ -177,6 +176,7 @@ def normalize(couple: AdmissibleCouple):
     grid = np.linspace(0.0, L, 4097)
     mu_vals = mu.integral(grid)[:, 0]
     # strictly increasing by the immersion hypothesis
+    from scipy.interpolate import PchipInterpolator
     inverse_seed = PchipInterpolator(mu_vals, grid)
 
     def lam(s):

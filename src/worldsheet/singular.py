@@ -17,10 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
-from scipy.spatial import cKDTree
 
 from .curves import AngleTangent
 from .errors import PreconditionError
@@ -136,6 +132,7 @@ def _gauss_newton(g, s0, sig0):
 def _nms(points_embed, order, radius):
     """Greedy non-maximum suppression: keep points in ``order`` whose
     embedded distance to every kept point exceeds ``radius``."""
+    from scipy.spatial import cKDTree
     tree = cKDTree(points_embed)
     kept = []
     suppressed = np.zeros(len(points_embed), dtype=bool)
@@ -206,6 +203,9 @@ def find_antipodal_pairs(g: OrthogonalGauge, grid_n=DEFAULT_GRID, tol=None):
     # up to 2 spacings apart per coordinate and suppression doubles that,
     # so the preserved chain needs a link radius of ~8 spacings
     embed = _torus_embed(s_ref, sig_ref, E0)
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+    from scipy.spatial import cKDTree
     tree = cKDTree(embed)
     link = tree.query_pairs(8.0 * spacing, output_type="ndarray")
     graph = coo_matrix((np.ones(len(link)), (link[:, 0], link[:, 1])),
@@ -326,6 +326,7 @@ def _angle_callable_from_rep(curve, negate):
     slope = w * 2.0 * np.pi / P
     resid = theta - slope * xs
     resid[-1] = resid[0]
+    from scipy.interpolate import CubicSpline
     spl = CubicSpline(xs, resid, bc_type="periodic")
     dspl = spl.derivative()
 

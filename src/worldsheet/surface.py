@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .gauge import OrthogonalGauge
 from .quadrature import _GL_NODES, _GL_WEIGHTS
@@ -152,6 +151,7 @@ def _project_distances(g: OrthogonalGauge, t, pts):
     safeguarded Newton from coarse samples (see slice_set_distance)."""
     xs = np.linspace(0.0, g.E0, SEED_SAMPLES, endpoint=False)
     coarse = gamma(g, np.full(SEED_SAMPLES, t), xs)
+    from scipy.spatial import cKDTree
     near_dist, near = cKDTree(coarse).query(pts, k=SEED_CANDIDATES)
     x = xs[_local_minimum_seeds(coarse, pts, near)].ravel()
     h = g.E0 / SEED_SAMPLES

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import PreconditionError, UnderResolvedError
 from .gauge import OrthogonalGauge
@@ -25,6 +24,7 @@ EPS_DIAG = 1e-4
 GEODESIC_SAMPLES = 64           # arc samples of the clear-geodesic test
 PROBE_NODES = 4096              # tangent nodes of a perturbed curve
 PROBE_MODES = 8                 # Fourier modes per perturbation component
+TRANSVERSAL_COND = 1e6          # largest Jacobian condition of a transversal pair
 
 
 @dataclass
@@ -176,6 +176,7 @@ def winding_number(d: SphereDiagram):
         raise PreconditionError("diagram curves intersect")
 
     all_pts = np.vstack([d.curve_a, d.curve_mb])
+    from scipy.spatial import cKDTree
     tree = cKDTree(all_pts)
     cands = _candidate_centers(3, 4096)
     clearance, _ = tree.query(cands)
@@ -378,6 +379,7 @@ def linking_number(d: SphereDiagram):
     if not d.disjoint:
         raise PreconditionError("diagram curves intersect")
     all_pts = np.vstack([d.curve_a, d.curve_mb])
+    from scipy.spatial import cKDTree
     tree = cKDTree(all_pts)
     cands = _candidate_centers(4, 8192)
     clearance, _ = tree.query(cands)
@@ -535,7 +537,7 @@ def genericity_probe(g: OrthogonalGauge, epsilon, trials, seed, grid_n=256):
     return rep
 
 
-def transversal_count(g: OrthogonalGauge, grid_n=512, cond_limit=1e6):
+def transversal_count(g: OrthogonalGauge, grid_n=512):
     """Number of transversal antipodal intersections per fundamental
     domain (n = 3); errors out when any intersection is non-transversal."""
     if g.dim != 3:
@@ -550,7 +552,7 @@ def transversal_count(g: OrthogonalGauge, grid_n=512, cond_limit=1e6):
         ja = g.a.tangent_derivative(np.array([p.s]))[0]
         jb = -g.b.tangent_derivative(np.array([p.sigma]))[0]
         sv = np.linalg.svd(np.stack([ja, jb], axis=1), compute_uv=False)
-        if sv[1] < 1e-12 or sv[0] / sv[1] > cond_limit:
+        if sv[1] < 1e-12 or sv[0] / sv[1] > TRANSVERSAL_COND:
             raise PreconditionError("count undefined: non-transversal intersection")
         count += 1
     return count

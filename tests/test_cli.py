@@ -1,11 +1,15 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import worldsheet
 from worldsheet import cli, serialize
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run_cli(tmp_path, scenario, name="scen.json", extra=()):
@@ -115,6 +119,32 @@ def test_rerun_byte_identical(tmp_path):
                         str(p), "--out", str(out)], capture_output=True)
         outs.append((out / "report.json").read_bytes())
     assert outs[0] == outs[1]
+
+
+# imports the package in a fresh interpreter, optionally runs one sample
+# scenario, and prints the scipy modules then loaded
+SCIPY_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import worldsheet, worldsheet.cli
+if len(sys.argv) > 2:
+    with open(sys.argv[2], encoding="utf-8") as fh:
+        code = worldsheet.cli.run_scenario(json.load(fh), sys.argv[3])
+    assert code == 0, code
+print(json.dumps(sorted(m for m in sys.modules
+                        if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+@pytest.mark.parametrize("scenario", [None, "circle_evolve.json",
+                                      "cantor_k1_dimension.json"])
+def test_scipy_not_loaded(tmp_path, scenario):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(worldsheet.__file__)))
+    args = [] if scenario is None else [
+        os.path.join(ROOT, "scenarios", scenario), str(tmp_path / "out")]
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, src, *args],
+                          capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
 def test_couple_scenario(tmp_path):

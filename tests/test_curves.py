@@ -57,6 +57,10 @@ def test_eval_periodic_consistency():
     xs = np.linspace(0, TWO_PI, 37)
     d = c.position(xs + TWO_PI) - c.position(xs)
     assert np.abs(d - d[0]).max() < 1e-12
+    # the oval's basepoint makes it centrally symmetric: a(x + pi) = -a(x)
+    for wobble in (0.2, 0.7):
+        oval = catalog.symmetric_oval_curve(wobble)
+        assert np.abs(oval.position(xs + np.pi) + oval.position(xs)).max() < 1e-12
 
 
 def test_closure_circle():
