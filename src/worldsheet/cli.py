@@ -183,7 +183,9 @@ def _task_probe(g, params, out, ctx):
               "margin_min": float(np.min(rep.margins)) if rep.margins else None,
               "margin_max": float(np.max(rep.margins)) if rep.margins else None,
               "achieved_epsilon_max": float(np.max(rep.achieved))
-              if rep.achieved else None}
+              if rep.achieved else None,
+              "closure_defect_max": float(np.max(rep.closure_defects))
+              if rep.closure_defects else None}
     return report, 0
 
 

@@ -24,6 +24,8 @@ EPS_DIAG = 1e-4
 GEODESIC_SAMPLES = 64           # arc samples of the clear-geodesic test
 PROBE_NODES = 4096              # tangent nodes of a perturbed curve
 PROBE_MODES = 8                 # Fourier modes per perturbation component
+PROBE_NEWTON_STEPS = 6          # Newton steps of a perturbation's re-closure
+PROBE_CLOSURE_TOL = 1e-12       # Newton stop; times max(1, period), the discard limit
 TRANSVERSAL_COND = 1e6          # largest Jacobian condition of a transversal pair
 
 
@@ -429,6 +431,7 @@ class PerturbationReport:
     n_discarded: int
     margins: list = field(default_factory=list)
     achieved: list = field(default_factory=list)
+    closure_defects: list = field(default_factory=list)
 
     @property
     def outcome_counts(self):
@@ -437,75 +440,123 @@ class PerturbationReport:
 
 class _ProbeBasis:
     """What every perturbation of one curve shares: the nodes, the base
-    tangent, the drift, the re-closure bump (integral 1) and the cos/sin
-    tables of the band-limited field and of its derivative, mode-major."""
+    tangent and its nodal period integral, the re-closure bump (integral
+    1) and the mode table e^{i m omega x} at the nodes."""
 
     def __init__(self, curve):
         P = curve.period
         self.curve = curve
         self.xs = np.linspace(0.0, P, PROBE_NODES, endpoint=False)
+        self.weights = np.full(PROBE_NODES, P / PROBE_NODES)
         self.base = curve.tangent(self.xs)
-        self.target = curve.drift()
-        self.bump = (1.0 + np.cos(2.0 * np.pi * (self.xs / P - 0.5))) / P
+        # the base's own nodal period integral: a perturbation closed to
+        # it carries the base's trapezoid error over to its drift() (on
+        # piecewise bases, whose ramps are only finitely smooth)
+        self.target = self.weights @ self.base
+        self.bump = _bump(self.xs, P)
         self.ms = np.arange(1, PROBE_MODES + 1)
-        w = 2.0 * np.pi / P
-        phase = (self.ms * w)[:, None] * self.xs
-        self.cos, self.sin = np.cos(phase), np.sin(phase)
-        self.dcos = (-self.ms * w)[:, None] * self.sin
-        self.dsin = (self.ms * w)[:, None] * self.cos
+        self.omega = 2.0 * np.pi / P
+        self.modes = _modes(self.xs, self.omega)
 
     def field(self, rng):
-        """A random trig-polynomial field, modes 1..PROBE_MODES per
-        component, and its derivative at the nodes, each (nodes, dim)."""
+        """The mode coefficients (cc, ss), each (PROBE_MODES, dim), of a
+        random field sum_m cc_m cos(m omega x) + ss_m sin(m omega x)."""
         dim = self.curve.dim
         cc = rng.normal(size=(PROBE_MODES, dim)) / self.ms[:, None]
         ss = rng.normal(size=(PROBE_MODES, dim)) / self.ms[:, None]
-        fld = np.zeros((dim, PROBE_NODES))
-        fld_d = np.zeros((dim, PROBE_NODES))
-        for j in range(PROBE_MODES):
-            fld += cc[j, :, None] * self.cos[j] + ss[j, :, None] * self.sin[j]
-            fld_d += (cc[j, :, None] * self.dcos[j]
-                      + ss[j, :, None] * self.dsin[j])
-        # node-major and C-ordered, so sums over the nodes keep their order
-        return fld.T.copy(), fld_d.T
+        return cc, ss
+
+
+def _modes(x, omega):
+    """e^{i m omega x} for m = 1..PROBE_MODES, shape x.shape + (modes,),
+    as running products of e^{i omega x}."""
+    e = np.exp(1j * omega * x)[..., None]
+    return np.cumprod(np.repeat(e, PROBE_MODES, axis=-1), axis=-1)
+
+
+def _bump(x, period, order=0):
+    """The re-closure bump (1 + cos(2 pi (x/P - 1/2))) / P, of integral 1
+    over a period, or its x-derivative (order 1)."""
+    arg = 2.0 * np.pi * (x / period - 0.5)
+    if order == 0:
+        return (1.0 + np.cos(arg)) / period
+    return -2.0 * np.pi * np.sin(arg) / period ** 2
+
+
+def _rows_norm(v):
+    return np.sqrt(np.einsum("...i,...i->...", v, v))
+
+
+def _perturbed_rep(basis, amp, damp, c):
+    """The tangent normalize(base(x) + Re(sum_m amp_m e^{i m omega x})
+    + bump(x) c) in closed form, with its exact derivative by the chain
+    rule (damp_m = i m omega amp_m)."""
+    from .curves import CallableTangent
+
+    rep, P, omega = basis.curve.rep, basis.curve.period, basis.omega
+
+    def fn(x, order):
+        modes = _modes(x, omega)
+        v = rep(x) + (modes @ amp).real + _bump(x, P)[..., None] * c
+        r = _rows_norm(v)[..., None]
+        t = v / r
+        if order == 0:
+            return t
+        dv = rep(x, 1) + (modes @ damp).real + _bump(x, P, 1)[..., None] * c
+        return dv / r - t * (t * dv).sum(axis=-1, keepdims=True) / r
+
+    return CallableTangent(fn, P, rep.dim, smoothness=rep.smoothness,
+                           tol_class="analytic", breakpoints=rep.breakpoints)
 
 
 def _perturb_curve(basis, rng, epsilon):
     """C^1-bounded band-limited perturbation of the tangent field of
     ``basis.curve``, renormalized to the sphere and re-closed to the
-    original period integral by smooth bump redistribution.
+    original period integral by a bump-weighted constant vector c.
 
-    Returns (new curve, achieved C^1 magnitude) or None if re-closure
-    fails (defect above 0.1)."""
-    from .curves import SphereSamplesTangent, UnitSpeedCurve
+    The field is scaled so that its C^1 norm over the nodes is epsilon;
+    Newton solves sum_nodes dx normalize(base + field + bump c) = the
+    base's nodal period integral for c.  That sum is the trapezoid rule,
+    spectrally exact on a periodic analytic integrand; on a piecewise
+    base the new tangent shares the base's own quadrature error.  Either
+    way the new curve's drift() is the base's to within the closure
+    tolerance PROBE_CLOSURE_TOL * max(1, period).  Returns (new curve,
+    achieved size, closure defect): the achieved size is the C^0 sup
+    over the nodes of |new' - base'|, and the defect is the nodal one.
+    Returns None if that defect stays above the closure tolerance."""
+    from .curves import UnitSpeedCurve
 
     curve = basis.curve
-    P = curve.period
-    dv, dvd = basis.field(rng)
-    size = max(np.linalg.norm(dv, axis=1).max(),
-               np.linalg.norm(dvd, axis=1).max())
+    cc, ss = basis.field(rng)
+    amp = cc - 1j * ss              # field = Re(sum_m amp_m e^{i m omega x})
+    damp = 1j * basis.omega * basis.ms[:, None] * amp
+    dv, dvd = (basis.modes @ amp).real, (basis.modes @ damp).real
+    size = max(_rows_norm(dv).max(), _rows_norm(dvd).max())
     if size == 0:
         return None
     scale = epsilon / size
-    target = basis.target
-    vals = basis.base + scale * dv
-    dx = P / PROBE_NODES
-    for _ in range(8):
-        vals = vals / np.linalg.norm(vals, axis=1, keepdims=True)
-        integral = vals.sum(axis=0) * dx
-        defect = integral - target
-        if np.linalg.norm(defect) <= 1e-12:
+    w = basis.base + scale * dv
+    bump = basis.bump
+    eye = np.eye(curve.dim)
+    c = np.zeros(curve.dim)
+    for step in range(PROBE_NEWTON_STEPS + 1):
+        v = w + bump[:, None] * c
+        r = _rows_norm(v)
+        u = v / r[:, None]
+        defect_vec = basis.weights @ u - basis.target
+        defect = float(np.linalg.norm(defect_vec))
+        if defect <= PROBE_CLOSURE_TOL or step == PROBE_NEWTON_STEPS:
             break
-        vals = vals - basis.bump[:, None] * defect[None, :]
-    vals = vals / np.linalg.norm(vals, axis=1, keepdims=True)
-    defect = np.linalg.norm(vals.sum(axis=0) * dx - target)
-    if defect > 0.1:
+        # dF/dc = sum_nodes dx bump (I - u u^T) / |v|
+        q = basis.weights * bump / r
+        jac = q.sum() * eye - (u * q[:, None]).T @ u
+        c = c - np.linalg.solve(jac, defect_vec)
+    if defect > PROBE_CLOSURE_TOL * max(1.0, curve.period):
         return None
-    rep = SphereSamplesTangent(vals, P, smoothness=curve.smoothness,
-                               tol_class="analytic")
-    new = UnitSpeedCurve(rep, curve.basepoint.copy())
-    ach = float(np.linalg.norm(rep(basis.xs) - basis.base, axis=1).max())
-    return new, ach
+    new = UnitSpeedCurve(_perturbed_rep(basis, scale * amp, scale * damp, c),
+                         curve.basepoint.copy())
+    ach = float(_rows_norm(u - basis.base).max())
+    return new, ach, defect
 
 
 def genericity_probe(g: OrthogonalGauge, epsilon, trials, seed, grid_n=256):
@@ -534,6 +585,7 @@ def genericity_probe(g: OrthogonalGauge, epsilon, trials, seed, grid_n=256):
             rep.n_singular += 1
         rep.margins.append(report.min_grid_residual)
         rep.achieved.append(max(pa[1], pb[1]))
+        rep.closure_defects.append(max(pa[2], pb[2]))
     return rep
 
 

@@ -83,6 +83,7 @@ def test_probe_with_seed(tmp_path):
     code, report, _ = run_cli(tmp_path, scen)
     assert code == 0
     assert report["outcomes"]["smooth"] == 3
+    assert 0.0 <= report["closure_defect_max"] <= 1e-12 * 2.0 * np.pi
 
 
 def test_unknown_task_exit_one(tmp_path):
@@ -137,7 +138,8 @@ print(json.dumps(sorted(m for m in sys.modules
 
 
 @pytest.mark.parametrize("scenario", [None, "circle_evolve.json",
-                                      "cantor_k1_dimension.json"])
+                                      "cantor_k1_dimension.json",
+                                      "hopf_probe.json"])
 def test_scipy_not_loaded(tmp_path, scenario):
     src = os.path.dirname(os.path.dirname(os.path.abspath(worldsheet.__file__)))
     args = [] if scenario is None else [

@@ -200,6 +200,14 @@ def test_catalog_path_derivative_exact(name):
 _OVAL_SAMPLES = catalog.meridian_oval_path(lon=0.0, width=0.3, overshoot=0.2)(
     np.linspace(0.0, TWO_PI, 2048, endpoint=False))
 
+
+def _probe_perturbed(curve):
+    """A genericity-probe perturbation of ``curve`` (closed-form tangent)."""
+    from worldsheet.topology import _ProbeBasis, _perturb_curve
+    return _perturb_curve(_ProbeBasis(curve), np.random.default_rng(5),
+                          0.05)[0].rep
+
+
 # name -> rep, built from a fixture getter
 _TANGENT_FIELDS = {
     "angle-oval": lambda fx: catalog.symmetric_oval_curve(0.2).rep,
@@ -214,6 +222,8 @@ _TANGENT_FIELDS = {
     "shifted": lambda fx: fx("meridian_loops").a.shifted(0.9).rep,
     "period3-assembly": lambda fx: fx("nonuniq")[1].b.rep,
     "embedded-n4": lambda fx: constructions._embed(fx("nonuniq")[0].a, 4).rep,
+    "probe-hopf": lambda fx: _probe_perturbed(fx("hopf").a),
+    "probe-image-dwell": lambda fx: _probe_perturbed(fx("meridian_loops").b),
 }
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from worldsheet import catalog, topology
 from worldsheet.errors import PreconditionError
 from worldsheet.gauge import OrthogonalGauge
 from worldsheet.singular import find_antipodal_pairs
-from worldsheet.topology import (_crossing_linking, _gauss_linking_polylines,
+from worldsheet.topology import (_ProbeBasis, _crossing_linking,
+                                 _gauss_linking_polylines, _perturb_curve,
                                  diagram, genericity_probe, linking_number,
                                  synthetic_diagram, transversal_count,
                                  winding_number)
@@ -288,67 +290,84 @@ def test_gauss_linking_planes_bit_identical(n_p, n_q, seed):
     assert _gauss_linking_polylines(P, Q) == _gauss_linking_reference(P, Q)
 
 
-def _reference_probe(g, epsilon, trials, seed, nodes=4096, n_modes=8):
-    """Reference for ``genericity_probe``: a fresh random field closure and
-    fresh trig evaluations for every perturbed curve."""
-    from worldsheet.curves import SphereSamplesTangent, UnitSpeedCurve
+def _reference_probe(g, epsilon, trials, seed, nodes=4096, n_modes=8,
+                     steps=6):
+    """Reference for ``genericity_probe``: fresh mode evaluations, a
+    Newton re-closure and a closed-form tangent for every perturbed
+    curve."""
+    from worldsheet.curves import CallableTangent, UnitSpeedCurve
 
-    def field(rng, period, dim):
+    def modes(x, omega):
+        e = np.exp(1j * omega * x)[..., None]
+        return np.cumprod(np.repeat(e, n_modes, axis=-1), axis=-1)
+
+    def norms(v):
+        return np.sqrt(np.einsum("...i,...i->...", v, v))
+
+    def bump(x, P, order):
+        arg = 2.0 * np.pi * (x / P - 0.5)
+        return ((1.0 + np.cos(arg)) / P if order == 0
+                else -2.0 * np.pi * np.sin(arg) / P ** 2)
+
+    def tangent(curve, amp, c):
+        P, omega = curve.period, 2.0 * np.pi / curve.period
+        damp = 1j * omega * np.arange(1, n_modes + 1)[:, None] * amp
+
+        def fn(x, order):
+            e = modes(x, omega)
+            v = curve.rep(x) + (e @ amp).real + bump(x, P, 0)[..., None] * c
+            r = norms(v)[..., None]
+            if order == 0:
+                return v / r
+            dv = (curve.rep(x, 1) + (e @ damp).real
+                  + bump(x, P, 1)[..., None] * c)
+            return dv / r - v * (v * dv).sum(axis=-1, keepdims=True) / r ** 3
+
+        return CallableTangent(fn, P, curve.dim, breakpoints=curve.rep.breakpoints)
+
+    def perturb(curve, rng):
+        P, dim = curve.period, curve.dim
         ms = np.arange(1, n_modes + 1)
         cc = rng.normal(size=(n_modes, dim)) / ms[:, None]
         ss = rng.normal(size=(n_modes, dim)) / ms[:, None]
-
-        def fld(x):
-            w = 2.0 * np.pi / period
-            out = np.zeros(x.shape + (dim,))
-            for j, m in enumerate(ms):
-                out += (np.multiply.outer(np.cos(m * w * x), cc[j])
-                        + np.multiply.outer(np.sin(m * w * x), ss[j]))
-            return out
-
-        def fld_d(x):
-            w = 2.0 * np.pi / period
-            out = np.zeros(x.shape + (dim,))
-            for j, m in enumerate(ms):
-                out += (np.multiply.outer(-m * w * np.sin(m * w * x), cc[j])
-                        + np.multiply.outer(m * w * np.cos(m * w * x), ss[j]))
-            return out
-
-        return fld, fld_d
-
-    def perturb(curve, rng):
-        P = curve.period
-        fld, fld_d = field(rng, P, curve.dim)
         xs = np.linspace(0.0, P, nodes, endpoint=False)
+        dx = np.full(nodes, P / nodes)
+        omega = 2.0 * np.pi / P
         base = curve.tangent(xs)
-        dv, dvd = fld(xs), fld_d(xs)
-        size = max(np.linalg.norm(dv, axis=1).max(),
-                   np.linalg.norm(dvd, axis=1).max())
-        vals = base + epsilon / size * dv
-        w = (1.0 + np.cos(2.0 * np.pi * (xs / P - 0.5))) / P
-        for _ in range(8):
-            vals = vals / np.linalg.norm(vals, axis=1, keepdims=True)
-            defect = vals.sum(axis=0) * (P / nodes) - curve.drift()
-            if np.linalg.norm(defect) <= 1e-12:
+        e = modes(xs, omega)
+        amp = cc - 1j * ss
+        dv = (e @ amp).real
+        dvd = (e @ (1j * omega * ms[:, None] * amp)).real
+        scale = epsilon / max(norms(dv).max(), norms(dvd).max())
+        w = base + scale * dv
+        b = bump(xs, P, 0)
+        c = np.zeros(dim)
+        for step in range(steps + 1):
+            v = w + b[:, None] * c
+            r = norms(v)
+            u = v / r[:, None]
+            defect = dx @ u - dx @ base
+            if np.linalg.norm(defect) <= 1e-12 or step == steps:
                 break
-            vals = vals - w[:, None] * defect[None, :]
-        vals = vals / np.linalg.norm(vals, axis=1, keepdims=True)
-        rep = SphereSamplesTangent(vals, P, smoothness=curve.smoothness,
-                                   tol_class="analytic")
-        ach = float(np.linalg.norm(rep(xs) - base, axis=1).max())
-        return UnitSpeedCurve(rep, curve.basepoint.copy()), ach
+            q = dx * b / r
+            c = c - np.linalg.solve(q.sum() * np.eye(dim)
+                                    - (u * q[:, None]).T @ u, defect)
+        new = UnitSpeedCurve(tangent(curve, scale * amp, c),
+                             curve.basepoint.copy())
+        return new, float(norms(u - base).max()), float(np.linalg.norm(defect))
 
     rng = np.random.default_rng(seed)
-    counts, margins, achieved = [0, 0], [], []
+    counts, margins, achieved, defects = [0, 0], [], [], []
     for _ in range(trials):
-        (ca, ea), (cb, eb) = perturb(g.a, rng), perturb(g.b, rng)
+        (ca, ea, da), (cb, eb, db) = perturb(g.a, rng), perturb(g.b, rng)
         pert = OrthogonalGauge(ca, cb)
         pert.validate(samples=1024)
         report = find_antipodal_pairs(pert, grid_n=256)
         counts[report.empty] += 1
         margins.append(report.min_grid_residual)
         achieved.append(max(ea, eb))
-    return counts, margins, achieved
+        defects.append(max(da, db))
+    return counts, margins, achieved, defects
 
 
 @pytest.mark.parametrize("seed", [3, 42])
@@ -356,12 +375,62 @@ def _reference_probe(g, epsilon, trials, seed, nodes=4096, n_modes=8):
 def test_probe_basis_matches_per_trial_fields(name, seed, request):
     g = request.getfixturevalue(name)
     rep = genericity_probe(g, 0.05, 3, seed=seed)
-    (n_singular, n_smooth), margins, achieved = _reference_probe(
+    (n_singular, n_smooth), margins, achieved, defects = _reference_probe(
         g, 0.05, 3, seed)
     assert rep.n_discarded == 0
     assert (rep.n_smooth, rep.n_singular) == (n_smooth, n_singular)
     assert rep.margins == margins
     assert rep.achieved == achieved
+    assert rep.closure_defects == defects
+
+
+_PROBED = {
+    "hopf": catalog.hopf_gauge,
+    "meridian_loops": catalog.meridian_loops_gauge,
+    "planar": lambda: catalog.random_planar_gauge(seed=2),
+    "wavy_pair": catalog.wavy_pair_gauge,
+}
+
+
+@functools.cache
+def _probe_basis(name, which):
+    return _ProbeBasis(getattr(_probed_gauge(name), which))
+
+
+@functools.cache
+def _probed_gauge(name):
+    return _PROBED[name]()
+
+
+def _check_closed_perturbation(basis, seed, epsilon):
+    """The perturbed curve's drift() (prefix quadrature, not the nodal
+    sum) is the original curve's to 1e-12 max(1, P), and its tangent is a
+    unit, periodic field."""
+    curve = basis.curve
+    out = _perturb_curve(basis, np.random.default_rng(seed), epsilon)
+    assert out is not None
+    new, achieved, defect = out
+    tol = 1e-12 * max(1.0, curve.period)
+    assert defect <= tol
+    assert np.linalg.norm(new.drift() - curve.drift()) <= tol
+    new.validate()
+    assert 0.0 < achieved <= 2.0 * epsilon
+
+
+@pytest.mark.parametrize("which", ["a", "b"])
+@pytest.mark.parametrize("name", list(_PROBED))
+def test_perturbation_closes(name, which):
+    basis = _probe_basis(name, which)
+    for seed in range(3):
+        for epsilon in (1e-3, 0.05, 0.1):
+            _check_closed_perturbation(basis, seed, epsilon)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(list(_PROBED)), st.sampled_from("ab"),
+       st.integers(0, 2**32 - 1), st.floats(1e-3, 0.1))
+def test_perturbation_closes_property(name, which, seed, epsilon):
+    _check_closed_perturbation(_probe_basis(name, which), seed, epsilon)
 
 
 def test_doubling_checks_see_twice_the_samples(hopf, meridian_loops,
