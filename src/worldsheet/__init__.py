@@ -11,8 +11,7 @@ and estimates box-counting dimensions of sampled singular sets.
 from .curves import (ClosureReport, UnitSpeedCurve, from_tangent_image,
                      sampled_hausdorff)
 from .dimension import PointCloud, SlopeEstimate, box_count, singstar_cloud
-from .errors import (PreconditionError, QuadratureError, UnderResolvedError,
-                     WorldsheetError)
+from .errors import PreconditionError, UnderResolvedError, WorldsheetError
 from .gauge import (AdmissibleCouple, OrthogonalGauge, couple_from_gauge,
                     equivalent_gauges, gauge_from_couple, normalize,
                     period_E0)
@@ -31,8 +30,8 @@ __all__ = [
     "AdmissibleCouple", "ClosureReport", "ConstraintReport",
     "DetectionReport", "LinkingResult", "OrthogonalGauge",
     "PerturbationReport", "PointCloud", "PreconditionError",
-    "QuadratureError", "SingComponent", "SingularPair", "SliceCurve",
-    "SlopeEstimate", "SphereDiagram", "SurfaceSample", "UnderResolvedError",
+    "SingComponent", "SingularPair", "SliceCurve", "SlopeEstimate",
+    "SphereDiagram", "SurfaceSample", "UnderResolvedError",
     "UnitSpeedCurve", "WorldsheetError", "angle_state", "box_count",
     "classify_sing_star", "constraint_residuals", "couple_from_gauge",
     "derivatives", "diagram", "equivalent_gauges", "find_antipodal_pairs",

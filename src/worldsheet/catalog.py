@@ -24,7 +24,7 @@ TWO_PI = 2.0 * np.pi
 def circle_curve(basepoint=(1.0, 0.0)):
     """Unit-speed unit circle: a(x) = (cos x, sin x)."""
     rep = AngleTangent(lambda x: x + 0.5 * np.pi, TWO_PI,
-                       alpha_prime=lambda x: np.ones_like(x), smoothness=7)
+                       alpha_prime=lambda x: np.ones_like(x))
     return UnitSpeedCurve(rep, np.asarray(basepoint, dtype=float))
 
 
@@ -34,10 +34,8 @@ def circle_gauge():
                            metadata={"name": "circle"})
 
 
-def angle_curve(alpha, alpha_prime, period=TWO_PI, basepoint=(0.0, 0.0),
-                smoothness=7):
-    rep = AngleTangent(alpha, period, alpha_prime=alpha_prime,
-                       smoothness=smoothness)
+def angle_curve(alpha, alpha_prime, basepoint=(0.0, 0.0)):
+    rep = AngleTangent(alpha, TWO_PI, alpha_prime=alpha_prime)
     return UnitSpeedCurve(rep, np.asarray(basepoint, dtype=float))
 
 
@@ -98,9 +96,9 @@ def hopf_gauge():
         c, s, z = _unit_circle(x, order)
         return np.stack([z, z, c, s], axis=-1)
 
-    a = UnitSpeedCurve(CallableTangent(a_tan, TWO_PI, 4, smoothness=7),
+    a = UnitSpeedCurve(CallableTangent(a_tan, TWO_PI, 4),
                        np.array([0., -1., 0., 0.]))
-    b = UnitSpeedCurve(CallableTangent(b_tan, TWO_PI, 4, smoothness=7),
+    b = UnitSpeedCurve(CallableTangent(b_tan, TWO_PI, 4),
                        np.array([0., 0., 0., -1.]))
     return OrthogonalGauge(a, b, metadata={"name": "hopf"})
 
@@ -117,7 +115,7 @@ def mirrored_hopf_gauge():
 
     base = g.b.basepoint.copy()
     base[3] = -base[3]
-    b = UnitSpeedCurve(CallableTangent(b_tan, TWO_PI, 4, smoothness=7), base)
+    b = UnitSpeedCurve(CallableTangent(b_tan, TWO_PI, 4), base)
     return OrthogonalGauge(g.a, b, metadata={"name": "hopf-mirrored"})
 
 
@@ -185,16 +183,11 @@ def swing_path(swing=1.6, lat_max=1.22, lon_center=0.0):
     return path
 
 
-def wavy_circle_path(wave=0.25, phase=0.0, axis_frame=None):
-    """Closed spherical path: a great circle with latitude wave
+def wavy_circle_path(wave=0.25, phase=0.0):
+    """Closed spherical path: the equator of S^2 with latitude wave
     lambda(u) = wave * sin(u + phase).  Exactly closed for any wave
     amplitude (the integrand has no first harmonic)."""
-    if axis_frame is None:
-        e1 = np.array([1.0, 0.0, 0.0])
-        e2 = np.array([0.0, 1.0, 0.0])
-        e3 = np.array([0.0, 0.0, 1.0])
-    else:
-        e1, e2, e3 = axis_frame
+    e1, e2, e3 = np.eye(3)
 
     def path(u, order=0):
         u = np.asarray(u, dtype=float)
@@ -280,7 +273,7 @@ def normal_velocity_fields(deriv, rho, n):
     return fields
 
 
-def fourier_couple(n=2, seed=0, modes=3, v_scale=0.5, amp=0.5):
+def fourier_couple(n=2, seed=0, modes=3, v_scale=0.5):
     """Random periodic admissible couple: a unit circle in the first two
     coordinates perturbed by Fourier modes 2..modes+1, with velocity
     field v0 = rho(x) * N(x) along a unit normal.  Closed by construction;
@@ -289,10 +282,10 @@ def fourier_couple(n=2, seed=0, modes=3, v_scale=0.5, amp=0.5):
     ms = np.arange(2, modes + 2)
     coef_c = rng.normal(size=(len(ms), n)) / ms[:, None] ** 2
     coef_s = rng.normal(size=(len(ms), n)) / ms[:, None] ** 2
-    # scale so the perturbation of gamma0' stays below min(amp, 0.55),
-    # keeping the base circle an immersion with definite margin
+    # scale so the perturbation of gamma0' stays below 1/2, keeping the
+    # base circle an immersion with definite margin
     budget = float(((np.abs(coef_c) + np.abs(coef_s)) * ms[:, None]).sum())
-    scale = min(amp, 0.55) / budget if budget > 0 else 0.0
+    scale = 0.5 / budget if budget > 0 else 0.0
     coef_c *= scale
     coef_s *= scale
     phase = rng.uniform(0.0, TWO_PI)

@@ -176,7 +176,10 @@ def _turn_moment(phi_a, phi_b, length, k):
     return _panel_gl(fld, edges[:-1], edges[1:]).sum(axis=0)
 
 
-def _padding_program(x0, length, target, dwell_dirs, k, turn_len=0.4):
+TURN_LEN = 0.4            # width of each turn of a padding program
+
+
+def _padding_program(x0, length, target, dwell_dirs, k):
     """Angle program over [x0, x0 + length] whose tangent integral equals
     ``target``: turns between the prescribed dwell angles, dwell lengths
     solved from the two moment equations plus the length constraint.
@@ -190,8 +193,8 @@ def _padding_program(x0, length, target, dwell_dirs, k, turn_len=0.4):
         raise PreconditionError("padding solver expects exactly 3 dwells")
     turn_moments = np.zeros(2)
     for a, b in zip(dwell_dirs[:-1], dwell_dirs[1:]):
-        turn_moments += _turn_moment(a, b, turn_len, k)
-    bulk = length - n_turn * turn_len
+        turn_moments += _turn_moment(a, b, TURN_LEN, k)
+    bulk = length - n_turn * TURN_LEN
     if bulk <= 0:
         raise PreconditionError("padding too short for the turn budget")
     dirs = np.stack([[np.cos(p), np.sin(p)] for p in dwell_dirs[1:-1]], axis=1)
@@ -204,7 +207,7 @@ def _padding_program(x0, length, target, dwell_dirs, k, turn_len=0.4):
     # pieces alternate turn j (dwell_dirs[j] -> dwell_dirs[j+1]) and
     # dwell j at dwell_dirs[j+1]; the last turn has no dwell after it
     widths = np.empty(2 * n_turn - 1)
-    widths[0::2] = turn_len
+    widths[0::2] = TURN_LEN
     widths[1::2] = lengths
     starts = np.cumsum(np.r_[x0, widths[:-1]])
     v0 = np.repeat(dwell_dirs[:-1], 2)[1:]
@@ -219,15 +222,15 @@ def _padding_program(x0, length, target, dwell_dirs, k, turn_len=0.4):
 E0_SHARP = 8.0
 
 
-def sharp_example_gauge(spec: CantorSpec, shifted=True):
+def sharp_example_gauge(spec: CantorSpec):
     """Planar gauge whose strict singular set contains the product of the
     Cantor characteristic set with a time segment.
 
     a runs through (f, g) with g' = sqrt(1 - f'^2) on [0, 1]; b descends
     straight on [-1, 2]; both close over period 8 through angle-programmed
-    padding arcs.  With ``shifted`` the a-curve is advanced by half a
-    period, which makes the time-zero slice regularly immersed and moves
-    the singular band to interior times.
+    padding arcs.  The a-curve is advanced by half a period, which makes
+    the time-zero slice regularly immersed and moves the singular band to
+    interior times.
     """
     f = cantor_function(spec)
     k = spec.k
@@ -278,34 +281,27 @@ def sharp_example_gauge(spec: CantorSpec, shifted=True):
             np.mod(np.asarray(x, dtype=float) + 1.0, E0_SHARP) - 1.0, order)
 
     breaks_a = np.concatenate([f.breakpoints, pad_a.starts])
-    shift = 0.5 * E0_SHARP if shifted else 0.0
+    shift = 0.5 * E0_SHARP
     a_rep = AngleTangent(alpha_a(0, shift), E0_SHARP,
-                         alpha_prime=alpha_a(1, shift), smoothness=k,
+                         alpha_prime=alpha_a(1, shift),
                          breakpoints=np.mod(breaks_a - shift, E0_SHARP))
     b_rep = AngleTangent(beta_b(0), E0_SHARP, alpha_prime=beta_b(1),
-                         smoothness=k,
                          breakpoints=np.mod(beta.starts, E0_SHARP))
 
     # basepoints: a(0) = (f(0), 0) before the shift; b(0) = (0, 0)
     a_unshifted = UnitSpeedCurve(
         AngleTangent(alpha_a(0), E0_SHARP, alpha_prime=alpha_a(1),
-                     smoothness=k, breakpoints=breaks_a),
+                     breakpoints=breaks_a),
         np.array([f(np.zeros(1))[0], 0.0]))
-    base_a = a_unshifted.position(shift) if shifted else a_unshifted.basepoint
-    a = UnitSpeedCurve(a_rep, base_a)
+    a = UnitSpeedCurve(a_rep, a_unshifted.position(shift))
     b = UnitSpeedCurve(b_rep, np.array([0.0, 0.0]))
 
-    # common time window valid for every characteristic value s in
-    # [shift, shift + 1]: x - t must stay strictly inside the straight
-    # segment of b, so t is confined to [(s_max - 2 + m)/2, (s_min + 1 - m)/2]
     prediction = {
         "sigma_star": shift + f.sigma_full,
         "sigma_sing": shift + np.sort(np.concatenate(
             [f.sigma_full, f.breakpoints])),
         "sigma_alt": shift + f.sigma_alternating,
-        "sigma_same": shift + np.setdiff1d(f.sigma_full, f.sigma_alternating),
         "t_window": (0.5 * shift - 0.05, 0.5 * shift + 0.05),
-        "t_window_max": (0.5 * (shift + 1 + 0.2) - 1, 0.5 * (shift + 1 - 0.2)),
     }
     g = OrthogonalGauge(a, b, metadata={"name": f"cantor-k{spec.k}",
                                         "cantor_prediction": prediction,
@@ -336,9 +332,7 @@ def _aligned_realization(path, pin_param, k=3):
     if dwell is None:
         raise PreconditionError("pinned dwell not found in realization")
     center = 0.5 * (dwell[0] + dwell[1])
-    shifted = curve.shifted(center, new_basepoint=np.zeros(curve.dim))
-    shifted.metadata["dwell_half"] = 0.5 * (dwell[1] - dwell[0])
-    return shifted
+    return curve.shifted(center, new_basepoint=np.zeros(curve.dim))
 
 
 def _assemble_period3(pieces):
@@ -361,9 +355,7 @@ def _assemble_period3(pieces):
     breaks = [0.0, 1.0, 2.0]
     for i, p in enumerate(pieces):
         breaks.extend(np.mod(np.asarray(p.rep.breakpoints, float), 1.0) + i)
-    rep = CallableTangent(fn, 3.0, dim,
-                          smoothness=min(p.smoothness for p in pieces),
-                          breakpoints=sorted(breaks))
+    rep = CallableTangent(fn, 3.0, dim, breakpoints=sorted(breaks))
     return UnitSpeedCurve(rep, np.zeros(dim))
 
 
@@ -426,9 +418,7 @@ def _embed(curve, n):
         out[..., :3] = v
         return out
 
-    rep = CallableTangent(padded, curve.period, n,
-                          smoothness=curve.smoothness,
-                          breakpoints=rep3.breakpoints)
+    rep = CallableTangent(padded, curve.period, n, breakpoints=rep3.breakpoints)
     base = np.zeros(n)
     base[:3] = curve.basepoint
     out = UnitSpeedCurve(rep, base, metadata=dict(curve.metadata))

@@ -19,6 +19,11 @@ import numpy as np
 from .errors import PreconditionError
 from .quadrature import PrefixIntegrator, _panel_gl
 
+C_PERIOD = 2.0 * np.pi    # period of a tangent image c
+IMAGE_SAMPLES = 1024      # samples of c for the hull test and dwell search
+HULL_TOL = 1e-9           # smallest accepted hull margin
+ELL_MIN = 1e-3            # shortest dwell of from_tangent_image
+
 # norm / closure tolerances per representation class
 NORM_TOL = {"analytic": 1e-9, "sampled": 1e-6}
 PAIR_TOL = {"analytic": 1e-8, "sampled": 1e-5}
@@ -39,10 +44,9 @@ class TangentRep:
     tol_class = "analytic"
     breakpoints = ()
 
-    def __init__(self, period, dim, smoothness=3):
+    def __init__(self, period, dim):
         self.period = float(period)
         self.dim = int(dim)
-        self.smoothness = int(smoothness)
 
     def __call__(self, x, order=0):
         raise NotImplementedError
@@ -51,9 +55,8 @@ class TangentRep:
 class AngleTangent(TangentRep):
     """Planar tangent e^{i alpha(x)} given by a (lifted) angle function."""
 
-    def __init__(self, alpha, period, alpha_prime, smoothness=3,
-                 breakpoints=()):
-        super().__init__(period, 2, smoothness)
+    def __init__(self, alpha, period, alpha_prime, breakpoints=()):
+        super().__init__(period, 2)
         self.alpha = alpha
         self.alpha_prime = alpha_prime
         self.breakpoints = tuple(breakpoints)
@@ -78,9 +81,9 @@ class SphereSamplesTangent(TangentRep):
 
     tol_class = "sampled"
 
-    def __init__(self, samples, period, smoothness=1, tol_class=None):
+    def __init__(self, samples, period, tol_class=None):
         samples = np.asarray(samples, dtype=float)
-        super().__init__(period, samples.shape[1], smoothness)
+        super().__init__(period, samples.shape[1])
         if tol_class is not None:
             self.tol_class = tol_class
         norms = np.linalg.norm(samples, axis=1)
@@ -109,9 +112,8 @@ class CallableTangent(TangentRep):
     """Tangent given by a vectorized callable ``fn(x, order)`` returning
     the unit tangent (order 0) or its exact x-derivative (order 1)."""
 
-    def __init__(self, fn, period, dim, smoothness=3, tol_class="analytic",
-                 breakpoints=()):
-        super().__init__(period, dim, smoothness)
+    def __init__(self, fn, period, dim, tol_class="analytic", breakpoints=()):
+        super().__init__(period, dim)
         self.fn = fn
         self.tol_class = tol_class
         self.breakpoints = tuple(breakpoints)
@@ -148,10 +150,6 @@ class UnitSpeedCurve:
     @property
     def dim(self):
         return self.rep.dim
-
-    @property
-    def smoothness(self):
-        return self.rep.smoothness
 
     @property
     def norm_tol(self):
@@ -195,6 +193,11 @@ class UnitSpeedCurve:
     def validate(self, samples=10000):
         """Check unit norm and periodicity of the tangent on a sample grid."""
         x = np.linspace(0.0, self.period, samples, endpoint=False)
+        return self._checked_tangent(x)[1:]
+
+    def _checked_tangent(self, x):
+        """(tangent at x, norm error, periodicity error), after checking
+        the unit norm and the periodicity of the tangent at x."""
         t = self.tangent(x)
         norm_err = float(np.abs(np.linalg.norm(t, axis=1) - 1.0).max())
         per_err = float(np.abs(self.tangent(x + self.period) - t).max())
@@ -205,7 +208,7 @@ class UnitSpeedCurve:
         if per_err > tol:
             raise PreconditionError(
                 f"tangent not periodic: deviation {per_err:.3e}")
-        return norm_err, per_err
+        return t, norm_err, per_err
 
     def shifted(self, x0, new_basepoint=None):
         """Same curve with parameter origin moved to x0."""
@@ -215,8 +218,7 @@ class UnitSpeedCurve:
             if rep.breakpoints else ()
         new_rep = CallableTangent(
             lambda y, order: rep(y + x0, order), rep.period, rep.dim,
-            smoothness=rep.smoothness, tol_class=rep.tol_class,
-            breakpoints=shifted_breaks)
+            tol_class=rep.tol_class, breakpoints=shifted_breaks)
         return UnitSpeedCurve(new_rep, base, metadata=dict(self.metadata))
 
 
@@ -282,7 +284,7 @@ def sampled_hausdorff(a_pts, b_pts):
     return float(max(d_ab, d_ba))
 
 
-def _hull_interior_lp(points, tol=1e-9):
+def _hull_interior_lp(points):
     """max t s.t. sum(lam_i p_i) = 0, sum(lam) = 1, lam_i >= t.
 
     Positive optimum certifies that 0 admits a strictly positive convex
@@ -313,8 +315,8 @@ class _TangentImageRep(TangentRep):
     vectors."""
 
     def __init__(self, c, spline, dwell_vecs, natural_period, scale, period,
-                 smoothness, tol_class, breakpoints):
-        super().__init__(period, dwell_vecs.shape[1], smoothness)
+                 tol_class, breakpoints):
+        super().__init__(period, dwell_vecs.shape[1])
         self.c = c
         self.spline = spline
         self.dwell_vecs = dwell_vecs
@@ -349,11 +351,10 @@ class _TangentImageRep(TangentRep):
         return out
 
 
-def _greedy_farthest(points, count, seeds=()):
-    """Indices of a farthest-point sample of ``points`` (chordal metric)."""
+def _greedy_farthest(points, count, seeds):
+    """Indices of a farthest-point sample of ``points`` (chordal metric)
+    that starts from the indices ``seeds``."""
     chosen = list(seeds)
-    if not chosen:
-        chosen = [0]
     d = np.full(len(points), np.inf)
     for i in chosen:
         d = np.minimum(d, np.linalg.norm(points - points[i], axis=1))
@@ -364,20 +365,18 @@ def _greedy_farthest(points, count, seeds=()):
     return chosen
 
 
-def from_tangent_image(c, k=3, c_period=2.0 * np.pi, period=None,
-                       basepoint=None, pinned=(), ell_min=1e-3,
-                       hull_tol=1e-9, n_samples=1024):
+def from_tangent_image(c, k=3, period=None, pinned=()):
     """Closed unit-speed curve whose tangent image is the closed spherical
     curve ``c``.
 
     ``c`` is either a vectorized spherical path ``c(u, order=0)`` on
-    S^{n-1}, returning the point (order 0) or its exact u-derivative
-    (order 1), or an (m, n) array of samples over one period, which is
-    interpolated by a :class:`SphereSamplesTangent`.  Requires 0 to admit
-    a strictly positive convex combination of the sampled image (checked
-    by linear feasibility).  ``pinned`` is a sequence of (u, min_fraction)
-    forcing a dwell at c(u) occupying at least ``min_fraction`` of the
-    final period.
+    S^{n-1} of period ``C_PERIOD`` (2 pi), returning the point (order 0)
+    or its exact u-derivative (order 1), or an (m, n) array of samples
+    over that period, interpolated by a :class:`SphereSamplesTangent`.
+    Requires 0 to admit a strictly positive convex combination of the
+    sampled image (checked by linear feasibility).  ``pinned`` is a
+    sequence of (u, min_fraction) forcing a dwell at c(u) occupying at
+    least ``min_fraction`` of the final period.
 
     The construction selects dwell points by farthest-point sampling,
     reparametrizes the moving segments by a degree-(2k+1) plateau map
@@ -390,16 +389,15 @@ def from_tangent_image(c, k=3, c_period=2.0 * np.pi, period=None,
     if callable(c):
         cfun, tol_class = c, "analytic"
     else:
-        cfun = SphereSamplesTangent(np.asarray(c, dtype=float), c_period,
-                                    smoothness=k)
+        cfun = SphereSamplesTangent(np.asarray(c, dtype=float), C_PERIOD)
         tol_class = "sampled"
 
     dim = cfun(np.array([0.0])).shape[-1]
-    us = np.linspace(0.0, c_period, n_samples, endpoint=False)
+    us = np.linspace(0.0, C_PERIOD, IMAGE_SAMPLES, endpoint=False)
     image = cfun(us)
 
-    t_star = _hull_interior_lp(image[:: max(1, n_samples // 256)], hull_tol)
-    if not np.isfinite(t_star) or t_star <= hull_tol:
+    t_star = _hull_interior_lp(image[::IMAGE_SAMPLES // 256])
+    if not np.isfinite(t_star) or t_star <= HULL_TOL:
         raise PreconditionError("convex hull does not contain origin")
 
     poly = smoothstep(k)
@@ -407,25 +405,24 @@ def from_tangent_image(c, k=3, c_period=2.0 * np.pi, period=None,
     # fast path: the image integral already vanishes, so c itself is the
     # tangent field of a closed curve and no dwells are needed
     if not pinned:
-        edges = np.linspace(0.0, c_period, 257)
+        edges = np.linspace(0.0, C_PERIOD, 257)
         raw = _panel_gl(cfun, edges[:-1], edges[1:]).sum(axis=0)
-        if np.linalg.norm(raw) <= 1e-10 * c_period:
-            scale = 1.0 if period is None else c_period / float(period)
-            out_period = c_period if period is None else float(period)
+        if np.linalg.norm(raw) <= 1e-10 * C_PERIOD:
+            scale = 1.0 if period is None else C_PERIOD / float(period)
+            out_period = C_PERIOD if period is None else float(period)
             rep_out = CallableTangent(
                 lambda x, order: cfun(x * scale, order) * scale ** order,
-                out_period, dim, smoothness=k, tol_class=tol_class)
-            base = np.zeros(dim) if basepoint is None else np.asarray(basepoint, float)
-            return UnitSpeedCurve(rep_out, base,
+                out_period, dim, tol_class=tol_class)
+            return UnitSpeedCurve(rep_out, np.zeros(dim),
                                   metadata={"dwells": [], "hull_margin": t_star})
 
     pinned = list(pinned)
-    circ = lambda d: np.minimum(np.mod(d, c_period), c_period - np.mod(d, c_period))
+    circ = lambda d: np.minimum(np.mod(d, C_PERIOD), C_PERIOD - np.mod(d, C_PERIOD))
     pinned_idx = [int(np.argmin(circ(us - u0))) for u0, _ in pinned]
-    pin_params = [u0 % c_period for u0, _ in pinned]
+    pin_params = [u0 % C_PERIOD for u0, _ in pinned]
 
     def segment_moment(params):
-        prev = np.concatenate([[params[-1] - c_period], params[:-1]])
+        prev = np.concatenate([[params[-1] - C_PERIOD], params[:-1]])
         moment = np.zeros(dim)
         for lo, hi in zip(prev, params):
             edges = np.linspace(lo, hi, 17)
@@ -450,7 +447,7 @@ def from_tangent_image(c, k=3, c_period=2.0 * np.pi, period=None,
         params = np.array(sorted(set(params.tolist() + support)))
         # merge junctions closer than a minimum separation (short moving
         # segments would concentrate curvature); pinned params survive
-        min_sep = c_period / 64.0
+        min_sep = C_PERIOD / 64.0
         merged = [params[0]]
         for u in params[1:]:
             if u - merged[-1] >= min_sep or u in pin_params:
@@ -458,7 +455,7 @@ def from_tangent_image(c, k=3, c_period=2.0 * np.pi, period=None,
                         and merged[-1] not in pin_params:
                     merged.pop()
                 merged.append(u)
-        if (merged[0] + c_period) - merged[-1] < min_sep and \
+        if (merged[0] + C_PERIOD) - merged[-1] < min_sep and \
                 merged[-1] not in pin_params and len(merged) > 1:
             merged.pop()
         params = np.array(merged)
@@ -481,22 +478,22 @@ def from_tangent_image(c, k=3, c_period=2.0 * np.pi, period=None,
             rows = []
             rhs = []
             for (u0, frac) in pinned:
-                j = int(np.argmin(np.abs(params - (u0 % c_period))))
+                j = int(np.argmin(np.abs(params - (u0 % C_PERIOD))))
                 row = np.full(len(params), frac)
                 row[j] = frac - 1.0
                 rows.append(row)           # frac*sum(l) - l_j <= -frac*cP
-                rhs.append(-frac * c_period)
+                rhs.append(-frac * C_PERIOD)
             a_ub = np.array(rows)
             b_ub = np.array(rhs)
         res = linprog(np.ones(len(params)), A_ub=a_ub, b_ub=b_ub,
                       A_eq=a_eq, b_eq=b_eq,
-                      bounds=(ell_min, None), method="highs")
+                      bounds=(ELL_MIN, None), method="highs")
         if res.success:
             ell = res.x
             # polish the equality residual with a pseudo-inverse correction
             r = target - pts.T @ ell
             corr, *_ = np.linalg.lstsq(pts.T, r, rcond=None)
-            if np.all(ell + corr >= 0.5 * ell_min):
+            if np.all(ell + corr >= 0.5 * ELL_MIN):
                 ell = ell + corr
             break
         last_err = "linear program infeasible"
@@ -504,7 +501,7 @@ def from_tangent_image(c, k=3, c_period=2.0 * np.pi, period=None,
         raise PreconditionError(
             f"dwell-length solve failed: {last_err or 'no feasible point set'}")
 
-    natural_period = c_period + float(ell.sum())
+    natural_period = C_PERIOD + float(ell.sum())
     scale = 1.0 if period is None else natural_period / float(period)
     out_period = natural_period if period is None else float(period)
 
@@ -522,9 +519,7 @@ def from_tangent_image(c, k=3, c_period=2.0 * np.pi, period=None,
                       params.tolist()))
 
     rep_out = _TangentImageRep(cfun, spline, dwell_vecs, natural_period,
-                               scale, out_period, k, tol_class,
+                               scale, out_period, tol_class,
                                starts / scale)
-    base = np.zeros(dim) if basepoint is None else np.asarray(basepoint, float)
-    curve = UnitSpeedCurve(rep_out, base, metadata={"dwells": dwells,
-                                                    "hull_margin": t_star})
-    return curve
+    return UnitSpeedCurve(rep_out, np.zeros(dim),
+                          metadata={"dwells": dwells, "hull_margin": t_star})

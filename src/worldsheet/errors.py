@@ -9,13 +9,5 @@ class PreconditionError(WorldsheetError):
     """An operation was called on data violating its contract."""
 
 
-class QuadratureError(WorldsheetError):
-    """Quadrature failed to reach the requested tolerance."""
-
-    def __init__(self, message, achieved=None):
-        super().__init__(message)
-        self.achieved = achieved
-
-
 class UnderResolvedError(WorldsheetError):
     """A numerical result is unreliable at the current resolution."""

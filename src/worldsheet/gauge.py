@@ -21,7 +21,7 @@ import numpy as np
 from .curves import (CallableTangent, SphereSamplesTangent, UnitSpeedCurve,
                      _as_batch)
 from .errors import PreconditionError
-from .quadrature import PrefixIntegrator, adaptive_simpson
+from .quadrature import PrefixIntegrator
 
 
 @dataclass
@@ -133,14 +133,13 @@ class OrthogonalGauge:
         """|(a+b)(E0) - (a+b)(0)|; zero for members of the periodic class."""
         return float(np.linalg.norm(self.a.drift() + self.b.drift()))
 
-    @property
-    def periodic(self):
-        return self.periodicity_defect() <= 1e-6
-
     def validate(self, samples=4096):
-        self.a.validate(samples)
-        self.b.validate(samples)
-        m = self.min_sum_norm(samples)
+        """Check both tangents on a sample grid (each curve is read at x
+        and x + E0) and that a' + b' does not vanish on its diagonal."""
+        x = np.linspace(0.0, self.E0, samples, endpoint=False)
+        ta = self.a._checked_tangent(x)[0]
+        tb = self.b._checked_tangent(x)[0]
+        m = float(np.linalg.norm(ta + tb, axis=1).min())
         if m <= 1e-6:
             raise PreconditionError(
                 f"a' + b' vanishes somewhere (min |a'+b'| = {m:.3e})")
@@ -149,10 +148,9 @@ class OrthogonalGauge:
 
 def period_E0(couple: AdmissibleCouple):
     """Common period of the normalized couple:
-    integral over one period of |gamma0'| / sqrt(1 - |v0|^2)."""
-    couple.validate()
-    return float(adaptive_simpson(lambda x: _density(couple, x), 0.0,
-                                  couple.period, tol=1e-10))
+    integral over one period of |gamma0'| / sqrt(1 - |v0|^2), by the
+    prefix quadrature of ``normalize``."""
+    return normalize(couple).period
 
 
 def normalize(couple: AdmissibleCouple):
@@ -234,7 +232,7 @@ def gauge_from_couple(couple: AdmissibleCouple):
             gm, vm = couple.fields(mids)
             for i, sign in enumerate((1.0, -1.0)):
                 if reps[i] is None:
-                    rep = SphereSamplesTangent(gp + sign * v, P, smoothness=3,
+                    rep = SphereSamplesTangent(gp + sign * v, P,
                                                tol_class="analytic")
                     if np.abs(rep(mids) - (gm + sign * vm)).max() <= 2e-10:
                         reps[i] = rep
@@ -256,7 +254,7 @@ def gauge_from_couple(couple: AdmissibleCouple):
                 return (tan(x + step, 0) - tan(x - step, 0)) / (2.0 * step)
             return tan
 
-        reps = [CallableTangent(half_wave(sign), P, couple.dim, smoothness=3,
+        reps = [CallableTangent(half_wave(sign), P, couple.dim,
                                 breakpoints=breaks) for sign in (1.0, -1.0)]
         metadata = {"from_couple": True}
     g = OrthogonalGauge(UnitSpeedCurve(reps[0], couple.basepoint),

@@ -50,13 +50,11 @@ def curve_from_spec(spec):
             return out
 
         base = np.asarray(spec.get("basepoint", (0.0, 0.0)), dtype=float)
-        return UnitSpeedCurve(AngleTangent(alpha, period, alpha_prime=alpha_p,
-                                           smoothness=int(spec.get("smoothness", 7))),
+        return UnitSpeedCurve(AngleTangent(alpha, period, alpha_prime=alpha_p),
                               base)
     if kind == "sphere_samples":
         samples = np.asarray(spec["samples"], dtype=float)
-        rep = SphereSamplesTangent(samples, float(spec["period"]),
-                                   smoothness=int(spec.get("smoothness", 1)))
+        rep = SphereSamplesTangent(samples, float(spec["period"]))
         base = np.asarray(spec.get("basepoint", np.zeros(samples.shape[1])),
                           dtype=float)
         return UnitSpeedCurve(rep, base)
@@ -68,7 +66,6 @@ def curve_to_spec(curve: UnitSpeedCurve, samples=4096):
     return {
         "kind": "sphere_samples",
         "period": float(curve.period),
-        "smoothness": int(curve.smoothness),
         "basepoint": [float(v) for v in curve.basepoint],
         "samples": np.round(curve.tangent(xs), 15).tolist(),
     }

@@ -175,6 +175,8 @@ def find_antipodal_pairs(g: OrthogonalGauge, grid_n=DEFAULT_GRID, tol=None):
     res_grid, grid = grid_residuals(g, grid_n)
     r2 = res_grid ** 2
     min_grid = float(res_grid.min())
+    if r2.min() >= SEED_LEVEL:
+        return DetectionReport([], grid_n, min_grid, tol)
 
     # shallow local minima on the torus (8-neighborhood)
     is_min = np.ones_like(r2, dtype=bool)
@@ -183,10 +185,8 @@ def find_antipodal_pairs(g: OrthogonalGauge, grid_n=DEFAULT_GRID, tol=None):
             if ds == 0 and do == 0:
                 continue
             is_min &= r2 <= np.roll(np.roll(r2, ds, axis=0), do, axis=1)
+    # nonempty: the grid minimum lies below SEED_LEVEL
     seeds = np.argwhere(is_min & (r2 < SEED_LEVEL))
-    if len(seeds) == 0:
-        return DetectionReport([], grid_n, min_grid, tol)
-
     s_ref, sig_ref, res = _gauss_newton(g, grid[seeds[:, 0]], grid[seeds[:, 1]])
     ok = res <= tol
     if not ok.any():
@@ -287,8 +287,6 @@ class TwoDAngleState:
 
     alpha: object
     beta: object
-    alpha_prime: object
-    beta_prime: object
     E0: float
 
     def F(self, t, x):
@@ -303,16 +301,13 @@ class TwoDAngleState:
 
 
 def _angle_callable_from_rep(curve, negate):
-    """(angle, angle') for a planar tangent field, exact when the
+    """The lifted angle of a planar tangent field, exact when the
     representation stores the angle, otherwise a periodic spline lift."""
     rep = curve.rep
     offset = np.pi if negate else 0.0
     if isinstance(rep, AngleTangent):
         alpha = rep.alpha
-        alpha_p = rep.alpha_prime
-        fn = (lambda x: np.asarray(alpha(np.asarray(x, dtype=float))) + offset)
-        fp = lambda x: np.asarray(alpha_p(np.asarray(x, dtype=float)))
-        return fn, fp
+        return lambda x: np.asarray(alpha(np.asarray(x, dtype=float))) + offset
     P = curve.period
     xs = np.linspace(0.0, P, LIFT_SAMPLES + 1)
     v = curve.tangent(xs)
@@ -328,17 +323,12 @@ def _angle_callable_from_rep(curve, negate):
     resid[-1] = resid[0]
     from scipy.interpolate import CubicSpline
     spl = CubicSpline(xs, resid, bc_type="periodic")
-    dspl = spl.derivative()
 
     def fn(x):
         x = np.asarray(x, dtype=float)
         return slope * x + spl(np.mod(x, P))
 
-    def fp(x):
-        x = np.asarray(x, dtype=float)
-        return slope + dspl(np.mod(x, P))
-
-    return fn, fp
+    return fn
 
 
 def angle_state(g: OrthogonalGauge):
@@ -346,8 +336,8 @@ def angle_state(g: OrthogonalGauge):
     2 pi k making the angle images overlap as much as possible."""
     if g.dim != 2:
         raise PreconditionError("angle machinery requires a planar gauge")
-    alpha, alpha_p = _angle_callable_from_rep(g.a, negate=False)
-    beta, beta_p = _angle_callable_from_rep(g.b, negate=True)
+    alpha = _angle_callable_from_rep(g.a, negate=False)
+    beta = _angle_callable_from_rep(g.b, negate=True)
     xs = np.linspace(0.0, g.E0, 4096)
     ia = alpha(xs)
     ib = beta(xs)
@@ -358,8 +348,7 @@ def angle_state(g: OrthogonalGauge):
     def alpha_n(x, _a=alpha, _s=shift):
         return _a(x) + _s
 
-    return TwoDAngleState(alpha=alpha_n, beta=beta, alpha_prime=alpha_p,
-                          beta_prime=beta_p, E0=g.E0)
+    return TwoDAngleState(alpha=alpha_n, beta=beta, E0=g.E0)
 
 
 def _gauge_angle_state(g: OrthogonalGauge):
@@ -372,12 +361,12 @@ def _gauge_angle_state(g: OrthogonalGauge):
     return st
 
 
-def tangent_formula(state: TwoDAngleState, t, x, eps=1e-12):
+def tangent_formula(state: TwoDAngleState, t, x):
     """Unit spatial tangent sign(sin(F/2)) * i e^{iG/2} (planar gauges)."""
     F = state.F(t, x)
     G = state.G(t, x)
     s = np.sin(0.5 * F)
-    if np.any(np.abs(s) <= eps):
+    if np.any(np.abs(s) <= 1e-12):
         raise PreconditionError("tangent formula evaluated at a singular point")
     sgn = np.sign(s)
     half = 0.5 * G

@@ -154,6 +154,31 @@ def _clear_geodesic(q1, q2, tree, margin):
     return bool(d.min() >= margin)
 
 
+def _projection_centers(d: SphereDiagram, n_candidates):
+    """(primary, second or None) projection centers among ``n_candidates``:
+    the candidate of largest clearance from both curves, then the next one
+    at least 0.5 rad away with clearance >= max(2 EPS_DIAG, half the
+    primary's), joined to it by a clear geodesic on S^2."""
+    from scipy.spatial import cKDTree
+    tree = cKDTree(np.vstack([d.curve_a, d.curve_mb]))
+    cands = _candidate_centers(d.dim, n_candidates)
+    clearance, _ = tree.query(cands)
+    order = np.argsort(-clearance)
+    if clearance[order[0]] < EPS_DIAG:
+        raise PreconditionError("no projection center with required clearance")
+    q1 = cands[order[0]]
+    floor = max(2 * EPS_DIAG, 0.5 * clearance[order[0]])
+    for idx in order[1:]:
+        if clearance[idx] < floor:
+            break
+        q2 = cands[idx]
+        if float(q1 @ q2) > np.cos(0.5):
+            continue
+        if d.dim != 3 or _clear_geodesic(q1, q2, tree, EPS_DIAG):
+            return q1, q2
+    return q1, None
+
+
 def _planar_winding(loop, z):
     """Winding number of a closed planar polyline around z."""
     rel = loop - z
@@ -177,15 +202,7 @@ def winding_number(d: SphereDiagram):
     if not d.disjoint:
         raise PreconditionError("diagram curves intersect")
 
-    all_pts = np.vstack([d.curve_a, d.curve_mb])
-    from scipy.spatial import cKDTree
-    tree = cKDTree(all_pts)
-    cands = _candidate_centers(3, 4096)
-    clearance, _ = tree.query(cands)
-    order = np.argsort(-clearance)
-    if clearance[order[0]] < EPS_DIAG:
-        raise PreconditionError("no projection center with required clearance")
-    q1 = cands[order[0]]
+    q1, q2 = _projection_centers(d, 4096)
 
     def value(center, A, MB):
         pa = _stereographic(A, center)
@@ -210,19 +227,9 @@ def winding_number(d: SphereDiagram):
         if w2 != w1:
             raise UnderResolvedError("winding unstable under sample doubling")
 
-    margin = 0.5 * clearance[order[0]]
-    for idx in order[1:]:
-        q2 = cands[idx]
-        if clearance[idx] < max(2 * EPS_DIAG, margin):
-            break
-        if float(q1 @ q2) > np.cos(0.5):
-            continue
-        if _clear_geodesic(q1, q2, tree, EPS_DIAG):
-            w2 = value(q2, d.curve_a, d.curve_mb)
-            if w2 != w1:
-                raise UnderResolvedError(
-                    "winding differs between same-component centers")
-            break
+    if q2 is not None and value(q2, d.curve_a, d.curve_mb) != w1:
+        raise UnderResolvedError(
+            "winding differs between same-component centers")
     return w1
 
 
@@ -380,20 +387,12 @@ def linking_number(d: SphereDiagram):
         raise PreconditionError("linking number requires diagram on S^3")
     if not d.disjoint:
         raise PreconditionError("diagram curves intersect")
-    all_pts = np.vstack([d.curve_a, d.curve_mb])
-    from scipy.spatial import cKDTree
-    tree = cKDTree(all_pts)
-    cands = _candidate_centers(4, 8192)
-    clearance, _ = tree.query(cands)
-    order = np.argsort(-clearance)
-    if clearance[order[0]] < EPS_DIAG:
-        raise PreconditionError("no projection center with required clearance")
+    center, q2 = _projection_centers(d, 8192)
 
     def crossings(center, A, MB):
         return _crossing_linking(_stereographic(A, center),
                                  _stereographic(MB, center))
 
-    center = cands[order[0]]
     lk1 = _gauss_linking_polylines(_stereographic(d.curve_a, center),
                                    _stereographic(d.curve_mb, center))
     v1 = int(np.round(lk1))
@@ -401,16 +400,8 @@ def linking_number(d: SphereDiagram):
     if r1 > 0.1:
         raise UnderResolvedError(
             f"linking integral {lk1:.4f} too far from an integer")
-    for idx in order[1:]:
-        q2 = cands[idx]
-        if float(center @ q2) > np.cos(0.5):
-            continue
-        if clearance[idx] < max(2 * EPS_DIAG, 0.5 * clearance[order[0]]):
-            break
-        if crossings(q2, d.curve_a, d.curve_mb) != v1:
-            raise UnderResolvedError(
-                "linking differs between projection centers")
-        break
+    if q2 is not None and crossings(q2, d.curve_a, d.curve_mb) != v1:
+        raise UnderResolvedError("linking differs between projection centers")
     if d.source is not None:
         _, A2, MB2 = _diagram_samples(d.source, 2 * d.m)
         if crossings(center, A2, MB2) != v1:
@@ -505,8 +496,8 @@ def _perturbed_rep(basis, amp, damp, c):
         dv = rep(x, 1) + (modes @ damp).real + _bump(x, P, 1)[..., None] * c
         return dv / r - t * (t * dv).sum(axis=-1, keepdims=True) / r
 
-    return CallableTangent(fn, P, rep.dim, smoothness=rep.smoothness,
-                           tol_class="analytic", breakpoints=rep.breakpoints)
+    return CallableTangent(fn, P, rep.dim, tol_class="analytic",
+                           breakpoints=rep.breakpoints)
 
 
 def _perturb_curve(basis, rng, epsilon):
@@ -589,12 +580,12 @@ def genericity_probe(g: OrthogonalGauge, epsilon, trials, seed, grid_n=256):
     return rep
 
 
-def transversal_count(g: OrthogonalGauge, grid_n=512):
+def transversal_count(g: OrthogonalGauge):
     """Number of transversal antipodal intersections per fundamental
     domain (n = 3); errors out when any intersection is non-transversal."""
     if g.dim != 3:
         raise PreconditionError("transversal count requires n = 3")
-    report = find_antipodal_pairs(g, grid_n=grid_n)
+    report = find_antipodal_pairs(g)
     count = 0
     for comp in report.components:
         if comp.kind != "isolated":

@@ -209,6 +209,23 @@ def test_gauge_roundtrip_through_spec(tmp_path):
     assert abs(g2.E0 - g.E0) < 1e-12
 
 
+def test_gauge_spec_with_smoothness_keys_still_loads():
+    # specs written before the "smoothness" key was dropped carry it on
+    # each curve; it is ignored
+    from worldsheet import catalog
+    spec = serialize.gauge_to_spec(catalog.circle_gauge(), samples=256)
+    assert all("smoothness" not in spec[c] for c in ("a", "b"))
+    old = json.loads(json.dumps(spec))
+    old["a"]["smoothness"] = old["b"]["smoothness"] = 3
+    g_old = serialize.gauge_from_spec(old)
+    g_new = serialize.gauge_from_spec(spec)
+    xs = np.random.default_rng(3).uniform(0.0, g_new.E0, 500)
+    for c_old, c_new in ((g_old.a, g_new.a), (g_old.b, g_new.b)):
+        assert np.array_equal(c_old.tangent(xs), c_new.tangent(xs))
+        assert np.array_equal(c_old.tangent_derivative(xs),
+                              c_new.tangent_derivative(xs))
+
+
 @pytest.mark.parametrize("v0, E0", [
     ({"kind": "zero"}, 6.2983),
     ({"kind": "normal_scale", "scale": 0.4, "wobble": 0.3}, 6.9153),

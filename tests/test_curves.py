@@ -8,7 +8,8 @@ from worldsheet.curves import (CallableTangent, PlateauSpline,
                                from_tangent_image, sampled_hausdorff,
                                smoothstep)
 from worldsheet.errors import PreconditionError
-from worldsheet.quadrature import _panel_gl, adaptive_simpson
+from oracles import adaptive_simpson
+from worldsheet.quadrature import _panel_gl
 
 TWO_PI = 2.0 * np.pi
 

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from worldsheet import catalog
-from worldsheet.curves import UnitSpeedCurve
+from worldsheet.curves import CallableTangent, UnitSpeedCurve
 from worldsheet.errors import PreconditionError
 from worldsheet.gauge import (AdmissibleCouple, OrthogonalGauge,
                               couple_from_gauge, equivalent_gauges,
                               gauge_from_couple, normalize, period_E0)
-from worldsheet.quadrature import adaptive_simpson
+from oracles import adaptive_simpson
 
 TWO_PI = 2.0 * np.pi
 
@@ -132,8 +132,9 @@ def test_round_trip_identity_seed11():
 
 
 def test_couple_from_gauge_reads_each_tangent_once(monkeypatch):
-    # g.validate() evaluates the source tangents 6 times; each of the 2
-    # field reads in gauge_from_couple then costs one a' and one b'.
+    # g.validate() evaluates the source tangents 4 times (each curve at x
+    # and x + E0); each of the 2 field reads in gauge_from_couple then
+    # costs one a' and one b'.
     g = catalog.random_planar_gauge(seed=3)
     calls = []
     tangent = UnitSpeedCurve.tangent
@@ -145,7 +146,23 @@ def test_couple_from_gauge_reads_each_tangent_once(monkeypatch):
 
     monkeypatch.setattr(UnitSpeedCurve, "tangent", counted)
     gauge_from_couple(couple_from_gauge(g))
-    assert len(calls) == 10
+    assert len(calls) == 8
+
+
+def test_validate_reads_each_tangent_twice(hopf, monkeypatch):
+    # each curve is read at x and at x + E0; min |a' + b'| reuses the
+    # reads at x
+    calls = []
+    call = CallableTangent.__call__
+
+    def counted(self, x, order=0):
+        if self is hopf.a.rep or self is hopf.b.rep:
+            calls.append(order)
+        return call(self, x, order)
+
+    monkeypatch.setattr(CallableTangent, "__call__", counted)
+    hopf.validate()
+    assert calls == [0, 0, 0, 0]
 
 
 def test_equivalence_predicate_detects_shift():

