@@ -214,11 +214,10 @@ class UnitSpeedCurve:
         """Same curve with parameter origin moved to x0."""
         rep = self.rep
         base = self.position(x0) if new_basepoint is None else np.asarray(new_basepoint, float)
-        shifted_breaks = tuple(np.mod(np.asarray(rep.breakpoints, float) - x0, rep.period)) \
-            if rep.breakpoints else ()
+        breaks = np.mod(np.asarray(rep.breakpoints, float) - x0, rep.period)
         new_rep = CallableTangent(
             lambda y, order: rep(y + x0, order), rep.period, rep.dim,
-            tol_class=rep.tol_class, breakpoints=shifted_breaks)
+            tol_class=rep.tol_class, breakpoints=breaks)
         return UnitSpeedCurve(new_rep, base, metadata=dict(self.metadata))
 
 

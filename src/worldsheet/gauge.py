@@ -270,7 +270,6 @@ def couple_from_gauge(g: OrthogonalGauge):
     g.validate()
 
     def fields(x):
-        x = np.asarray(x, dtype=float)
         ta, tb = g.a.tangent(x), g.b.tangent(x)
         return 0.5 * (ta + tb), 0.5 * (ta - tb)
 

@@ -225,8 +225,6 @@ def find_antipodal_pairs(g: OrthogonalGauge, grid_n=DEFAULT_GRID, tol=None):
 def _circ_gap(values, period):
     """Largest gap between consecutive values on a circle."""
     v = np.sort(np.mod(values, period))
-    if len(v) == 1:
-        return period
     gaps = np.diff(np.concatenate([v, [v[0] + period]]))
     return float(gaps.max())
 

@@ -65,7 +65,6 @@ def diagram(g: OrthogonalGauge, m=1024):
     # local refinement of the closest approach
     lo_s, lo_o = s[i], s[j]
     span = g.E0 / m
-    best = np.sqrt(max(0.0, 2.0 - 2.0 * gram.max()))
     for _ in range(4):
         ss = np.linspace(lo_s - span, lo_s + span, 33)
         oo = np.linspace(lo_o - span, lo_o + span, 33)
@@ -140,8 +139,8 @@ def _candidate_centers(dim, n):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _clear_geodesic(q1, q2, tree, margin):
-    """True if the great-circle arc q1 -> q2 stays ``margin`` away from
+def _clear_geodesic(q1, q2, tree):
+    """True if the great-circle arc q1 -> q2 stays EPS_DIAG away from
     the diagram curves (a same-component certificate for the centers)."""
     dot = float(np.clip(q1 @ q2, -1.0, 1.0))
     ang = np.arccos(dot)
@@ -151,7 +150,7 @@ def _clear_geodesic(q1, q2, tree, margin):
     arc = (np.sin((1 - ts) * ang)[:, None] * q1
            + np.sin(ts * ang)[:, None] * q2) / np.sin(ang)
     d, _ = tree.query(arc)
-    return bool(d.min() >= margin)
+    return bool(d.min() >= EPS_DIAG)
 
 
 def _projection_centers(d: SphereDiagram, n_candidates):
@@ -174,7 +173,7 @@ def _projection_centers(d: SphereDiagram, n_candidates):
         q2 = cands[idx]
         if float(q1 @ q2) > np.cos(0.5):
             continue
-        if d.dim != 3 or _clear_geodesic(q1, q2, tree, EPS_DIAG):
+        if d.dim != 3 or _clear_geodesic(q1, q2, tree):
             return q1, q2
     return q1, None
 
