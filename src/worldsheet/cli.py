@@ -49,11 +49,7 @@ def _task_evolve(g, params, out, ctx):
         ts = np.linspace(0.0, g.E0, nt, endpoint=False)
         xs = np.linspace(0.0, g.E0, nx, endpoint=False)
         tt, xx = np.meshgrid(ts, xs, indexing="ij")
-        gm = surface.gamma(g, tt, xx).reshape(-1, g.dim)
-        gx, gt = surface.derivatives(g, tt, xx)
-        det = surface.metric_det(g, tt, xx).ravel()
-        gx = gx.reshape(-1, g.dim)
-        gt = gt.reshape(-1, g.dim)
+        gm, gx, gt, det = surface._grid_sample(g, tt, xx)
         rows = [[t, x] + list(p) + list(vx) + list(vt)
                 + [dd, int(dd < -surface.METRIC_DEGENERACY_EPS)]
                 for t, x, p, vx, vt, dd in

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .gauge import OrthogonalGauge
+from .surface import _read_once
 
 DEFAULT_SCALES = tuple(2.0 ** -j for j in range(3, 10))
 MIN_R2 = 0.98
@@ -51,7 +52,7 @@ class PointCloud:
         # input order; the rounded keys stay float, since an int64 cast
         # overflows once |coordinate| exceeds ~9.2e6
         order, first = _row_groups(np.round(pts / 1e-12))
-        self.points = pts[np.sort(order[first])]
+        self.points = pts.copy() if first.all() else pts[np.sort(order[first])]
 
     @property
     def diameter(self):
@@ -149,8 +150,8 @@ def singstar_cloud(g: OrthogonalGauge, resolution=1024, which="sing_star"):
             # gamma(g, ts, xs) with a read once per distinct x + t: on a
             # characteristic (s - ts) + ts rounds to one or few values
             xs = s - ts
-            u, inv = np.unique(xs + ts, return_inverse=True)
-            gm = 0.5 * (g.a.position(u)[inv] + g.b.position(xs - ts))
+            gm = 0.5 * (_read_once(g.a.position, xs + ts)
+                        + g.b.position(xs - ts))
             pts.append(np.column_stack([ts, gm]))
         cloud = PointCloud(np.vstack(pts),
                            provenance={"gauge": g.metadata.get("name", "?"),

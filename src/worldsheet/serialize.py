@@ -209,12 +209,27 @@ def write_csv(path, header, rows):
         w.writerow(header)
         # csv writes a float as repr(float) and ends rows with \r\n; joining
         # the text directly skips its per-cell overhead, and 1024-row chunks
-        # keep the lists small
+        # keep the lists small.  A column of which at most half the values
+        # are distinct (by bit pattern) renders each distinct value once.
         if isinstance(rows, np.ndarray) and rows.dtype == np.float64:
+            texts = [_repeated_text(c) for c in rows.T]
             for i in range(0, len(rows), 1024):
-                cols = [map(repr, c) for c in rows[i:i + 1024].T.tolist()]
+                block = rows[i:i + 1024]
+                cols = [map(repr, block[:, j].tolist()) if text is None
+                        else text[0][text[1][i:i + 1024]].tolist()
+                        for j, text in enumerate(texts)]
                 fh.write("".join(",".join(r) + "\r\n" for r in zip(*cols)))
             return
         for row in rows:
             w.writerow([repr(float(v)) if isinstance(v, (float, np.floating))
                         else v for v in row])
+
+
+def _repeated_text(column):
+    """(repr of each distinct value, index of each row's value) for a float
+    column of which at most half the values are distinct, else None."""
+    u, inv = np.unique(np.ascontiguousarray(column).view(np.int64),
+                       return_inverse=True)
+    if 2 * len(u) > len(column):
+        return None
+    return np.array([repr(v) for v in u.view(float).tolist()], dtype=object), inv

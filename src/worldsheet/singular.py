@@ -145,6 +145,23 @@ def _nms(points_embed, order, radius):
     return np.array(kept, dtype=int)
 
 
+def _sublevel_minima(r2, level):
+    """Indices (row-major, as np.argwhere) of the cells of r2 below level
+    that are local minima on the torus: no larger than any of their 8
+    neighbours.  Only the sub-level cells are tested, each against one
+    wrap-padded copy of r2 read at flat offsets."""
+    cells = np.argwhere(r2 < level)
+    width = r2.shape[1] + 2
+    padded = np.pad(r2, 1, mode="wrap").ravel()
+    centre = (cells[:, 0] + 1) * width + cells[:, 1] + 1
+    value = padded[centre]
+    is_min = np.ones(len(cells), dtype=bool)
+    for offset in (-width - 1, -width, -width + 1, -1, 1,
+                   width - 1, width, width + 1):
+        is_min &= value <= padded[centre + offset]
+    return cells[is_min]
+
+
 def find_antipodal_pairs(g: OrthogonalGauge, grid_n=DEFAULT_GRID, tol=None):
     """All antipodal tangent pairs a'(s) = -b'(sigma), refined to the
     gauge's residual tolerance and clustered into components.
@@ -178,15 +195,8 @@ def find_antipodal_pairs(g: OrthogonalGauge, grid_n=DEFAULT_GRID, tol=None):
     if r2.min() >= SEED_LEVEL:
         return DetectionReport([], grid_n, min_grid, tol)
 
-    # shallow local minima on the torus (8-neighborhood)
-    is_min = np.ones_like(r2, dtype=bool)
-    for ds in (-1, 0, 1):
-        for do in (-1, 0, 1):
-            if ds == 0 and do == 0:
-                continue
-            is_min &= r2 <= np.roll(np.roll(r2, ds, axis=0), do, axis=1)
     # nonempty: the grid minimum lies below SEED_LEVEL
-    seeds = np.argwhere(is_min & (r2 < SEED_LEVEL))
+    seeds = _sublevel_minima(r2, SEED_LEVEL)
     s_ref, sig_ref, res = _gauss_newton(g, grid[seeds[:, 0]], grid[seeds[:, 1]])
     ok = res <= tol
     if not ok.any():

@@ -69,11 +69,45 @@ def derivatives(g: OrthogonalGauge, t, x):
 def metric_det(g: OrthogonalGauge, t, x):
     """Determinant of the induced metric, signature (-,+,...,+):
     g_tt = -1 + |gamma_t|^2, g_xx = |gamma_x|^2, g_tx = gamma_x . gamma_t."""
-    gx, gt = derivatives(g, t, x)
+    return _metric_det(*derivatives(g, t, x))
+
+
+def _metric_det(gx, gt):
+    """metric_det from (gamma_x, gamma_t) already in hand."""
     g_tt = -1.0 + (gt * gt).sum(axis=-1)
     g_xx = (gx * gx).sum(axis=-1)
     g_tx = (gx * gt).sum(axis=-1)
     return g_tt * g_xx - g_tx ** 2
+
+
+def _read_once(read, y):
+    """read(y) for a row-wise read, calling read once per distinct value.
+
+    y is grouped by its float64 bit pattern, so -0.0 and 0.0 (and each NaN
+    payload) stay apart and the rows are bit for bit those of read(y).
+    Worth its sort where values repeat by construction, as x + t and x - t
+    do on a (t, x) grid: a is read only along its characteristics.
+    """
+    y = np.ascontiguousarray(y, dtype=float)
+    u, inv = np.unique(y.view(np.int64), return_inverse=True)
+    return read(u.view(float))[inv]
+
+
+def _grid_derivatives(g: OrthogonalGauge, s, sig):
+    """(gamma_x, gamma_t) rows at s = x + t and sig = x - t of a grid,
+    each distinct value read once."""
+    ap = _read_once(g.a.tangent, s)
+    bp = _read_once(g.b.tangent, sig)
+    return 0.5 * (ap + bp), 0.5 * (ap - bp)
+
+
+def _grid_sample(g: OrthogonalGauge, tt, xx):
+    """gamma, gamma_x, gamma_t and metric_det as flat rows over the points
+    of the (t, x) grid arrays tt, xx, each characteristic read once."""
+    s, sig = (xx + tt).ravel(), (xx - tt).ravel()
+    pts = 0.5 * (_read_once(g.a.position, s) + _read_once(g.b.position, sig))
+    gx, gt = _grid_derivatives(g, s, sig)
+    return pts, gx, gt, _metric_det(gx, gt)
 
 
 @dataclass
@@ -89,7 +123,7 @@ class SurfaceSample:
 
 def sample(g: OrthogonalGauge, t, x):
     gx, gt = derivatives(g, t, x)
-    det = float(metric_det(g, t, x))
+    det = float(_metric_det(gx, gt))
     return SurfaceSample(t=float(t), x=float(x), gamma=gamma(g, t, x),
                          gamma_x=gx, gamma_t=gt, metric_det=det,
                          timelike=det < -METRIC_DEGENERACY_EPS)
@@ -211,11 +245,15 @@ def _second_difference(curve, ys, h):
 def _wave_residual(g, ts, xs, h):
     """Max |discrete wave operator| on the grid at steps (h, h/2)."""
     tt, xx = np.meshgrid(ts, xs, indexing="ij")
-    s = (xx + tt).ravel()
-    sig = (xx - tt).ravel()
     h_t, h_x = h, 0.5 * h
-    num_t = _second_difference(g.a, s, h_t) + _second_difference(g.b, sig, h_t)
-    num_x = _second_difference(g.a, s, h_x) + _second_difference(g.b, sig, h_x)
+
+    def both_steps(curve):
+        return lambda y: np.stack([_second_difference(curve, y, h_t),
+                                   _second_difference(curve, y, h_x)], axis=1)
+
+    num = (_read_once(both_steps(g.a), (xx + tt).ravel())
+           + _read_once(both_steps(g.b), (xx - tt).ravel()))
+    num_t, num_x = num[:, 0], num[:, 1]
     resid = 0.5 * (num_t / h_t ** 2 - num_x / h_x ** 2)
     return float(np.linalg.norm(resid, axis=1).max())
 
@@ -239,7 +277,7 @@ def constraint_residuals(g: OrthogonalGauge, n_t=200, n_x=200, h=1e-3,
     ts = np.linspace(0.0, g.E0, n_t, endpoint=False)
     xs = np.linspace(0.0, g.E0, n_x, endpoint=False)
     tt, xx = np.meshgrid(ts, xs, indexing="ij")
-    gx, gt = derivatives(g, tt, xx)
+    gx, gt = _grid_derivatives(g, (xx + tt).ravel(), (xx - tt).ravel())
     gauge_res = float(np.abs((gx * gx).sum(-1) + (gt * gt).sum(-1) - 1.0).max())
     ortho_res = float(np.abs((gx * gt).sum(-1)).max())
 

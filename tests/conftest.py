@@ -44,3 +44,15 @@ def nonuniq():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(scope="session")
+def equality_gauges(circle, hopf, nonuniq):
+    """Gauges on which the grid shortcuts must match the direct formulations
+    bit for bit: the benchmark census's gauges 0-3, circle, hopf and both
+    gauges of the nonuniqueness pair."""
+    gauges = {f"census{s}": catalog.random_planar_gauge(seed=s)
+              for s in range(4)}
+    gauges.update(circle=circle, hopf=hopf, nonuniq_id=nonuniq[0],
+                  nonuniq_pi=nonuniq[1])
+    return gauges

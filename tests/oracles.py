@@ -2,12 +2,17 @@
 
 ``adaptive_simpson`` shares no code with the package's Gauss-Legendre
 quadrature, so tests compare positions, prefix integrals and gauge
-periods against it.
+periods against it.  ``full_grid_constraint_residuals`` and
+``roll_minimum_mask`` are the direct formulations of the residual grids
+and of the local-minimum test, reading every grid point and rolling the
+whole grid; the package must match them bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from worldsheet.surface import ConstraintReport, _second_difference, derivatives
 
 
 class QuadratureError(Exception):
@@ -81,3 +86,45 @@ def adaptive_simpson(f, a, b, tol=1e-10, max_depth=48):
     if result.shape == (1,):
         return result[0]
     return result
+
+
+def _full_grid_wave_residual(g, ts, xs, h):
+    tt, xx = np.meshgrid(ts, xs, indexing="ij")
+    s = (xx + tt).ravel()
+    sig = (xx - tt).ravel()
+    h_t, h_x = h, 0.5 * h
+    num_t = _second_difference(g.a, s, h_t) + _second_difference(g.b, sig, h_t)
+    num_x = _second_difference(g.a, s, h_x) + _second_difference(g.b, sig, h_x)
+    resid = 0.5 * (num_t / h_t ** 2 - num_x / h_x ** 2)
+    return float(np.linalg.norm(resid, axis=1).max())
+
+
+def full_grid_constraint_residuals(g, n_t=200, n_x=200, h=1e-3, wave_grid=48):
+    """constraint_residuals with the tangents read at every grid point."""
+    ts = np.linspace(0.0, g.E0, n_t, endpoint=False)
+    xs = np.linspace(0.0, g.E0, n_x, endpoint=False)
+    tt, xx = np.meshgrid(ts, xs, indexing="ij")
+    gx, gt = derivatives(g, tt, xx)
+    gauge_res = float(np.abs((gx * gx).sum(-1) + (gt * gt).sum(-1) - 1.0).max())
+    ortho_res = float(np.abs((gx * gt).sum(-1)).max())
+    ts_w = np.linspace(0.0, g.E0, wave_grid, endpoint=False)
+    xs_w = np.linspace(0.0, g.E0, wave_grid, endpoint=False) + 0.37 * g.E0 / wave_grid
+    w1 = _full_grid_wave_residual(g, ts_w, xs_w, h)
+    w2 = _full_grid_wave_residual(g, ts_w, xs_w, 0.5 * h)
+    ratio = w1 / w2 if w2 > 0 else np.inf
+    return ConstraintReport(
+        gauge_residual=gauge_res, ortho_residual=ortho_res,
+        wave_residual=w1, wave_residual_half=w2, wave_ratio=ratio,
+        wave_constant=w1 / h ** 2, h=h, grid=(n_t, n_x))
+
+
+def roll_minimum_mask(r2):
+    """Cells of r2 no larger than any of their 8 torus neighbours, from 16
+    rolled copies of the whole grid."""
+    is_min = np.ones_like(r2, dtype=bool)
+    for ds in (-1, 0, 1):
+        for do in (-1, 0, 1):
+            if ds == 0 and do == 0:
+                continue
+            is_min &= r2 <= np.roll(np.roll(r2, ds, axis=0), do, axis=1)
+    return is_min

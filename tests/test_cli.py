@@ -274,3 +274,23 @@ def test_write_csv_float_array_matches_per_cell_text(tmp_path):
             assert lines[1] == b"-0.0,0.0,nan,inf"
         if n_rows >= 3:
             assert lines[3] == b"-5e-324,1.0,5e-324,-0.0"
+
+
+def test_write_csv_mixed_repeat_columns_match_per_cell_text(tmp_path):
+    # per column: few distinct values (text rendered once and gathered),
+    # exactly half distinct (the edge of that path), and all distinct
+    n_rows = 2500
+    specials = np.array([-0.0, 0.0, np.nan, -np.nan, 0.1, 1e300, -5e-324])
+    repeat = np.resize(specials, n_rows)
+    half = np.repeat(np.arange(n_rows // 2) * 0.1 - 3.0, 2)
+    unique = np.linspace(-1.0, 1.0, n_rows) ** 3
+    unique[:3] = [-0.0, 0.0, np.nan]
+    rows = np.column_stack([repeat, half, unique, repeat[::-1]])
+    header = ["r", "h", "u", "r2"]
+    serialize.write_csv(tmp_path / "fast.csv", header, rows)
+    serialize.write_csv(tmp_path / "cells.csv", header, list(rows))
+    fast = (tmp_path / "fast.csv").read_bytes()
+    assert fast == (tmp_path / "cells.csv").read_bytes()
+    assert fast.split(b"\r\n")[1:4] == [b"-0.0,-3.0,-0.0,-0.0",
+                                         b"0.0,-3.0,0.0,-5e-324",
+                                         b"nan,-2.9,nan,1e+300"]

@@ -76,6 +76,14 @@ def test_duplicate_points_removed():
     assert len(PointCloud(pts).points) == 2
 
 
+def test_cloud_without_duplicates_stores_a_copy():
+    pts = np.array([[0.0, 1.0], [2.0, 3.0], [-1.0, 0.5]])
+    cloud = PointCloud(pts)
+    assert np.array_equal(cloud.points, pts)
+    pts[0, 0] = 9.0
+    assert cloud.points[0, 0] == 0.0
+
+
 def test_far_away_points_stay_distinct():
     # 1e7 / 1e-12 overflows int64; distinct rows must not be merged
     pts = np.array([[1e7, 0.0], [2e7, 0.0], [3e7, 1.0]])

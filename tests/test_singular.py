@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as hst
+from hypothesis import example, given, settings, strategies as hst
 
 from worldsheet import catalog, singular
 from worldsheet.curves import UnitSpeedCurve
 from worldsheet.errors import PreconditionError
 from worldsheet.gauge import OrthogonalGauge
-from worldsheet.singular import (angle_state, classify_sing_star,
+from worldsheet.singular import (_sublevel_minima, angle_state, classify_sing_star,
                                  find_antipodal_pairs, grid_residuals,
                                  is_global_immersion, null_tangent_check,
                                  sing_star_time_extent, tangent_formula)
 from worldsheet.surface import derivatives, metric_det
+from oracles import roll_minimum_mask
 
 TWO_PI = 2.0 * np.pi
 
@@ -355,12 +356,49 @@ def test_coarse_grid_warning():
 def test_search_above_seed_level_builds_no_minimum_mask(hopf, circle,
                                                         monkeypatch):
     # every hopf grid cell lies above SEED_LEVEL (margin sqrt 2), so the
-    # search returns before the 16 np.roll copies of the local-minimum mask
-    rolls = []
-    roll = np.roll
+    # search returns before the wrap-padded copy of the local-minimum test;
+    # circle builds that copy once, and no search rolls the grid
+    pads, rolls = [], []
+    pad, roll = np.pad, np.roll
+    monkeypatch.setattr(np, "pad",
+                        lambda *a, **k: pads.append(1) or pad(*a, **k))
     monkeypatch.setattr(np, "roll",
                         lambda *a, **k: rolls.append(1) or roll(*a, **k))
     assert find_antipodal_pairs(hopf).empty
-    assert rolls == []
+    assert pads == []
     assert not find_antipodal_pairs(circle).empty
-    assert len(rolls) == 16
+    assert len(pads) == 1
+    assert rolls == []
+
+
+def _roll_seeds(r2, level):
+    return np.argwhere(roll_minimum_mask(r2) & (r2 < level))
+
+
+def test_sublevel_minima_match_roll_mask_on_gauges(equality_gauges):
+    for name, g in equality_gauges.items():
+        res, _ = grid_residuals(g)
+        r2 = res ** 2
+        seeds = _sublevel_minima(r2, singular.SEED_LEVEL)
+        assert np.array_equal(seeds, _roll_seeds(r2, singular.SEED_LEVEL)), name
+        assert (len(seeds) == 0) == (name == "hopf")
+
+
+@hst.composite
+def plateau_grids(draw):
+    """Small grids over a few levels: ties, plateaus and minima on the seam."""
+    rows, cols = draw(hst.integers(1, 7)), draw(hst.integers(1, 7))
+    values = draw(hst.lists(hst.sampled_from([0.0, 0.02, 0.05, 0.1, 0.3, 1.0]),
+                            min_size=rows * cols, max_size=rows * cols))
+    return np.array(values).reshape(rows, cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(plateau_grids(), hst.sampled_from([0.02, 0.1, 0.5, 2.0]))
+# minima tied across the wrap seam in both axes
+@example(np.array([[0.0, 1.0, 1.0, 0.0], [1.0, 1.0, 1.0, 1.0],
+                   [0.0, 1.0, 1.0, 0.0]]), 0.1)
+# a plateau whose edge cell has a lower neighbour across the seam
+@example(np.array([[0.05, 0.05, 0.05, 0.02], [0.3, 0.3, 0.3, 0.3]]), 0.1)
+def test_sublevel_minima_match_roll_mask(r2, level):
+    assert np.array_equal(_sublevel_minima(r2, level), _roll_seeds(r2, level))

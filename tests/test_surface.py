@@ -6,9 +6,11 @@ from scipy.spatial import cKDTree
 from worldsheet import catalog, constructions
 from worldsheet.curves import CallableTangent, UnitSpeedCurve
 from worldsheet.gauge import OrthogonalGauge, couple_from_gauge
-from worldsheet.surface import (constraint_residuals, derivatives, gamma,
-                                metric_det, sample, slice_curve,
-                                slice_set_distance)
+from worldsheet.quadrature import _GL_NODES
+from worldsheet.surface import (_grid_sample, _read_once, constraint_residuals,
+                                derivatives, gamma, metric_det, sample,
+                                slice_curve, slice_set_distance)
+from oracles import full_grid_constraint_residuals
 
 TWO_PI = 2.0 * np.pi
 
@@ -225,3 +227,67 @@ def test_slice_distance_reparametrization_invariant(projection_gauges, name,
     d = slice_set_distance(g, h, t, m_sparse=256)
     assert d <= 1e-12
     assert d == slice_set_distance(h, g, t, m_sparse=256)
+
+
+def test_read_once_keeps_signed_zeros_and_order():
+    y = np.array([0.5, -0.0, 0.0, 0.5, np.nan, -0.0, 2.0])
+    seen = []
+
+    def read(u):
+        seen.append(u.copy())
+        return np.stack([u, np.copysign(1.0, u)], axis=1)
+
+    out = _read_once(read, y)
+    assert len(seen[0]) == 5             # 0.5, -0.0, 0.0, nan, 2.0
+    assert np.array_equal(out, read(y), equal_nan=True)
+    assert np.array_equal(np.signbit(out[:, 0]), np.signbit(y))
+
+
+def test_constraint_residuals_match_full_grid_reference(equality_gauges):
+    for name, g in equality_gauges.items():
+        for args in ((200, 200, 1e-3, 24), (60, 90, 2e-3, 48)):
+            assert (constraint_residuals(g, *args)
+                    == full_grid_constraint_residuals(g, *args)), (name, args)
+
+
+def test_constraint_residuals_read_each_characteristic_once(equality_gauges,
+                                                            monkeypatch):
+    # the census call: a 200^2 derivative grid and a 24^2 wave grid, the
+    # latter at h and h/2, two steps each, 2 * len(_GL_NODES) points a step
+    g = equality_gauges["census0"]
+    expected = constraint_residuals(g, 200, 200, 1e-3, 24)
+    reads = {"a": 0, "b": 0}
+    for name in reads:
+        curve = getattr(g, name)
+
+        def counted(x, _name=name, _tangent=curve.tangent):
+            reads[_name] += np.size(x)
+            return _tangent(x)
+
+        monkeypatch.setattr(curve, "tangent", counted)
+    assert constraint_residuals(g, 200, 200, 1e-3, 24) == expected
+
+    def distinct(n, shift):
+        ts = np.linspace(0.0, g.E0, n, endpoint=False)
+        tt, xx = np.meshgrid(ts, ts + shift, indexing="ij")
+        return {"a": len(np.unique(xx + tt)), "b": len(np.unique(xx - tt))}
+
+    grid, wave = distinct(200, 0.0), distinct(24, 0.37 * g.E0 / 24)
+    for name in reads:
+        assert reads[name] <= grid[name] + 2 * 2 * 2 * len(_GL_NODES) * wave[name]
+    # the full grids read 2 * (200^2 + 2 * 2 * 2 * 8 * 24^2) = 153,728 points
+    assert reads["a"] + reads["b"] < 20_000
+
+
+def test_grid_sample_matches_pointwise_surface(equality_gauges):
+    for name in ("circle", "hopf", "census1", "nonuniq_pi"):
+        g = equality_gauges[name]
+        tt, xx = np.meshgrid(np.linspace(0.0, g.E0, 32, endpoint=False),
+                             np.linspace(0.0, g.E0, 64, endpoint=False),
+                             indexing="ij")
+        pts, gx, gt, det = _grid_sample(g, tt, xx)
+        gx_ref, gt_ref = derivatives(g, tt, xx)
+        assert np.array_equal(pts, gamma(g, tt, xx).reshape(-1, g.dim)), name
+        assert np.array_equal(gx, gx_ref.reshape(-1, g.dim)), name
+        assert np.array_equal(gt, gt_ref.reshape(-1, g.dim)), name
+        assert np.array_equal(det, metric_det(g, tt, xx).ravel()), name

@@ -8,6 +8,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "tools"))
 
 import bench_collect  # noqa: E402
+import scenario_digests  # noqa: E402
 
 
 def _result(path, workload, commit, trace, run_s):
@@ -38,3 +39,12 @@ def test_bench_collect_keeps_untraced_runs_of_one_commit(tmp_path):
                                   "numpy": "2.0", "commit": "c1"}
     with pytest.raises(SystemExit):
         bench_collect.collect("c3", [tmp_path])
+
+
+def test_workload_digests_hash_one_pass_per_seed():
+    # nonuniq_slices ignores its seed, so both passes hash alike
+    digests = scenario_digests.workload_digests(["nonuniq_slices"])
+    assert [name for _, name in digests] == ["nonuniq_slices/seed0",
+                                             "nonuniq_slices/seed1"]
+    assert digests[0][0] == digests[1][0]
+    assert len(digests[0][0]) == 64 and int(digests[0][0], 16) >= 0

@@ -1,16 +1,22 @@
-"""SHA-256 of every output of the sample scenarios.
+"""SHA-256 of every output of the sample scenarios or benchmark workloads.
 
 Runs each ``scenarios/*.json`` through ``cli.run_scenario`` into a
 temporary directory and prints one line ``sha256  <scenario>/<file>``
 per output file, skipping ``run_meta.json`` (it holds wall-clock times).
+With ``--workloads`` it instead runs one pass of each benchmark workload
+of ``perfbench/workloads.py`` at seeds 0 and 1 and prints one line
+``sha256  <workload>/seed<N>`` per pass, the digest of the pass's
+outputs, ``attempted`` and ``failed`` as sorted JSON.
 The package is imported from ``src/`` of the checkout that holds this
 script, so two checkouts can be compared by diffing their output:
 
     python tools/scenario_digests.py > digests.txt
+    python tools/scenario_digests.py --workloads > workload_digests.txt
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import glob
 import hashlib
@@ -22,6 +28,8 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(1, os.path.join(ROOT, "perfbench"))
+WORKLOAD_SEEDS = (0, 1)
 
 from worldsheet import cli  # noqa: E402
 
@@ -46,6 +54,32 @@ def scenario_digests():
     return out
 
 
+def workload_digests(names=None):
+    """(sha256, "<workload>/seed<N>") of one pass of each benchmark
+    workload (all of them by default) at each of WORKLOAD_SEEDS."""
+    import workloads
+    out = []
+    for name in names or list(workloads.WORKLOADS):
+        run_pass = workloads.WORKLOADS[name][1]
+        for seed in WORKLOAD_SEEDS:
+            inputs = workloads.make_inputs(name, seed)
+            with tempfile.TemporaryDirectory() as tmp, \
+                    contextlib.redirect_stderr(io.StringIO()):
+                outputs, attempted, failed = run_pass(
+                    inputs, tmp, lambda i: contextlib.nullcontext())
+            raw = json.dumps({"outputs": outputs, "attempted": attempted,
+                              "failed": failed}, sort_keys=True)
+            out.append((hashlib.sha256(raw.encode()).hexdigest(),
+                        f"{name}/seed{seed}"))
+    return out
+
+
 if __name__ == "__main__":
-    for digest, name in scenario_digests():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--workloads", action="store_true",
+                        help="digest the benchmark workloads' pass outputs "
+                             "at seeds 0 and 1 instead of the scenarios")
+    digests = (workload_digests() if parser.parse_args().workloads
+               else scenario_digests())
+    for digest, name in digests:
         print(f"{digest}  {name}")
