@@ -93,8 +93,12 @@ def grid_residuals(g: OrthogonalGauge, grid_n=DEFAULT_GRID):
     s = np.linspace(0.0, E0, grid_n, endpoint=False)
     A = g.a.tangent(s)
     B = g.b.tangent(s)
-    r2 = 2.0 + 2.0 * (A @ B.T)
-    return np.sqrt(np.clip(r2, 0.0, None)), s
+    # 2 + 2 A.B in place: each temporary of the grid costs a fresh
+    # allocation of grid_n^2 floats
+    r2 = A @ B.T
+    r2 *= 2.0
+    r2 += 2.0
+    return np.sqrt(np.clip(r2, 0.0, None, out=r2), out=r2), s
 
 
 def _gauss_newton(g, s0, sig0):
@@ -133,15 +137,16 @@ def _nms(points_embed, order, radius):
     """Greedy non-maximum suppression: keep points in ``order`` whose
     embedded distance to every kept point exceeds ``radius``."""
     from scipy.spatial import cKDTree
-    tree = cKDTree(points_embed)
+    # one batched query: per-point queries cost more in call overhead than
+    # the neighbours of the points that end up suppressed
+    near = cKDTree(points_embed).query_ball_point(points_embed, radius)
     kept = []
     suppressed = np.zeros(len(points_embed), dtype=bool)
     for i in order:
         if suppressed[i]:
             continue
         kept.append(i)
-        for j in tree.query_ball_point(points_embed[i], radius):
-            suppressed[j] = True
+        suppressed[near[i]] = True
     return np.array(kept, dtype=int)
 
 
@@ -150,16 +155,18 @@ def _sublevel_minima(r2, level):
     that are local minima on the torus: no larger than any of their 8
     neighbours.  Only the sub-level cells are tested, each against one
     wrap-padded copy of r2 read at flat offsets."""
-    cells = np.argwhere(r2 < level)
-    width = r2.shape[1] + 2
+    cols = r2.shape[1]
+    width = cols + 2
+    cells = np.flatnonzero(r2 < level)
+    # cell (i, j) = i * cols + j sits at (i + 1, j + 1) of the padded copy
+    centre = cells + 2 * (cells // cols) + width + 1
     padded = np.pad(r2, 1, mode="wrap").ravel()
-    centre = (cells[:, 0] + 1) * width + cells[:, 1] + 1
     value = padded[centre]
     is_min = np.ones(len(cells), dtype=bool)
     for offset in (-width - 1, -width, -width + 1, -1, 1,
                    width - 1, width, width + 1):
         is_min &= value <= padded[centre + offset]
-    return cells[is_min]
+    return np.stack(np.divmod(cells[is_min], cols), axis=1)
 
 
 def find_antipodal_pairs(g: OrthogonalGauge, grid_n=DEFAULT_GRID, tol=None):
@@ -190,8 +197,8 @@ def find_antipodal_pairs(g: OrthogonalGauge, grid_n=DEFAULT_GRID, tol=None):
             f"{turning:.3g}; suggest grid_n >= {int(np.ceil(2 * E0 * turning))}",
             RuntimeWarning, stacklevel=2)
     res_grid, grid = grid_residuals(g, grid_n)
-    r2 = res_grid ** 2
     min_grid = float(res_grid.min())
+    r2 = np.square(res_grid, out=res_grid)
     if r2.min() >= SEED_LEVEL:
         return DetectionReport([], grid_n, min_grid, tol)
 

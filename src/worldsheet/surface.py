@@ -90,7 +90,7 @@ def _read_once(read, y):
     """
     y = np.ascontiguousarray(y, dtype=float)
     u, inv = np.unique(y.view(np.int64), return_inverse=True)
-    return read(u.view(float))[inv]
+    return np.take(read(u.view(float)), inv, axis=0)
 
 
 def _grid_derivatives(g: OrthogonalGauge, s, sig):
