@@ -212,11 +212,12 @@ def write_csv(path, header, rows):
         # keep the lists small.  A column of which at most half the values
         # are distinct (by bit pattern) renders each distinct value once.
         if isinstance(rows, np.ndarray) and rows.dtype == np.float64:
-            texts = [_repeated_text(c) for c in rows.T]
+            bits = rows.view(np.int64)
+            texts = [_repeated_text(c) for c in bits.T]
             for i in range(0, len(rows), 1024):
-                block = rows[i:i + 1024]
+                block, block_bits = rows[i:i + 1024], bits[i:i + 1024]
                 cols = [map(repr, block[:, j].tolist()) if text is None
-                        else text[0][text[1][i:i + 1024]].tolist()
+                        else text(block_bits[:, j])
                         for j, text in enumerate(texts)]
                 fh.write("".join(",".join(r) + "\r\n" for r in zip(*cols)))
             return
@@ -225,11 +226,12 @@ def write_csv(path, header, rows):
                         else v for v in row])
 
 
-def _repeated_text(column):
-    """(repr of each distinct value, index of each row's value) for a float
-    column of which at most half the values are distinct, else None."""
-    u, inv = np.unique(np.ascontiguousarray(column).view(np.int64),
-                       return_inverse=True)
-    if 2 * len(u) > len(column):
+def _repeated_text(bits):
+    """For a column of float64 bit patterns of which at most half are
+    distinct, a function from bit patterns of the column to the repr of
+    their values, each distinct value rendered once; otherwise None."""
+    keys = np.unique(bits)
+    if 2 * len(keys) > len(bits):
         return None
-    return np.array([repr(v) for v in u.view(float).tolist()], dtype=object), inv
+    text = np.array([repr(v) for v in keys.view(float).tolist()], dtype=object)
+    return lambda b: text[np.searchsorted(keys, b)].tolist()

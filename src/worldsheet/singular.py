@@ -137,8 +137,8 @@ def _nms(points_embed, order, radius):
     """Greedy non-maximum suppression: keep points in ``order`` whose
     embedded distance to every kept point exceeds ``radius``."""
     from scipy.spatial import cKDTree
-    # one batched query: per-point queries cost more in call overhead than
-    # the neighbours of the points that end up suppressed
+    # one batched query for every point, also those later suppressed:
+    # cheaper than the call overhead of one query per kept point
     near = cKDTree(points_embed).query_ball_point(points_embed, radius)
     kept = []
     suppressed = np.zeros(len(points_embed), dtype=bool)

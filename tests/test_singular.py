@@ -6,10 +6,11 @@ from worldsheet import catalog, singular
 from worldsheet.curves import UnitSpeedCurve
 from worldsheet.errors import PreconditionError
 from worldsheet.gauge import OrthogonalGauge
-from worldsheet.singular import (_sublevel_minima, angle_state, classify_sing_star,
-                                 find_antipodal_pairs, grid_residuals,
-                                 is_global_immersion, null_tangent_check,
-                                 sing_star_time_extent, tangent_formula)
+from worldsheet.singular import (_sublevel_minima, angle_state,
+                                 classify_sing_star, find_antipodal_pairs,
+                                 grid_residuals, is_global_immersion,
+                                 null_tangent_check, sing_star_time_extent,
+                                 tangent_formula)
 from worldsheet.surface import derivatives, metric_det
 from oracles import roll_minimum_mask
 

@@ -273,8 +273,9 @@ def test_constraint_residuals_read_each_characteristic_once(equality_gauges,
         return {"a": len(np.unique(xx + tt)), "b": len(np.unique(xx - tt))}
 
     grid, wave = distinct(200, 0.0), distinct(24, 0.37 * g.E0 / 24)
+    per_wave_value = 2 * 2 * 2 * len(_GL_NODES)
     for name in reads:
-        assert reads[name] <= grid[name] + 2 * 2 * 2 * len(_GL_NODES) * wave[name]
+        assert reads[name] <= grid[name] + per_wave_value * wave[name]
     # the full grids read 2 * (200^2 + 2 * 2 * 2 * 8 * 24^2) = 153,728 points
     assert reads["a"] + reads["b"] < 20_000
 

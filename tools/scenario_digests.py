@@ -29,9 +29,10 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(1, os.path.join(ROOT, "perfbench"))
-WORKLOAD_SEEDS = (0, 1)
 
 from worldsheet import cli  # noqa: E402
+
+WORKLOAD_SEEDS = (0, 1)
 
 
 def scenario_digests():
