@@ -287,22 +287,23 @@ def _hull_interior_lp(points):
     """max t s.t. sum(lam_i p_i) = 0, sum(lam) = 1, lam_i >= t.
 
     Positive optimum certifies that 0 admits a strictly positive convex
-    combination of the points (relative-interior containment).
+    combination of the points (relative-interior containment).  Solved
+    as lam = t + mu, mu >= 0: n + 1 equality rows and bounds only.
     """
     m, n = points.shape
-    # variables: lam (m), t
+    # variables: mu (m), t
     c = np.zeros(m + 1)
     c[-1] = -1.0
-    a_eq = np.zeros((n + 1, m + 1))
+    a_eq = np.empty((n + 1, m + 1))
     a_eq[:n, :m] = points.T
+    a_eq[:n, m] = points.sum(axis=0)
     a_eq[n, :m] = 1.0
+    a_eq[n, m] = m
     b_eq = np.zeros(n + 1)
     b_eq[n] = 1.0
-    a_ub = np.hstack([-np.eye(m), np.ones((m, 1))])
-    b_ub = np.zeros(m)
     from scipy.optimize import linprog
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                  bounds=[(None, None)] * m + [(None, 1.0)], method="highs")
+    res = linprog(c, A_eq=a_eq, b_eq=b_eq,
+                  bounds=[(0.0, None)] * m + [(None, 1.0)], method="highs")
     if not res.success:
         return -np.inf
     return float(-res.fun)

@@ -27,6 +27,7 @@ PROBE_MODES = 8                 # Fourier modes per perturbation component
 PROBE_NEWTON_STEPS = 6          # Newton steps of a perturbation's re-closure
 PROBE_CLOSURE_TOL = 1e-12       # Newton stop; times max(1, period), the discard limit
 TRANSVERSAL_COND = 1e6          # largest Jacobian condition of a transversal pair
+PROBE_TABLES = 8                # point sets whose probe tables a basis keeps
 
 
 @dataclass
@@ -237,32 +238,46 @@ def _gauss_linking_polylines(P, Q):
     (exact per segment pair, up to rounding).  Pair (i, j) reads
     D = P - Q at (i, j), (i, j+1), (i+1, j+1), (i+1, j): each block forms
     D as three planes, and its norms and adjacent dot products, once.
-    3-term sums run left to right, as numpy's length-3 reductions do."""
+    3-term sums run left to right, as numpy's length-3 reductions do.
+
+    The per-pair angles of a block of 256 P segments fill one reused
+    buffer, 16 P segments at a time, so no temporary exceeds
+    17 x (len(Q) + 1); each block's buffer is summed once."""
     Pc = np.vstack([P, P[:1]])
     Qc = np.vstack([Q, Q[:1]])
     total = 0.0
-    block = 256
+    block, chunk = 256, 16
+    angles = np.empty((min(block, len(P)), len(Q)))
     for i0 in range(0, len(P), block):
-        x, y, z = (Pc[i0:i0 + block + 1, k, None] - Qc[None, :, k]
-                   for k in range(3))
-        norm = np.sqrt(x * x + y * y + z * z)
-        H = x[:, :-1] * x[:, 1:] + y[:, :-1] * y[:, 1:] + z[:, :-1] * z[:, 1:]
-        V = x[:-1] * x[1:] + y[:-1] * y[1:] + z[:-1] * z[1:]
-        a = (x[:-1, :-1], y[:-1, :-1], z[:-1, :-1])
-        b = (x[:-1, 1:], y[:-1, 1:], z[:-1, 1:])
-        c = (x[1:, 1:], y[1:, 1:], z[1:, 1:])
-        na, nb = norm[:-1, :-1], norm[:-1, 1:]
-        nc, nd = norm[1:, 1:], norm[1:, :-1]
-        ab, dc = H[:-1], H[1:]
-        ad, bc = V[:, :-1], V[:, 1:]
-        ca = c[0] * a[0] + c[1] * a[1] + c[2] * a[2]
-        p = (a[0] * (b[1] * c[2] - b[2] * c[1])
-             + a[1] * (b[2] * c[0] - b[0] * c[2])
-             + a[2] * (b[0] * c[1] - b[1] * c[0]))
-        d1 = na * nb * nc + ab * nc + bc * na + ca * nb
-        d2 = na * nd * nc + ad * nc + dc * na + ca * nd
-        total += (np.arctan2(p, d1) + np.arctan2(p, d2)).sum()
+        nb = min(block, len(P) - i0)
+        for r0 in range(0, nb, chunk):
+            r1 = min(r0 + chunk, nb)
+            _gauss_pair_angles(Pc[i0 + r0:i0 + r1 + 1], Qc, angles[r0:r1])
+        total += angles[:nb].sum()
     return total / (2.0 * np.pi)
+
+
+def _gauss_pair_angles(Pc, Qc, out):
+    """Into ``out``: the solid-angle terms arctan2(p, d1) + arctan2(p, d2)
+    of the segment pairs of the polylines Pc and Qc (vertex rows)."""
+    x, y, z = (Pc[:, k, None] - Qc[None, :, k] for k in range(3))
+    norm = np.sqrt(x * x + y * y + z * z)
+    H = x[:, :-1] * x[:, 1:] + y[:, :-1] * y[:, 1:] + z[:, :-1] * z[:, 1:]
+    V = x[:-1] * x[1:] + y[:-1] * y[1:] + z[:-1] * z[1:]
+    a = (x[:-1, :-1], y[:-1, :-1], z[:-1, :-1])
+    b = (x[:-1, 1:], y[:-1, 1:], z[:-1, 1:])
+    c = (x[1:, 1:], y[1:, 1:], z[1:, 1:])
+    na, nb = norm[:-1, :-1], norm[:-1, 1:]
+    nc, nd = norm[1:, 1:], norm[1:, :-1]
+    ab, dc = H[:-1], H[1:]
+    ad, bc = V[:, :-1], V[:, 1:]
+    ca = c[0] * a[0] + c[1] * a[1] + c[2] * a[2]
+    p = (a[0] * (b[1] * c[2] - b[2] * c[1])
+         + a[1] * (b[2] * c[0] - b[0] * c[2])
+         + a[2] * (b[0] * c[1] - b[1] * c[0]))
+    d1 = na * nb * nc + ab * nc + bc * na + ca * nb
+    d2 = na * nd * nc + ad * nc + dc * na + ca * nd
+    np.add(np.arctan2(p, d1), np.arctan2(p, d2), out=out)
 
 
 CROSSING_ROTATIONS = 8          # projection directions tried before giving up
@@ -431,7 +446,8 @@ class PerturbationReport:
 class _ProbeBasis:
     """What every perturbation of one curve shares: the nodes, the base
     tangent and its nodal period integral, the re-closure bump (integral
-    1) and the mode table e^{i m omega x} at the nodes."""
+    1), the mode table e^{i m omega x} at the nodes, and the tables of
+    the point sets that perturbed tangents are read at."""
 
     def __init__(self, curve):
         P = curve.period
@@ -447,6 +463,23 @@ class _ProbeBasis:
         self.ms = np.arange(1, PROBE_MODES + 1)
         self.omega = 2.0 * np.pi / P
         self.modes = _modes(self.xs, self.omega)
+        self._tables = {}
+
+    def tables(self, x, order):
+        """(rep(x), modes, bump) at the points x, plus (rep'(x), bump')
+        at order 1: the trial-independent terms of a perturbed tangent.
+        The first PROBE_TABLES point sets asked for are kept, which holds
+        the grids that every trial's checks read again."""
+        key = (order, x.shape, x.tobytes())
+        out = self._tables.get(key)
+        if out is None:
+            rep, P = self.curve.rep, self.curve.period
+            out = (rep(x), _modes(x, self.omega), _bump(x, P)[..., None])
+            if order:
+                out += (rep(x, 1), _bump(x, P, 1)[..., None])
+            if len(self._tables) < PROBE_TABLES:
+                self._tables[key] = out
+        return out
 
     def field(self, rng):
         """The mode coefficients (cc, ss), each (PROBE_MODES, dim), of a
@@ -483,20 +516,22 @@ def _perturbed_rep(basis, amp, damp, c):
     rule (damp_m = i m omega amp_m)."""
     from .curves import CallableTangent
 
-    rep, P, omega = basis.curve.rep, basis.curve.period, basis.omega
+    rep = basis.curve.rep
 
     def fn(x, order):
-        modes = _modes(x, omega)
-        v = rep(x) + (modes @ amp).real + _bump(x, P)[..., None] * c
+        tables = basis.tables(x, order)
+        base, modes, bump = tables[:3]
+        v = base + (modes @ amp).real + bump * c
         r = _rows_norm(v)[..., None]
         t = v / r
         if order == 0:
             return t
-        dv = rep(x, 1) + (modes @ damp).real + _bump(x, P, 1)[..., None] * c
+        dbase, dbump = tables[3:]
+        dv = dbase + (modes @ damp).real + dbump * c
         return dv / r - t * (t * dv).sum(axis=-1, keepdims=True) / r
 
-    return CallableTangent(fn, P, rep.dim, tol_class="analytic",
-                           breakpoints=rep.breakpoints)
+    return CallableTangent(fn, basis.curve.period, rep.dim,
+                           tol_class="analytic", breakpoints=rep.breakpoints)
 
 
 def _perturb_curve(basis, rng, epsilon):

@@ -6,6 +6,8 @@ periods against it.  ``full_grid_constraint_residuals`` and
 ``roll_minimum_mask`` are the direct formulations of the residual grids
 and of the local-minimum test, reading every grid point and rolling the
 whole grid; the package must match them bit for bit.
+``hull_interior_lp_dense`` is the hull-margin linear program with its
+inequality rows written out.
 """
 
 from __future__ import annotations
@@ -128,3 +130,23 @@ def roll_minimum_mask(r2):
                 continue
             is_min &= r2 <= np.roll(np.roll(r2, ds, axis=0), do, axis=1)
     return is_min
+
+
+def hull_interior_lp_dense(points):
+    """max t s.t. sum(lam_i p_i) = 0, sum(lam) = 1, lam_i >= t, with the
+    m inequalities lam_i >= t written out as a dense block; -inf when
+    the solver fails."""
+    from scipy.optimize import linprog
+
+    m, n = points.shape
+    c = np.zeros(m + 1)
+    c[-1] = -1.0
+    a_eq = np.zeros((n + 1, m + 1))
+    a_eq[:n, :m] = points.T
+    a_eq[n, :m] = 1.0
+    b_eq = np.zeros(n + 1)
+    b_eq[n] = 1.0
+    a_ub = np.hstack([-np.eye(m), np.ones((m, 1))])
+    res = linprog(c, A_ub=a_ub, b_ub=np.zeros(m), A_eq=a_eq, b_eq=b_eq,
+                  bounds=[(None, None)] * m + [(None, 1.0)], method="highs")
+    return float(-res.fun) if res.success else -np.inf

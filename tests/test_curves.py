@@ -5,10 +5,10 @@ from hypothesis import given, settings, strategies as st
 from worldsheet import catalog, constructions
 from worldsheet.curves import (CallableTangent, PlateauSpline,
                                SphereSamplesTangent, UnitSpeedCurve,
-                               from_tangent_image, sampled_hausdorff,
-                               smoothstep)
+                               _hull_interior_lp, from_tangent_image,
+                               sampled_hausdorff, smoothstep)
 from worldsheet.errors import PreconditionError
-from oracles import adaptive_simpson
+from oracles import adaptive_simpson, hull_interior_lp_dense
 from worldsheet.quadrature import _panel_gl
 
 TWO_PI = 2.0 * np.pi
@@ -129,6 +129,31 @@ def test_from_tangent_image_rejects_hemisphere():
 
     with pytest.raises(PreconditionError, match="convex hull"):
         from_tangent_image(north, k=1)
+
+
+def _hull_point_sets():
+    rng = np.random.default_rng(7)
+
+    def sphere(m, dim):
+        v = rng.normal(size=(m, dim))
+        return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+    shifted = sphere(256, 3) + [0.0, 0.0, 0.3]
+    cap = sphere(256, 3)
+    cap[:, 2] = np.abs(cap[:, 2]) + 0.1            # 0 outside the hull
+    edge = sphere(256, 3)
+    edge[:, 2] = np.abs(edge[:, 2])
+    edge[:8, 2] = 0.0                               # 0 on a hull facet
+    return {"s2": sphere(256, 3), "s3": sphere(256, 4), "s1": sphere(64, 2),
+            "shifted": shifted, "cap": cap, "edge": edge}
+
+
+def test_hull_interior_lp_matches_dense_formulation():
+    for name, pts in _hull_point_sets().items():
+        t_star = _hull_interior_lp(pts)
+        assert abs(t_star - hull_interior_lp_dense(pts)) <= 1e-12, name
+        assert (t_star > 1e-9) == (name not in ("cap", "edge")), name
+    assert _hull_interior_lp(_hull_point_sets()["cap"]) < 0.0
 
 
 def test_from_tangent_image_sampled_input():

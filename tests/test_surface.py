@@ -7,7 +7,8 @@ from worldsheet import catalog, constructions
 from worldsheet.curves import CallableTangent, UnitSpeedCurve
 from worldsheet.gauge import OrthogonalGauge, couple_from_gauge
 from worldsheet.quadrature import _GL_NODES
-from worldsheet.surface import (_grid_sample, _read_once, constraint_residuals,
+from worldsheet.surface import (_grid_sample, _read_once, _row_dot,
+                                constraint_residuals,
                                 derivatives, gamma, metric_det, sample,
                                 slice_curve, slice_set_distance)
 from oracles import full_grid_constraint_residuals
@@ -292,3 +293,17 @@ def test_grid_sample_matches_pointwise_surface(equality_gauges):
         assert np.array_equal(gx, gx_ref.reshape(-1, g.dim)), name
         assert np.array_equal(gt, gt_ref.reshape(-1, g.dim)), name
         assert np.array_equal(det, metric_det(g, tt, xx).ravel()), name
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_row_dot_matches_numpy_row_sums(dim):
+    rng = np.random.default_rng(dim)
+    u = rng.normal(size=(2000, dim))
+    v = rng.normal(size=(2000, dim))
+    u[rng.random(u.shape) < 0.2] = 0.0
+    v[rng.random(v.shape) < 0.2] = -0.0
+    for a, b in ((u, v), (u, u), (u[0], v[0])):
+        ref = np.asarray((a * b).sum(-1))
+        got = np.asarray(_row_dot(a, b))
+        assert got.shape == ref.shape
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))

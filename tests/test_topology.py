@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -288,6 +289,24 @@ def test_gauss_linking_planes_bit_identical(n_p, n_q, seed):
     P += 0.1 * rng.normal(size=P.shape)
     Q += 0.1 * rng.normal(size=Q.shape)
     assert _gauss_linking_polylines(P, Q) == _gauss_linking_reference(P, Q)
+
+
+def test_gauss_linking_traced_peak_below_8mb():
+    t = np.linspace(0.0, TWO_PI, 1024, endpoint=False)
+    P = np.stack([np.cos(t), np.sin(t), 0 * t], axis=1)
+    Q = np.stack([1 + np.cos(t), 0 * t, np.sin(t)], axis=1)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        lk = _gauss_linking_polylines(P, Q)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert abs(abs(lk) - 1.0) < 1e-6
+    assert peak < 8e6
 
 
 def _reference_probe(g, epsilon, trials, seed, nodes=4096, n_modes=8,
