@@ -273,15 +273,15 @@ def normal_velocity_fields(deriv, rho, n):
     return fields
 
 
-def fourier_couple(n=2, seed=0, modes=3, v_scale=0.5):
-    """Random periodic admissible couple: a unit circle in the first two
-    coordinates perturbed by Fourier modes 2..modes+1, with velocity
-    field v0 = rho(x) * N(x) along a unit normal.  Closed by construction;
-    immersion and subluminality are guaranteed by the amplitude budget."""
+def fourier_couple(seed=0, modes=3, v_scale=0.5):
+    """Random periodic admissible planar couple: a unit circle perturbed
+    by Fourier modes 2..modes+1, with velocity field v0 = rho(x) * N(x)
+    along the unit normal.  Closed by construction; immersion and
+    subluminality are guaranteed by the amplitude budget."""
     rng = np.random.default_rng(seed)
     ms = np.arange(2, modes + 2)
-    coef_c = rng.normal(size=(len(ms), n)) / ms[:, None] ** 2
-    coef_s = rng.normal(size=(len(ms), n)) / ms[:, None] ** 2
+    coef_c = rng.normal(size=(len(ms), 2)) / ms[:, None] ** 2
+    coef_s = rng.normal(size=(len(ms), 2)) / ms[:, None] ** 2
     # scale so the perturbation of gamma0' stays below 1/2, keeping the
     # base circle an immersion with definite margin
     budget = float(((np.abs(coef_c) + np.abs(coef_s)) * ms[:, None]).sum())
@@ -289,18 +289,18 @@ def fourier_couple(n=2, seed=0, modes=3, v_scale=0.5):
     coef_c *= scale
     coef_s *= scale
     phase = rng.uniform(0.0, TWO_PI)
-    base = rng.normal(scale=0.2, size=n)
+    base = rng.normal(scale=0.2, size=2)
     fields = normal_velocity_fields(
-        fourier_loop_deriv(n, list(zip(ms, coef_c, coef_s))),
-        lambda x: v_scale * (0.6 + 0.4 * np.sin(x + phase)), n)
-    return AdmissibleCouple(fields, TWO_PI, n, base,
+        fourier_loop_deriv(2, list(zip(ms, coef_c, coef_s))),
+        lambda x: v_scale * (0.6 + 0.4 * np.sin(x + phase)), 2)
+    return AdmissibleCouple(fields, TWO_PI, 2, base,
                             metadata={"seed": seed, "modes": modes})
 
 
 def random_planar_gauge(seed=0, modes=3, v_scale=0.5):
     """Random n = 2 gauge in the periodic class, via a Fourier couple."""
     from .gauge import gauge_from_couple, normalize
-    couple = normalize(fourier_couple(2, seed=seed, modes=modes,
+    couple = normalize(fourier_couple(seed=seed, modes=modes,
                                       v_scale=v_scale))
     g = gauge_from_couple(couple)
     g.metadata["name"] = f"random-planar-{seed}"

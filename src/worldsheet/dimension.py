@@ -37,6 +37,14 @@ def _row_groups(keys):
     return order, first
 
 
+def _distinct_keys(col):
+    """True when no two entries of col round to the same 1e-12 key."""
+    key = col / 1e-12
+    np.round(key, out=key)
+    key.sort()
+    return not (key[1:] == key[:-1]).any()
+
+
 @dataclass
 class PointCloud:
     points: np.ndarray
@@ -50,8 +58,15 @@ class PointCloud:
             raise PreconditionError("point cloud coordinates must be finite")
         # drop duplicates at 1e-12 resolution, keeping first occurrences in
         # input order; the rounded keys stay float, since an int64 cast
-        # overflows once |coordinate| exceeds ~9.2e6
-        order, first = _row_groups(np.round(pts / 1e-12))
+        # overflows once |coordinate| exceeds ~9.2e6.  Rows are distinct as
+        # soon as one column's keys are, which one 1-D sort shows; only a
+        # cloud with no such column is grouped by the row lexsort
+        if any(_distinct_keys(pts[:, j]) for j in range(pts.shape[1])):
+            self.points = pts.copy()
+            return
+        keys = pts / 1e-12
+        np.round(keys, out=keys)
+        order, first = _row_groups(keys)
         self.points = pts.copy() if first.all() else pts[np.sort(order[first])]
 
     @property
@@ -111,12 +126,12 @@ def box_count(cloud: PointCloud, scales=DEFAULT_SCALES):
         raise PreconditionError("at least 5 scales required")
     if np.any(np.diff(scales) >= 0):
         raise PreconditionError("scales must be strictly decreasing")
-    diam = cloud.diameter
+    lo = cloud.points.min(axis=0)
+    hi = cloud.points.max(axis=0)
+    diam = float(np.linalg.norm(hi - lo))
     if scales[0] > 0.25 * diam:
         raise PreconditionError(
             f"largest scale {scales[0]:.3g} exceeds diameter/4 = {diam / 4:.3g}")
-    lo = cloud.points.min(axis=0)
-    hi = cloud.points.max(axis=0)
     counts = np.array([_count_boxes(cloud.points, lo, hi, eps) for eps in scales])
     x = np.log(1.0 / scales)
     y = np.log(counts.astype(float))
@@ -145,15 +160,19 @@ def singstar_cloud(g: OrthogonalGauge, resolution=1024, which="sing_star"):
                                  else "sigma_star"])
         t_lo, t_hi = pred["t_window"]
         ts = np.linspace(t_lo, t_hi, resolution)
-        pts = []
-        for s in s_vals:
+        # one (t, gamma) block of rows per characteristic, written in place
+        pts = np.empty((len(s_vals) * resolution, 1 + g.dim))
+        for i, s in enumerate(s_vals):
             # gamma(g, ts, xs) with a read once per distinct x + t: on a
             # characteristic (s - ts) + ts rounds to one or few values
             xs = s - ts
-            gm = 0.5 * (_read_once(g.a.position, xs + ts)
-                        + g.b.position(xs - ts))
-            pts.append(np.column_stack([ts, gm]))
-        cloud = PointCloud(np.vstack(pts),
+            rows = slice(i * resolution, (i + 1) * resolution)
+            pts[rows, 0] = ts
+            gm = pts[rows, 1:]
+            np.add(_read_once(g.a.position, xs + ts), g.b.position(xs - ts),
+                   out=gm)
+            gm *= 0.5
+        cloud = PointCloud(pts,
                            provenance={"gauge": g.metadata.get("name", "?"),
                                        "resolution": resolution,
                                        "which": which})

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -90,6 +91,43 @@ def test_far_away_points_stay_distinct():
     assert np.array_equal(PointCloud(pts).points, pts)
 
 
+def _dedup_by_row_groups(pts):
+    order, first = _row_groups(np.round(pts / 1e-12))
+    return pts[np.sort(order[first])]
+
+
+def test_column_with_distinct_keys_skips_row_grouping():
+    pts = np.random.default_rng(5).uniform(0, 1, size=(1000, 3))
+    pts[:, 0] = np.repeat(np.arange(10.0), 100)
+    with mock.patch.object(dimension, "_row_groups",
+                           wraps=dimension._row_groups) as spy:
+        cloud = PointCloud(pts)
+    assert not spy.called
+    assert np.array_equal(cloud.points, pts)
+
+
+def test_distinct_rows_without_a_distinct_column_are_grouped():
+    pts = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+    with mock.patch.object(dimension, "_row_groups",
+                           wraps=dimension._row_groups) as spy:
+        cloud = PointCloud(pts)
+    assert spy.call_count == 1
+    assert np.array_equal(cloud.points, pts)
+
+
+@pytest.mark.parametrize("pts", [
+    [[0.0, 1.0], [-0.0, 1.0], [1.0, 2.0]],
+    [[0.0, 1.0], [-0.0, 2.0]],
+    [[-0.0, 3.0], [0.0, 3.0]],
+    [[1e-13, 0.0], [-1e-13, 0.0], [0.0, 0.0]],
+    [[-0.0], [0.0], [2.0]],
+])
+def test_signed_zero_keys_dedup_as_row_groups(pts):
+    # -0.0 and 0.0 compare equal, in the column sort as in the lexsort
+    pts = np.array(pts)
+    assert np.array_equal(PointCloud(pts).points, _dedup_by_row_groups(pts))
+
+
 @st.composite
 def integer_clouds(draw):
     """Small integer clouds, d in 1..4, with forced duplicate rows."""
@@ -122,6 +160,24 @@ def test_row_groups_and_dedup_match_unique(keys, scale):
     assert np.array_equal(np.sort(order[first]), keep)
     pts = keys * scale
     assert np.array_equal(PointCloud(pts).points, pts[keep])
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_clouds(), st.data())
+def test_column_and_row_dedup_keep_first_occurrences(keys, data):
+    # half the clouds get an all-distinct column at a drawn position, so
+    # the column test ends the dedup; in the rest no column may be distinct
+    pts = keys.astype(float)
+    if data.draw(st.booleans()):
+        col = data.draw(st.permutations(range(len(pts))))
+        at = data.draw(st.integers(0, pts.shape[1]))
+        pts = np.insert(pts, at, np.array(col) * 0.5, axis=1)
+    distinct = any(len(np.unique(c)) == len(c) for c in pts.T)
+    with mock.patch.object(dimension, "_row_groups",
+                           wraps=dimension._row_groups) as spy:
+        cloud = PointCloud(pts)
+    assert spy.called != distinct
+    assert np.array_equal(cloud.points, pts[_first_occurrences(pts)])
 
 
 @settings(max_examples=100, deadline=None)
@@ -190,6 +246,21 @@ def test_singstar_cloud_is_gamma_on_product_grid(request, fixture, which):
     ref = np.vstack([np.column_stack([ts, surface.gamma(g, ts, s - ts)])
                      for s in pred["sigma_sing" if which == "sing" else "sigma_star"]])
     assert np.array_equal(cloud.points, PointCloud(ref).points)
+
+
+def test_singstar_cloud_peak_memory(cantor_k1):
+    # the cloud is filled in place and deduplicated by column sorts: the
+    # traced peak is the filled array plus the stored copy, not a list of
+    # blocks, their stacked copy and two full key arrays
+    g, _ = cantor_k1
+    singstar_cloud(g, resolution=512)
+    tracemalloc.start()
+    try:
+        cloud = singstar_cloud(g, resolution=512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * cloud.points.nbytes
 
 
 def test_unreliable_flag():

@@ -65,7 +65,7 @@ def test_normalize_with_velocity():
 
 
 def test_normalize_idempotent():
-    couple = catalog.fourier_couple(2, seed=13)
+    couple = catalog.fourier_couple(seed=13)
     nc = normalize(couple)
     xs = np.linspace(0, nc.period, 512)
     again = normalize(nc)
@@ -91,7 +91,7 @@ def test_gauge_requires_normalized_couple():
 
 
 def test_gauge_from_random_couple_membership_seed7():
-    couple = normalize(catalog.fourier_couple(2, seed=7, modes=3))
+    couple = normalize(catalog.fourier_couple(seed=7, modes=3))
     g = gauge_from_couple(couple)
     xs = np.linspace(0, g.E0, 10000, endpoint=False)
     s = np.linalg.norm(g.a.tangent(xs) + g.b.tangent(xs), axis=1)
@@ -120,7 +120,7 @@ def test_couple_from_gauge_hopf_half_energies(hopf):
 
 
 def test_round_trip_identity_seed11():
-    couple = normalize(catalog.fourier_couple(2, seed=11, modes=3))
+    couple = normalize(catalog.fourier_couple(seed=11, modes=3))
     g = gauge_from_couple(couple)
     back = couple_from_gauge(g)
     g2 = gauge_from_couple(back)
@@ -221,8 +221,8 @@ def test_baked_nodes_is_the_larger_node_count():
 
 
 def test_normalized_couple_never_serves_stale_node_set():
-    couple = normalize(catalog.fourier_couple(2, seed=3))
-    fresh = normalize(catalog.fourier_couple(2, seed=3))
+    couple = normalize(catalog.fourier_couple(seed=3))
+    fresh = normalize(catalog.fourier_couple(seed=3))
     xs = np.linspace(0.0, couple.period, 64, endpoint=False)
     for j in range(8):                      # more node sets than are kept
         couple.fields(xs + 0.01 * j)
