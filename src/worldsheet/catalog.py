@@ -246,8 +246,10 @@ def fourier_loop_deriv(n, modes=(), radius=1.0):
         out[..., 0] = -radius * np.sin(x)
         out[..., 1] = radius * np.cos(x)
         for m, c, s in modes:
-            out += (np.multiply.outer(-m * np.sin(m * x), c)
-                    + np.multiply.outer(m * np.cos(m * x), s))
+            u = -m * np.sin(m * x)
+            w = m * np.cos(m * x)
+            for j in range(n):
+                out[..., j] += u * c[j] + w * s[j]
         return out
 
     return deriv
@@ -260,14 +262,19 @@ def normal_velocity_fields(deriv, rho, n):
     def fields(x):
         x = np.asarray(x, dtype=float)
         gp = deriv(x)
-        unit = gp / np.linalg.norm(gp, axis=-1, keepdims=True)
         if n == 2:
-            normal = np.stack([-unit[..., 1], unit[..., 0]], axis=-1)
-        else:
-            ref = np.zeros(n)
-            ref[2] = 1.0
-            normal = ref - unit * (unit @ ref)[..., None]
-            normal = normal / np.linalg.norm(normal, axis=-1, keepdims=True)
+            g0, g1 = gp[..., 0], gp[..., 1]
+            speed = np.sqrt(g0 * g0 + g1 * g1)
+            r = rho(x)
+            v = np.empty_like(gp)
+            v[..., 0] = r * -(g1 / speed)
+            v[..., 1] = r * (g0 / speed)
+            return gp, v
+        unit = gp / np.linalg.norm(gp, axis=-1, keepdims=True)
+        ref = np.zeros(n)
+        ref[2] = 1.0
+        normal = ref - unit * (unit @ ref)[..., None]
+        normal = normal / np.linalg.norm(normal, axis=-1, keepdims=True)
         return gp, rho(x)[..., None] * normal
 
     return fields

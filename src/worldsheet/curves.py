@@ -70,13 +70,57 @@ class AngleTangent(TangentRep):
         return ap[..., None] * np.stack([-np.sin(a), np.cos(a)], axis=-1)
 
 
+class PeriodicCubicSpline:
+    """Periodic interpolating cubic spline through ``values[j]`` at the m
+    uniform nodes j*h, h = period/m (values of shape (m,) or (m, d)).
+
+    The second derivatives M solve the cyclic system
+    M[j-1] + 4 M[j] + M[j+1] = 6 (y[j-1] - 2 y[j] + y[j+1]) / h^2
+    (de Boor, *A Practical Guide to Splines*).  It is circulant with
+    symbol 4 + 2 cos(2 pi k/m) >= 2, so one real FFT solves it.  Piece j
+    is stored as the power basis ``coef[j] = (c0, c1, c2, c3)`` in
+    u = y - j h, and a query at x reads piece floor(mod(x, period)/h).
+    """
+
+    def __init__(self, values, period):
+        y = np.asarray(values, dtype=float)
+        m = len(y)
+        self.period = float(period)
+        self.h = h = self.period / m
+        y_next = np.roll(y, -1, axis=0)
+        rhs = np.fft.rfft(y_next - 2.0 * y + np.roll(y, 1, axis=0), axis=0)
+        symbol = 4.0 + 2.0 * np.cos(2.0 * np.pi / m * np.arange(len(rhs)))
+        rhs /= symbol.reshape((-1,) + (1,) * (y.ndim - 1))
+        M = np.fft.irfft(rhs, n=m, axis=0) * (6.0 / (h * h))
+        M_next = np.roll(M, -1, axis=0)
+        slope = (y_next - y) / h - h * (2.0 * M + M_next) / 6.0
+        self.coef = np.stack([y, slope, 0.5 * M, (M_next - M) / (6.0 * h)],
+                             axis=1)
+
+    def __call__(self, x, order=0):
+        """Value (order 0) or x-derivative (order 1) at x, of shape
+        x.shape + values.shape[1:]."""
+        x = np.asarray(x, dtype=float)
+        y = np.mod(x.ravel(), self.period)
+        j = (y / self.h).astype(np.intp)
+        np.minimum(j, len(self.coef) - 1, out=j)    # mod may round up to P
+        u = (y - j * self.h).reshape((-1,) + (1,) * (self.coef.ndim - 2))
+        c = self.coef[j]
+        if order == 0:
+            out = ((c[:, 3] * u + c[:, 2]) * u + c[:, 1]) * u + c[:, 0]
+        else:
+            out = (3.0 * c[:, 3] * u + 2.0 * c[:, 2]) * u + c[:, 1]
+        return out.reshape(x.shape + self.coef.shape[2:])
+
+
 class SphereSamplesTangent(TangentRep):
     """Dense samples on the unit sphere, interpolated and renormalized.
 
     Samples are taken at m uniform nodes over one period (node j at
-    j*P/m).  Componentwise periodic cubic interpolation, renormalized on
-    evaluation so the unit-norm invariant degrades only through the
-    direction, never the length.
+    j*P/m).  Componentwise periodic cubic interpolation (one
+    :class:`PeriodicCubicSpline`), renormalized on evaluation so the
+    unit-norm invariant degrades only through the direction, never the
+    length; order 1 is the exact derivative of the renormalized spline.
     """
 
     tol_class = "sampled"
@@ -90,21 +134,15 @@ class SphereSamplesTangent(TangentRep):
         if np.any(np.abs(norms - 1.0) > 1e-3):
             raise PreconditionError("sphere samples are not unit vectors")
         self.samples = samples / norms[:, None]
-        m = len(samples)
-        grid = np.linspace(0.0, self.period, m + 1)
-        closed = np.vstack([self.samples, self.samples[:1]])
-        from scipy.interpolate import CubicSpline
-        self._spline = CubicSpline(grid, closed, axis=0, bc_type="periodic")
-        self._dspline = self._spline.derivative()
+        self._spline = PeriodicCubicSpline(self.samples, self.period)
 
     def __call__(self, x, order=0):
-        y = np.mod(np.asarray(x, dtype=float), self.period)
-        v = self._spline(y)
+        v = self._spline(x)
         nrm = np.linalg.norm(v, axis=-1, keepdims=True)
         t = v / nrm
         if order == 0:
             return t
-        dv = self._dspline(y)
+        dv = self._spline(x, 1)
         return dv / nrm - t * (t * dv).sum(axis=-1, keepdims=True) / nrm
 
 

@@ -157,8 +157,9 @@ def normalize(couple: AdmissibleCouple):
     """Equivalent couple reparametrized so |gamma0'|^2 + |v0|^2 = 1.
 
     The new parameter s runs over [0, E0].  The monotone change of
-    variables lambda(s) is inverted with a PCHIP seed refined by Newton
-    steps against the exact cumulative integral, and the reparametrized
+    variables lambda(s) is inverted by three Newton steps against the
+    exact cumulative integral, seeded by linear interpolation in its
+    table at 4097 uniform parameter values, and the reparametrized
     tangent uses the algebraic identity |gamma0'(lambda)| lambda'(s) =
     sqrt(1 - |v0(lambda)|^2), so the normalization holds structurally.
     """
@@ -173,15 +174,13 @@ def normalize(couple: AdmissibleCouple):
     E0 = float(mu.per_period[0])
     grid = np.linspace(0.0, L, 4097)
     mu_vals = mu.integral(grid)[:, 0]
-    # strictly increasing by the immersion hypothesis
-    from scipy.interpolate import PchipInterpolator
-    inverse_seed = PchipInterpolator(mu_vals, grid)
 
     def lam(s):
         s = np.asarray(s, dtype=float)
         wraps = np.floor(s / E0)
         y = s - wraps * E0
-        x = np.clip(inverse_seed(np.clip(y, 0.0, E0)), 0.0, L)
+        # mu_vals is strictly increasing by the immersion hypothesis
+        x = np.interp(y, mu_vals, grid)
         for _ in range(3):
             f = mu.integral(x)[..., 0] - y
             fp = _density(couple, np.ravel(x)).reshape(x.shape)
@@ -207,7 +206,8 @@ def gauge_from_couple(couple: AdmissibleCouple):
 
     The fields (gamma0', v0) are read once per node set.  Normalization
     is checked on the first bake nodes.  Each algebraic tangent field is
-    resampled into a renormalized periodic spline for fast evaluation;
+    resampled at uniform nodes into a ``SphereSamplesTangent``, a
+    renormalized periodic cubic spline solved and evaluated in numpy;
     the resampling error is measured at the panel midpoints, and the
     node count is doubled (to at most 32768) until it is below 2e-10
     for both a' and b', so the gauge keeps the analytic tolerance class.

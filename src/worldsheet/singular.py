@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import AngleTangent
+from .curves import AngleTangent, PeriodicCubicSpline
 from .errors import PreconditionError
 from .gauge import OrthogonalGauge
 from .surface import derivatives, gamma
@@ -317,7 +317,8 @@ class TwoDAngleState:
 
 def _angle_callable_from_rep(curve, negate):
     """The lifted angle of a planar tangent field, exact when the
-    representation stores the angle, otherwise a periodic spline lift."""
+    representation stores the angle, otherwise the winding slope plus a
+    periodic cubic spline of the residual lift at LIFT_SAMPLES nodes."""
     rep = curve.rep
     offset = np.pi if negate else 0.0
     if isinstance(rep, AngleTangent):
@@ -334,14 +335,11 @@ def _angle_callable_from_rep(curve, negate):
     if abs(winding - w) > 1e-6:
         raise PreconditionError("angle lift does not close to an integer winding")
     slope = w * 2.0 * np.pi / P
-    resid = theta - slope * xs
-    resid[-1] = resid[0]
-    from scipy.interpolate import CubicSpline
-    spl = CubicSpline(xs, resid, bc_type="periodic")
+    spl = PeriodicCubicSpline(theta[:-1] - slope * xs[:-1], P)
 
     def fn(x):
         x = np.asarray(x, dtype=float)
-        return slope * x + spl(np.mod(x, P))
+        return slope * x + spl(x)
 
     return fn
 

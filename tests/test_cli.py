@@ -149,12 +149,54 @@ def test_scipy_not_loaded(tmp_path, scenario):
     assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
+# builds, searches and classifies one random planar gauge in a fresh
+# interpreter, and prints the scipy modules then loaded
+CENSUS_SCIPY_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from worldsheet import catalog, singular
+from worldsheet.errors import PreconditionError, UnderResolvedError
+g = catalog.random_planar_gauge(0)
+rep = singular.find_antipodal_pairs(g)
+assert rep.components
+for comp in rep.components:
+    try:
+        singular.classify_sing_star(g, comp)
+    except (PreconditionError, UnderResolvedError):
+        pass
+print(json.dumps(sorted(m for m in sys.modules
+                        if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+def test_planar_census_loads_no_scipy_interpolate():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(worldsheet.__file__)))
+    proc = subprocess.run([sys.executable, "-c", CENSUS_SCIPY_PROBE, src],
+                          capture_output=True, text=True, check=True)
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert "scipy.spatial" in loaded          # the probe did reach the search
+    assert not [m for m in loaded if m.startswith("scipy.interpolate")]
+
+
+COUPLE_EVOLVE = {"name": "couple-evolve", "task": "evolve",
+                 "couple": {"gamma0": {"kind": "circle", "radius": 1.0},
+                            "v0": {"kind": "normal_scale", "scale": 0.5}},
+                 "params": {"times": [0.0], "samples": 64}}
+
+
+def test_couple_evolve_loads_no_scipy(tmp_path):
+    # the couple needs normalize and a bake, both numpy alone
+    src = os.path.dirname(os.path.dirname(os.path.abspath(worldsheet.__file__)))
+    path = tmp_path / "couple_evolve.json"
+    path.write_text(json.dumps(COUPLE_EVOLVE), encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, src, str(path),
+                           str(tmp_path / "out")],
+                          capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
 def test_couple_scenario(tmp_path):
-    scen = {"name": "couple-evolve", "task": "evolve",
-            "couple": {"gamma0": {"kind": "circle", "radius": 1.0},
-                       "v0": {"kind": "normal_scale", "scale": 0.5}},
-            "params": {"times": [0.0], "samples": 64}}
-    code, report, _ = run_cli(tmp_path, scen)
+    code, report, _ = run_cli(tmp_path, COUPLE_EVOLVE)
     assert code == 0
     assert abs(report["slices"][0]["max_radius"] - 1.0) < 1e-6
 

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from worldsheet import catalog, constructions
-from worldsheet.curves import (CallableTangent, PlateauSpline,
-                               SphereSamplesTangent, UnitSpeedCurve,
-                               _hull_interior_lp, from_tangent_image,
-                               sampled_hausdorff, smoothstep)
+from worldsheet.curves import (CallableTangent, PeriodicCubicSpline,
+                               PlateauSpline, SphereSamplesTangent,
+                               UnitSpeedCurve, _hull_interior_lp,
+                               from_tangent_image, sampled_hausdorff,
+                               smoothstep)
 from worldsheet.errors import PreconditionError
 from oracles import adaptive_simpson, hull_interior_lp_dense
 from worldsheet.quadrature import _panel_gl
@@ -358,6 +359,34 @@ def test_plateau_spline_end_pieces_extend():
     d = spline(x, 1)
     assert d[0] == 0.0 and d[2] == 3.0 * smoothstep(2).deriv()(0.5)
     assert np.all(d[3:] == 0.0) and not np.signbit(d[3:]).any()
+
+
+@pytest.mark.parametrize("m", [3, 7, 64, 4096])
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_periodic_cubic_spline_matches_scipy(m, d):
+    from scipy.interpolate import CubicSpline
+    period = 2.7
+    rng = np.random.default_rng(10 * m + d)
+    nodes = np.arange(m) * (period / m)
+    phase = np.outer(nodes, 2.0 * np.pi / period * np.arange(1, 6))
+    y = (np.cos(phase) @ rng.normal(size=(5, d))
+         + np.sin(phase) @ rng.normal(size=(5, d)) + rng.normal(size=d))
+    spline = PeriodicCubicSpline(y, period)
+    ref = CubicSpline(np.linspace(0.0, period, m + 1),
+                      np.vstack([y, y[:1]]), axis=0, bc_type="periodic")
+    x = rng.uniform(-3.0 * period, 3.0 * period, 2000)
+    scale = [np.abs(y).max(), np.abs(ref(np.mod(x, period), 1)).max()]
+    for order in (0, 1):
+        got = spline(x, order)
+        assert got.shape == x.shape + (d,)
+        tol = 1e-12 * scale[order]     # a derivative on its own scale
+        assert np.abs(got - ref(np.mod(x, period), order)).max() <= tol
+        assert np.abs(spline(x + period, order) - got).max() <= tol
+    assert np.abs(spline(nodes) - y).max() <= 1e-12 * scale[0]
+    # scalar values give scalar-shaped results
+    flat = PeriodicCubicSpline(y[:, 0], period)
+    assert np.array_equal(flat(x.reshape(40, 50)),
+                          spline(x)[:, 0].reshape(40, 50))
 
 
 def _dwell_realizations():

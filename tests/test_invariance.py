@@ -4,12 +4,16 @@ A rotation Q of R^n applied to both tangents rotates the sphere diagram,
 so it keeps the linking and winding numbers and the detection margin; an
 improper Q mirrors the diagram and negates the Hopf linking.  A common
 parameter shift x0 moves every antipodal pair (s, sigma) to
-(s - x0, sigma - x0), and swapping a and b moves it to (sigma, s).
+(s - x0, sigma - x0), and swapping a and b moves it to (sigma, s).  The
+``gauge_to_spec`` -> ``gauge_from_spec`` round trip resamples both
+tangents into ``SphereSamplesTangent`` splines and keeps every verdict.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from worldsheet import serialize
 from worldsheet.curves import CallableTangent, UnitSpeedCurve
 from worldsheet.gauge import OrthogonalGauge
 from worldsheet.singular import find_antipodal_pairs
@@ -104,3 +108,16 @@ def test_swap_transposes_pairs(wavy_pair, frac):
     assert not _same_pairs(pairs, pairs[:, ::-1], h.E0)
     assert _same_pairs(_pairs(OrthogonalGauge(h.b, h.a)), pairs[:, ::-1],
                        h.E0)
+
+
+@pytest.mark.parametrize("name,invariant", [
+    ("hopf", lambda g: linking_number(diagram(g, m=512)).value),
+    ("meridian_loops", lambda g: winding_number(diagram(g)))])
+def test_spec_round_trip_keeps_verdicts(request, name, invariant):
+    g = request.getfixturevalue(name)
+    h = serialize.gauge_from_spec(serialize.gauge_to_spec(g))
+    assert invariant(h) == invariant(g) == {"hopf": 1,
+                                            "meridian_loops": 0}[name]
+    want, got = find_antipodal_pairs(g), find_antipodal_pairs(h)
+    assert want.empty and got.empty
+    assert abs(got.min_grid_residual - want.min_grid_residual) <= 1e-6

@@ -44,7 +44,10 @@ def test_bench_collect_keeps_untraced_runs_of_one_commit(tmp_path):
 def test_workload_digests_hash_one_pass_per_seed():
     # nonuniq_slices ignores its seed, so both passes hash alike
     digests = scenario_digests.workload_digests(["nonuniq_slices"])
-    assert [name for _, name in digests] == ["nonuniq_slices/seed0",
-                                             "nonuniq_slices/seed1"]
+    assert [name for _, name, _ in digests] == ["nonuniq_slices/seed0",
+                                                "nonuniq_slices/seed1"]
     assert digests[0][0] == digests[1][0]
     assert len(digests[0][0]) == 64 and int(digests[0][0], 16) >= 0
+    # the exact counts of the pass are printed beside its digest
+    assert [json.loads(counts) for _, _, counts in digests] == [
+        {"rows": 5, "attempted": 1, "failed": 0}] * 2

@@ -5,8 +5,11 @@ temporary directory and prints one line ``sha256  <scenario>/<file>``
 per output file, skipping ``run_meta.json`` (it holds wall-clock times).
 With ``--workloads`` it instead runs one pass of each benchmark workload
 of ``perfbench/workloads.py`` at seeds 0 and 1 and prints one line
-``sha256  <workload>/seed<N>`` per pass, the digest of the pass's
-outputs, ``attempted`` and ``failed`` as sorted JSON.
+``sha256  <workload>/seed<N>  <counts>`` per pass: the digest of the
+pass's outputs, ``attempted`` and ``failed`` as sorted JSON, then the
+pass's exact counts (the workload's ``*_counts`` of its outputs, with
+``attempted`` and ``failed``) as sorted JSON.  A change that moves float
+bits but no count shows as a changed digest beside unchanged counts.
 The package is imported from ``src/`` of the checkout that holds this
 script, so two checkouts can be compared by diffing their output:
 
@@ -56,12 +59,13 @@ def scenario_digests():
 
 
 def workload_digests(names=None):
-    """(sha256, "<workload>/seed<N>") of one pass of each benchmark
-    workload (all of them by default) at each of WORKLOAD_SEEDS."""
+    """(sha256, "<workload>/seed<N>", counts) of one pass of each
+    benchmark workload (all of them by default) at each of
+    WORKLOAD_SEEDS; counts is the pass's exact counts as sorted JSON."""
     import workloads
     out = []
     for name in names or list(workloads.WORKLOADS):
-        run_pass = workloads.WORKLOADS[name][1]
+        _, run_pass, _, counts = workloads.WORKLOADS[name]
         for seed in WORKLOAD_SEEDS:
             inputs = workloads.make_inputs(name, seed)
             with tempfile.TemporaryDirectory() as tmp, \
@@ -70,8 +74,10 @@ def workload_digests(names=None):
                     inputs, tmp, lambda i: contextlib.nullcontext())
             raw = json.dumps({"outputs": outputs, "attempted": attempted,
                               "failed": failed}, sort_keys=True)
+            exact = dict(counts(outputs), attempted=attempted, failed=failed)
             out.append((hashlib.sha256(raw.encode()).hexdigest(),
-                        f"{name}/seed{seed}"))
+                        f"{name}/seed{seed}",
+                        json.dumps(exact, sort_keys=True)))
     return out
 
 
@@ -82,5 +88,5 @@ if __name__ == "__main__":
                              "at seeds 0 and 1 instead of the scenarios")
     digests = (workload_digests() if parser.parse_args().workloads
                else scenario_digests())
-    for digest, name in digests:
-        print(f"{digest}  {name}")
+    for row in digests:
+        print("  ".join(row))
