@@ -8,8 +8,7 @@ diagrams, builds the sharp-dimension and nonuniqueness example gauges,
 and estimates box-counting dimensions of sampled singular sets.
 """
 
-from .curves import (ClosureReport, UnitSpeedCurve, from_tangent_image,
-                     sampled_hausdorff)
+from .curves import ClosureReport, UnitSpeedCurve, from_tangent_image
 from .dimension import PointCloud, SlopeEstimate, box_count, singstar_cloud
 from .errors import PreconditionError, UnderResolvedError, WorldsheetError
 from .gauge import (AdmissibleCouple, OrthogonalGauge, couple_from_gauge,
@@ -37,7 +36,7 @@ __all__ = [
     "derivatives", "diagram", "equivalent_gauges", "find_antipodal_pairs",
     "from_tangent_image", "gamma", "gauge_from_couple", "genericity_probe",
     "is_global_immersion", "linking_number", "metric_det", "normalize",
-    "null_tangent_check", "period_E0", "sample", "sampled_hausdorff",
+    "null_tangent_check", "period_E0", "sample",
     "sing_star_time_extent", "singstar_cloud", "slice_curve",
     "slice_set_distance", "synthetic_diagram", "tangent_formula",
     "transversal_count", "winding_number",

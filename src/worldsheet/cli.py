@@ -73,8 +73,7 @@ def _task_evolve(g, params, out, ctx):
 
 
 def _task_detect(g, params, out, ctx):
-    rep = singular.find_antipodal_pairs(g, grid_n=ctx["grid"],
-                                        tol=params.get("tol"))
+    rep = singular.find_antipodal_pairs(g, grid_n=ctx["grid"])
     comps = []
     for comp in rep.components:
         cc = singular.classify_sing_star(g, comp, grid_n=ctx["grid"]) \

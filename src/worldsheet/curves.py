@@ -24,9 +24,8 @@ IMAGE_SAMPLES = 1024      # samples of c for the hull test and dwell search
 HULL_TOL = 1e-9           # smallest accepted hull margin
 ELL_MIN = 1e-3            # shortest dwell of from_tangent_image
 
-# norm / closure tolerances per representation class
-NORM_TOL = {"analytic": 1e-9, "sampled": 1e-6}
-PAIR_TOL = {"analytic": 1e-8, "sampled": 1e-5}
+NORM_TOL = 1e-9           # largest accepted tangent norm / periodicity error
+PAIR_TOL = 1e-8           # largest residual of an accepted antipodal pair
 
 
 def _as_batch(x):
@@ -41,7 +40,6 @@ class TangentRep:
     exact x-derivative for order 1, each of shape x.shape + (dim,).
     """
 
-    tol_class = "analytic"
     breakpoints = ()
 
     def __init__(self, period, dim):
@@ -97,20 +95,33 @@ class PeriodicCubicSpline:
         self.coef = np.stack([y, slope, 0.5 * M, (M_next - M) / (6.0 * h)],
                              axis=1)
 
-    def __call__(self, x, order=0):
-        """Value (order 0) or x-derivative (order 1) at x, of shape
-        x.shape + values.shape[1:]."""
-        x = np.asarray(x, dtype=float)
+    def _locate(self, x):
+        """Coefficients of the piece of each x and the offset u in it."""
         y = np.mod(x.ravel(), self.period)
         j = (y / self.h).astype(np.intp)
         np.minimum(j, len(self.coef) - 1, out=j)    # mod may round up to P
         u = (y - j * self.h).reshape((-1,) + (1,) * (self.coef.ndim - 2))
-        c = self.coef[j]
+        return self.coef[j], u
+
+    @staticmethod
+    def _horner(c, u, order):
         if order == 0:
-            out = ((c[:, 3] * u + c[:, 2]) * u + c[:, 1]) * u + c[:, 0]
-        else:
-            out = (3.0 * c[:, 3] * u + 2.0 * c[:, 2]) * u + c[:, 1]
-        return out.reshape(x.shape + self.coef.shape[2:])
+            return ((c[:, 3] * u + c[:, 2]) * u + c[:, 1]) * u + c[:, 0]
+        return (3.0 * c[:, 3] * u + 2.0 * c[:, 2]) * u + c[:, 1]
+
+    def __call__(self, x, order=0):
+        """Value (order 0) or x-derivative (order 1) at x, of shape
+        x.shape + values.shape[1:]."""
+        x = np.asarray(x, dtype=float)
+        c, u = self._locate(x)
+        return self._horner(c, u, order).reshape(x.shape + self.coef.shape[2:])
+
+    def value_and_slope(self, x):
+        """``(self(x), self(x, 1))`` from one piece lookup."""
+        x = np.asarray(x, dtype=float)
+        c, u = self._locate(x)
+        shape = x.shape + self.coef.shape[2:]
+        return tuple(self._horner(c, u, r).reshape(shape) for r in (0, 1))
 
 
 class SphereSamplesTangent(TangentRep):
@@ -123,13 +134,9 @@ class SphereSamplesTangent(TangentRep):
     length; order 1 is the exact derivative of the renormalized spline.
     """
 
-    tol_class = "sampled"
-
-    def __init__(self, samples, period, tol_class=None):
+    def __init__(self, samples, period):
         samples = np.asarray(samples, dtype=float)
         super().__init__(period, samples.shape[1])
-        if tol_class is not None:
-            self.tol_class = tol_class
         norms = np.linalg.norm(samples, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-3):
             raise PreconditionError("sphere samples are not unit vectors")
@@ -137,12 +144,12 @@ class SphereSamplesTangent(TangentRep):
         self._spline = PeriodicCubicSpline(self.samples, self.period)
 
     def __call__(self, x, order=0):
-        v = self._spline(x)
+        if order == 0:
+            v = self._spline(x)
+            return v / np.linalg.norm(v, axis=-1, keepdims=True)
+        v, dv = self._spline.value_and_slope(x)
         nrm = np.linalg.norm(v, axis=-1, keepdims=True)
         t = v / nrm
-        if order == 0:
-            return t
-        dv = self._spline(x, 1)
         return dv / nrm - t * (t * dv).sum(axis=-1, keepdims=True) / nrm
 
 
@@ -150,10 +157,9 @@ class CallableTangent(TangentRep):
     """Tangent given by a vectorized callable ``fn(x, order)`` returning
     the unit tangent (order 0) or its exact x-derivative (order 1)."""
 
-    def __init__(self, fn, period, dim, tol_class="analytic", breakpoints=()):
+    def __init__(self, fn, period, dim, breakpoints=()):
         super().__init__(period, dim)
         self.fn = fn
-        self.tol_class = tol_class
         self.breakpoints = tuple(breakpoints)
 
     def __call__(self, x, order=0):
@@ -188,14 +194,6 @@ class UnitSpeedCurve:
     @property
     def dim(self):
         return self.rep.dim
-
-    @property
-    def norm_tol(self):
-        return NORM_TOL[self.rep.tol_class]
-
-    @property
-    def pair_tol(self):
-        return PAIR_TOL[self.rep.tol_class]
 
     def tangent(self, x):
         xb, scalar = _as_batch(x)
@@ -239,11 +237,11 @@ class UnitSpeedCurve:
         t = self.tangent(x)
         norm_err = float(np.abs(np.linalg.norm(t, axis=1) - 1.0).max())
         per_err = float(np.abs(self.tangent(x + self.period) - t).max())
-        tol = self.norm_tol
-        if norm_err > tol:
+        if norm_err > NORM_TOL:
             raise PreconditionError(
-                f"tangent norm deviates by {norm_err:.3e} (tolerance {tol:.1e})")
-        if per_err > tol:
+                f"tangent norm deviates by {norm_err:.3e} "
+                f"(tolerance {NORM_TOL:.1e})")
+        if per_err > NORM_TOL:
             raise PreconditionError(
                 f"tangent not periodic: deviation {per_err:.3e}")
         return t, norm_err, per_err
@@ -255,7 +253,7 @@ class UnitSpeedCurve:
         breaks = np.mod(np.asarray(rep.breakpoints, float) - x0, rep.period)
         new_rep = CallableTangent(
             lambda y, order: rep(y + x0, order), rep.period, rep.dim,
-            tol_class=rep.tol_class, breakpoints=breaks)
+            breakpoints=breaks)
         return UnitSpeedCurve(new_rep, base, metadata=dict(self.metadata))
 
 
@@ -312,15 +310,6 @@ class PlateauSpline:
         return out
 
 
-def sampled_hausdorff(a_pts, b_pts):
-    """Symmetric Hausdorff distance between two point samples."""
-    from scipy.spatial import cKDTree
-    ta, tb = cKDTree(a_pts), cKDTree(b_pts)
-    d_ab = ta.query(b_pts)[0].max()
-    d_ba = tb.query(a_pts)[0].max()
-    return float(max(d_ab, d_ba))
-
-
 def _hull_interior_lp(points):
     """max t s.t. sum(lam_i p_i) = 0, sum(lam) = 1, lam_i >= t.
 
@@ -353,14 +342,13 @@ class _TangentImageRep(TangentRep):
     vectors."""
 
     def __init__(self, c, spline, dwell_vecs, natural_period, scale, period,
-                 tol_class, breakpoints):
+                 breakpoints):
         super().__init__(period, dwell_vecs.shape[1])
         self.c = c
         self.spline = spline
         self.dwell_vecs = dwell_vecs
         self.natural_period = natural_period
         self.scale = scale  # natural parameter per output parameter
-        self.tol_class = tol_class
         self.breakpoints = tuple(breakpoints)
 
     def _locate(self, x):
@@ -424,11 +412,7 @@ def from_tangent_image(c, k=3, period=None, pinned=()):
     derivative is exact: the chain rule through ``c``'s order-1
     derivative and the plateau map.
     """
-    if callable(c):
-        cfun, tol_class = c, "analytic"
-    else:
-        cfun = SphereSamplesTangent(np.asarray(c, dtype=float), C_PERIOD)
-        tol_class = "sampled"
+    cfun = c if callable(c) else SphereSamplesTangent(c, C_PERIOD)
 
     dim = cfun(np.array([0.0])).shape[-1]
     us = np.linspace(0.0, C_PERIOD, IMAGE_SAMPLES, endpoint=False)
@@ -450,7 +434,7 @@ def from_tangent_image(c, k=3, period=None, pinned=()):
             out_period = C_PERIOD if period is None else float(period)
             rep_out = CallableTangent(
                 lambda x, order: cfun(x * scale, order) * scale ** order,
-                out_period, dim, tol_class=tol_class)
+                out_period, dim)
             return UnitSpeedCurve(rep_out, np.zeros(dim),
                                   metadata={"dwells": [], "hull_margin": t_star})
 
@@ -557,7 +541,6 @@ def from_tangent_image(c, k=3, period=None, pinned=()):
                       params.tolist()))
 
     rep_out = _TangentImageRep(cfun, spline, dwell_vecs, natural_period,
-                               scale, out_period, tol_class,
-                               starts / scale)
+                               scale, out_period, starts / scale)
     return UnitSpeedCurve(rep_out, np.zeros(dim),
                           metadata={"dwells": dwells, "hull_margin": t_star})

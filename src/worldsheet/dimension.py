@@ -59,15 +59,18 @@ class PointCloud:
         # drop duplicates at 1e-12 resolution, keeping first occurrences in
         # input order; the rounded keys stay float, since an int64 cast
         # overflows once |coordinate| exceeds ~9.2e6.  Rows are distinct as
-        # soon as one column's keys are, which one 1-D sort shows; only a
-        # cloud with no such column is grouped by the row lexsort
-        if any(_distinct_keys(pts[:, j]) for j in range(pts.shape[1])):
-            self.points = pts.copy()
+        # soon as one column's keys are, which one 1-D sort shows; columns
+        # are tried last first (the last coordinate of a sampled surface
+        # varies most), and only a cloud with no such column is grouped by
+        # the row lexsort.  A cloud that drops no row keeps ``pts`` itself
+        self.points = pts
+        if any(_distinct_keys(pts[:, j]) for j in reversed(range(pts.shape[1]))):
             return
         keys = pts / 1e-12
         np.round(keys, out=keys)
         order, first = _row_groups(keys)
-        self.points = pts.copy() if first.all() else pts[np.sort(order[first])]
+        if not first.all():
+            self.points = pts[np.sort(order[first])]
 
     @property
     def diameter(self):

@@ -119,10 +119,6 @@ class OrthogonalGauge:
     def dim(self):
         return self.a.dim
 
-    @property
-    def pair_tol(self):
-        return max(self.a.pair_tol, self.b.pair_tol)
-
     def min_sum_norm(self, samples=4096):
         """min over the diagonal of |a'(x) + b'(x)| (X-membership margin)."""
         x = np.linspace(0.0, self.E0, samples, endpoint=False)
@@ -210,7 +206,7 @@ def gauge_from_couple(couple: AdmissibleCouple):
     renormalized periodic cubic spline solved and evaluated in numpy;
     the resampling error is measured at the panel midpoints, and the
     node count is doubled (to at most 32768) until it is below 2e-10
-    for both a' and b', so the gauge keeps the analytic tolerance class.
+    for both a' and b'.
     Piecewise couples (with breakpoints) are never baked: their tangents
     read the fields directly and, since a couple carries no field
     derivatives, their tangent derivative is a central difference.
@@ -232,8 +228,7 @@ def gauge_from_couple(couple: AdmissibleCouple):
             gm, vm = couple.fields(mids)
             for i, sign in enumerate((1.0, -1.0)):
                 if reps[i] is None:
-                    rep = SphereSamplesTangent(gp + sign * v, P,
-                                               tol_class="analytic")
+                    rep = SphereSamplesTangent(gp + sign * v, P)
                     if np.abs(rep(mids) - (gm + sign * vm)).max() <= 2e-10:
                         reps[i] = rep
             if all(r is not None for r in reps) or nodes >= 32768:

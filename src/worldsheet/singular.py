@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import AngleTangent, PeriodicCubicSpline
+from .curves import PAIR_TOL, AngleTangent, PeriodicCubicSpline
 from .errors import PreconditionError
 from .gauge import OrthogonalGauge
 from .surface import derivatives, gamma
@@ -67,7 +67,6 @@ class DetectionReport:
     components: list
     grid_n: int
     min_grid_residual: float
-    tol: float
 
     @property
     def pairs(self):
@@ -169,9 +168,9 @@ def _sublevel_minima(r2, level):
     return np.stack(np.divmod(cells[is_min], cols), axis=1)
 
 
-def find_antipodal_pairs(g: OrthogonalGauge, grid_n=DEFAULT_GRID, tol=None):
+def find_antipodal_pairs(g: OrthogonalGauge, grid_n=DEFAULT_GRID):
     """All antipodal tangent pairs a'(s) = -b'(sigma), refined to the
-    gauge's residual tolerance and clustered into components.
+    residual tolerance ``PAIR_TOL`` and clustered into components.
 
     Completeness heuristic: every zero whose squared residual grows at
     least quadratically at the grid scale produces a shallow local
@@ -180,7 +179,6 @@ def find_antipodal_pairs(g: OrthogonalGauge, grid_n=DEFAULT_GRID, tol=None):
     """
     if grid_n < 64:
         raise PreconditionError("grid_n must be at least 64")
-    tol = g.pair_tol if tol is None else float(tol)
     E0 = g.E0
     # estimated tangent turning rate; a grid much coarser than the
     # turning scale can miss sharp zeros of the residual
@@ -200,14 +198,14 @@ def find_antipodal_pairs(g: OrthogonalGauge, grid_n=DEFAULT_GRID, tol=None):
     min_grid = float(res_grid.min())
     r2 = np.square(res_grid, out=res_grid)
     if r2.min() >= SEED_LEVEL:
-        return DetectionReport([], grid_n, min_grid, tol)
+        return DetectionReport([], grid_n, min_grid)
 
     # nonempty: the grid minimum lies below SEED_LEVEL
     seeds = _sublevel_minima(r2, SEED_LEVEL)
     s_ref, sig_ref, res = _gauss_newton(g, grid[seeds[:, 0]], grid[seeds[:, 1]])
-    ok = res <= tol
+    ok = res <= PAIR_TOL
     if not ok.any():
-        return DetectionReport([], grid_n, min_grid, tol)
+        return DetectionReport([], grid_n, min_grid)
     s_ref, sig_ref, res = s_ref[ok] % E0, sig_ref[ok] % E0, res[ok]
 
     spacing = E0 / grid_n
@@ -236,7 +234,7 @@ def find_antipodal_pairs(g: OrthogonalGauge, grid_n=DEFAULT_GRID, tol=None):
                  for s, o, r in zip(s_ref[mask], sig_ref[mask], res[mask])]
         components.append(_classify_kind(pairs, E0, spacing))
     components.sort(key=lambda c: (c.pairs[0].s, c.pairs[0].sigma))
-    return DetectionReport(components, grid_n, min_grid, tol)
+    return DetectionReport(components, grid_n, min_grid)
 
 
 def _circ_gap(values, period):

@@ -531,7 +531,7 @@ def _perturbed_rep(basis, amp, damp, c):
         return dv / r - t * (t * dv).sum(axis=-1, keepdims=True) / r
 
     return CallableTangent(fn, basis.curve.period, rep.dim,
-                           tol_class="analytic", breakpoints=rep.breakpoints)
+                           breakpoints=rep.breakpoints)
 
 
 def _perturb_curve(basis, rng, epsilon):

@@ -7,7 +7,8 @@ periods against it.  ``full_grid_constraint_residuals`` and
 and of the local-minimum test, reading every grid point and rolling the
 whole grid; the package must match them bit for bit.
 ``hull_interior_lp_dense`` is the hull-margin linear program with its
-inequality rows written out.
+inequality rows written out.  ``sampled_hausdorff`` measures how far a
+realized tangent image lies from its target by nearest-neighbour trees.
 """
 
 from __future__ import annotations
@@ -150,3 +151,13 @@ def hull_interior_lp_dense(points):
     res = linprog(c, A_ub=a_ub, b_ub=np.zeros(m), A_eq=a_eq, b_eq=b_eq,
                   bounds=[(None, None)] * m + [(None, 1.0)], method="highs")
     return float(-res.fun) if res.success else -np.inf
+
+
+def sampled_hausdorff(a_pts, b_pts):
+    """Symmetric Hausdorff distance between two point samples."""
+    from scipy.spatial import cKDTree
+
+    ta, tb = cKDTree(a_pts), cKDTree(b_pts)
+    d_ab = ta.query(b_pts)[0].max()
+    d_ba = tb.query(a_pts)[0].max()
+    return float(max(d_ab, d_ba))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from worldsheet import catalog, constructions
-from worldsheet.curves import from_tangent_image, sampled_hausdorff
+from worldsheet.curves import PAIR_TOL, from_tangent_image
 from worldsheet.dimension import box_count, singstar_cloud
 from worldsheet.gauge import OrthogonalGauge
 from worldsheet.singular import (angle_state, find_antipodal_pairs,
@@ -18,6 +18,7 @@ from worldsheet.surface import (constraint_residuals, derivatives, gamma,
 from worldsheet.topology import (diagram, genericity_probe, linking_number,
                                  synthetic_diagram, transversal_count,
                                  winding_number)
+from oracles import sampled_hausdorff
 
 TWO_PI = 2.0 * np.pi
 
@@ -70,7 +71,7 @@ def test_criterion_03_planar_always_singular_with_oracle(circle):
     def oracle_check(g, rep):
         nonlocal spacing_checked
         res, grid = grid_residuals(g, 512)
-        hot = np.argwhere(res < g.pair_tol / 10)
+        hot = np.argwhere(res < PAIR_TOL / 10)
         if len(hot) == 0:
             return
         pairs = np.array([[p.s, p.sigma] for p in rep.pairs])

@@ -202,7 +202,9 @@ def test_nonuniq_tiny_negative_x_uses_last_piece(nonuniq):
 def test_nonuniq_embedding_dimension():
     g_id, g_pi, _ = C.nonuniqueness_pair(n=4)
     assert g_id.dim == 4
-    ok, _ = is_global_immersion(g_id, grid_n=256)
+    # the uncertified search warns that 256 is coarse for this gauge
+    with pytest.warns(RuntimeWarning, match="coarse for tangent turning rate"):
+        ok, _ = is_global_immersion(g_id, grid_n=256)
     assert ok
 
 

@@ -4,16 +4,20 @@ A rotation Q of R^n applied to both tangents rotates the sphere diagram,
 so it keeps the linking and winding numbers and the detection margin; an
 improper Q mirrors the diagram and negates the Hopf linking.  A common
 parameter shift x0 moves every antipodal pair (s, sigma) to
-(s - x0, sigma - x0), and swapping a and b moves it to (sigma, s).  The
+(s - x0, sigma - x0), and swapping a and b moves it to (sigma, s), so
+it negates every slice time t = (s - sigma)/2 modulo E0.  The
 ``gauge_to_spec`` -> ``gauge_from_spec`` round trip resamples both
-tangents into ``SphereSamplesTangent`` splines and keeps every verdict.
+tangents into ``SphereSamplesTangent`` splines, keeps every verdict and
+refines each antipodal pair as tightly as the analytic tangents do.
 """
+
+import contextlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from worldsheet import serialize
+from worldsheet import catalog, serialize
 from worldsheet.curves import CallableTangent, UnitSpeedCurve
 from worldsheet.gauge import OrthogonalGauge
 from worldsheet.singular import find_antipodal_pairs
@@ -38,8 +42,7 @@ def _rotated(g, q):
     def curve(c):
         rep = c.rep
         new = CallableTangent(lambda x, order: rep(x, order) @ q.T,
-                              rep.period, rep.dim, tol_class=rep.tol_class,
-                              breakpoints=rep.breakpoints)
+                              rep.period, rep.dim, breakpoints=rep.breakpoints)
         return UnitSpeedCurve(new, q @ c.basepoint)
     return OrthogonalGauge(curve(g.a), curve(g.b))
 
@@ -110,6 +113,23 @@ def test_swap_transposes_pairs(wavy_pair, frac):
                        h.E0)
 
 
+def _slice_times(g):
+    return np.array(sorted(t for comp in find_antipodal_pairs(g).components
+                           for t in comp.slice_times))
+
+
+@pytest.mark.parametrize("name,want", [
+    ("circle", (0.5 * np.pi, 1.5 * np.pi)),
+    ("degenerate_slice", (0.75 * np.pi, 1.75 * np.pi))])
+def test_swap_negates_slice_times(name, want):
+    g = getattr(catalog, f"{name}_gauge")()
+    times = _slice_times(g)
+    swapped = _slice_times(OrthogonalGauge(g.b, g.a))
+    assert np.allclose(swapped, want, rtol=0.0, atol=1e-12)
+    assert np.allclose(np.sort(np.mod(-times, g.E0)), swapped,
+                       rtol=0.0, atol=1e-12)
+
+
 @pytest.mark.parametrize("name,invariant", [
     ("hopf", lambda g: linking_number(diagram(g, m=512)).value),
     ("meridian_loops", lambda g: winding_number(diagram(g)))])
@@ -121,3 +141,22 @@ def test_spec_round_trip_keeps_verdicts(request, name, invariant):
     want, got = find_antipodal_pairs(g), find_antipodal_pairs(h)
     assert want.empty and got.empty
     assert abs(got.min_grid_residual - want.min_grid_residual) <= 1e-6
+
+
+@pytest.mark.parametrize("name", ["random_planar_0", "wavy_pair", "nonconvex",
+                                  "cantor_k1"])
+def test_spec_round_trip_refines_pairs_tightly(request, name):
+    # one pair tolerance serves sampled and analytic tangents alike: the
+    # round trip's renormalized splines refine every pair far below it
+    g = {"random_planar_0": lambda: catalog.random_planar_gauge(0),
+         "wavy_pair": lambda: request.getfixturevalue("wavy_pair"),
+         "nonconvex": catalog.nonconvex_gauge,
+         "cantor_k1": lambda: request.getfixturevalue("cantor_k1")[0]}[name]()
+    h = serialize.gauge_from_spec(serialize.gauge_to_spec(g))
+    # the known grid-coarseness warning of the uncertified search
+    coarse = (pytest.warns(RuntimeWarning, match="coarse for tangent turning")
+              if name == "cantor_k1" else contextlib.nullcontext())
+    with coarse:
+        pairs = find_antipodal_pairs(h).pairs
+    assert pairs
+    assert max(p.residual for p in pairs) <= 1e-12

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as hst
 
 from worldsheet import catalog, singular
-from worldsheet.curves import UnitSpeedCurve
+from worldsheet.curves import PAIR_TOL, UnitSpeedCurve
 from worldsheet.errors import PreconditionError
 from worldsheet.gauge import OrthogonalGauge
 from worldsheet.singular import (_sublevel_minima, angle_state,
@@ -80,8 +80,7 @@ def test_brute_force_oracle_agreement():
         g = catalog.random_planar_gauge(seed=seed)
         rep = find_antipodal_pairs(g, grid_n=512)
         res, grid = grid_residuals(g, 512)
-        tol = g.pair_tol
-        hot = np.argwhere(res < tol / 10)
+        hot = np.argwhere(res < PAIR_TOL / 10)
         pairs = np.array([[p.s, p.sigma] for p in rep.pairs])
         spacing = g.E0 / 512
         for i, j in hot:
@@ -89,7 +88,7 @@ def test_brute_force_oracle_agreement():
             d = np.minimum(d, g.E0 - d).max(axis=1)
             assert d.min() <= 2 * spacing
         for p in rep.pairs:
-            assert p.residual <= 10 * tol
+            assert p.residual <= 10 * PAIR_TOL
 
 
 def test_tangent_formula_quarter_offset_gauge():
