@@ -132,21 +132,103 @@ def _gauss_newton(g, s0, sig0):
     return s, sig, np.linalg.norm(F, axis=1)
 
 
-def _nms(points_embed, order, radius):
+def _near_pairs(s, sigma, period, radius):
+    """Every index pair i < j whose ``_torus_embed`` points lie within
+    ``radius``, as an (m, 2) array.
+
+    A fixed-radius cell list (Bentley, Stanat & Williams, 1977): the
+    points are binned by (s, sigma) into square cells and each cell is
+    compared with itself and with 4 of its 8 wrapped neighbours, so every
+    pair of cells is read once.  An embedded chord of length r spans an
+    arc of 2R asin(r / 2R) on each circle of radius R = period / 2 pi,
+    longer than r, so the cell side is at least that arc; the relative
+    margin lies far above rounding.  With fewer than 3 cells per axis the
+    wrapped neighbours repeat, and one cell holds every point.  A
+    candidate is kept when its squared distance, summed in coordinate
+    order, is at most radius^2, the test of ``cKDTree.query_pairs``.
+    """
+    R = period / (2.0 * np.pi)
+    arc = 2.0 * R * np.arcsin(min(1.0, radius / (2.0 * R))) * (1.0 + 1e-9)
+    cells = int(period // arc)
+    if cells < 3:
+        cells, stencil = 1, ((0, 0),)
+    else:
+        stencil = ((0, 0), (0, 1), (1, -1), (1, 0), (1, 1))
+    side = period / cells
+    cs = np.floor(np.mod(s, period) / side).astype(np.intp) % cells
+    co = np.floor(np.mod(sigma, period) / side).astype(np.intp) % cells
+    cell = cs * cells + co
+    perm = np.argsort(cell, kind="stable")
+    cs, co, cell = cs[perm], co[perm], cell[perm]
+    # candidate partners of the point at sorted position k: positions
+    # lo[k] to hi[k] of one stencil cell, and only later ones in its own
+    pos = np.arange(len(cell))
+    lo, hi = [pos + 1], [np.searchsorted(cell, cell, side="right")]
+    for ds, do in stencil[1:]:
+        nb = (cs + ds) % cells * cells + (co + do) % cells
+        lo.append(np.searchsorted(cell, nb, side="left"))
+        hi.append(np.searchsorted(cell, nb, side="right"))
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    count = hi - lo
+    first = np.repeat(np.tile(pos, len(stencil)), count)
+    range_start = np.cumsum(count) - count
+    second = np.arange(len(first)) + np.repeat(lo - range_start, count)
+    d2 = np.zeros(len(first))
+    for coord in np.ascontiguousarray(_torus_embed(s, sigma, period)[perm].T):
+        diff = coord.take(first)
+        diff -= coord.take(second)
+        d2 += np.square(diff, out=diff)
+    near = d2 <= radius * radius
+    i, j = perm[first[near]], perm[second[near]]
+    return np.stack([np.minimum(i, j), np.maximum(i, j)], axis=1)
+
+
+def _nms(s, sigma, period, order, radius):
     """Greedy non-maximum suppression: keep points in ``order`` whose
     embedded distance to every kept point exceeds ``radius``."""
-    from scipy.spatial import cKDTree
-    # one batched query for every point, also those later suppressed:
-    # cheaper than the call overhead of one query per kept point
-    near = cKDTree(points_embed).query_ball_point(points_embed, radius)
-    kept = []
-    suppressed = np.zeros(len(points_embed), dtype=bool)
-    for i in order:
-        if suppressed[i]:
-            continue
-        kept.append(i)
-        suppressed[near[i]] = True
-    return np.array(kept, dtype=int)
+    n = len(s)
+    pairs = _near_pairs(s, sigma, period, radius)
+    # CSR neighbour lists: the neighbours of point k are
+    # nbr[start[k]:start[k + 1]]
+    src = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    nbr = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    nbr = nbr[np.argsort(src, kind="stable")]
+    start = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(src, minlength=n), out=start[1:])
+    # a point without neighbours is kept and suppresses nothing, and a
+    # kept point is never suppressed, so at the end suppressed marks
+    # exactly the points dropped
+    suppressed = np.zeros(n, dtype=bool)
+    bounds = start.tolist()
+    for i in order[start[order + 1] > start[order]].tolist():
+        if not suppressed[i]:
+            suppressed[nbr[bounds[i]:bounds[i + 1]]] = True
+    return order[~suppressed[order]]
+
+
+def _components(n, pairs):
+    """Connected-component labels of the graph on n points with edges
+    ``pairs``, numbered by each component's lowest index.
+
+    Union-find (Tarjan, 1975) in rounds: every edge hooks the larger of
+    its two roots onto the smaller, then pointer jumping points every
+    point at its root.  Roots only decrease, so each component's root is
+    its lowest index.
+    """
+    root = np.arange(n)
+    i, j = pairs[:, 0], pairs[:, 1]
+    while True:
+        ri, rj = root[i], root[j]
+        split = ri != rj
+        if not split.any():
+            break
+        np.minimum.at(root, np.maximum(ri, rj)[split], np.minimum(ri, rj)[split])
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+    return np.unique(root, return_inverse=True)[1]
 
 
 def _sublevel_minima(r2, level):
@@ -209,23 +291,15 @@ def find_antipodal_pairs(g: OrthogonalGauge, grid_n=DEFAULT_GRID):
     s_ref, sig_ref, res = s_ref[ok] % E0, sig_ref[ok] % E0, res[ok]
 
     spacing = E0 / grid_n
-    embed = _torus_embed(s_ref, sig_ref, E0)
     order = np.argsort(res)                       # lowest residual wins ties
-    keep = _nms(embed, order, 2.0 * spacing)
+    keep = _nms(s_ref, sig_ref, E0, order, 2.0 * spacing)
     s_ref, sig_ref, res = s_ref[keep], sig_ref[keep], res[keep]
 
     # connected components; along an anti-diagonal zero curve the seeds sit
     # up to 2 spacings apart per coordinate and suppression doubles that,
     # so the preserved chain needs a link radius of ~8 spacings
-    embed = _torus_embed(s_ref, sig_ref, E0)
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-    from scipy.spatial import cKDTree
-    tree = cKDTree(embed)
-    link = tree.query_pairs(8.0 * spacing, output_type="ndarray")
-    graph = coo_matrix((np.ones(len(link)), (link[:, 0], link[:, 1])),
-                       shape=(len(s_ref), len(s_ref)))
-    n_comp, labels = connected_components(graph, directed=False)
+    labels = _components(len(s_ref), _near_pairs(s_ref, sig_ref, E0, 8.0 * spacing))
+    n_comp = int(labels.max()) + 1
 
     components = []
     for ci in range(n_comp):

@@ -9,12 +9,16 @@ whole grid; the package must match them bit for bit.
 ``hull_interior_lp_dense`` is the hull-margin linear program with its
 inequality rows written out.  ``sampled_hausdorff`` measures how far a
 realized tangent image lies from its target by nearest-neighbour trees.
+``near_pairs_kdtree``, ``nms_ball_point`` and ``components_csgraph`` are
+the detection's neighbour pairs, greedy suppression and connected
+components computed by scipy's KD-tree and sparse graph routines.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from worldsheet.singular import _torus_embed
 from worldsheet.surface import ConstraintReport, _second_difference, derivatives
 
 
@@ -161,3 +165,44 @@ def sampled_hausdorff(a_pts, b_pts):
     d_ab = ta.query(b_pts)[0].max()
     d_ba = tb.query(a_pts)[0].max()
     return float(max(d_ab, d_ba))
+
+
+def near_pairs_kdtree(s, sigma, period, radius):
+    """Index pairs i < j of torus points whose embeddings lie within
+    radius, as an (m, 2) array from ``cKDTree.query_pairs``."""
+    from scipy.spatial import cKDTree
+
+    embed = _torus_embed(np.asarray(s, dtype=float),
+                         np.asarray(sigma, dtype=float), period)
+    return cKDTree(embed).query_pairs(radius, output_type="ndarray")
+
+
+def nms_ball_point(s, sigma, period, order, radius):
+    """Greedy suppression over one batched ``cKDTree.query_ball_point``:
+    visit ``order``, keep a point not yet suppressed and suppress every
+    point within radius of it."""
+    from scipy.spatial import cKDTree
+
+    embed = _torus_embed(np.asarray(s, dtype=float),
+                         np.asarray(sigma, dtype=float), period)
+    near = cKDTree(embed).query_ball_point(embed, radius)
+    kept = []
+    suppressed = np.zeros(len(embed), dtype=bool)
+    for i in order:
+        if suppressed[i]:
+            continue
+        kept.append(i)
+        suppressed[near[i]] = True
+    return np.array(kept, dtype=int)
+
+
+def components_csgraph(n, pairs):
+    """Connected-component labels of the graph on n points with edges
+    ``pairs``, from ``scipy.sparse.csgraph.connected_components``."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
+    graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+                       shape=(n, n))
+    return connected_components(graph, directed=False)[1]

@@ -139,6 +139,8 @@ print(json.dumps(sorted(m for m in sys.modules
 
 @pytest.mark.parametrize("scenario", [None, "circle_evolve.json",
                                       "cantor_k1_dimension.json",
+                                      "cantor_k1_detect.json",
+                                      "hopf_detect.json",
                                       "hopf_probe.json"])
 def test_scipy_not_loaded(tmp_path, scenario):
     src = os.path.dirname(os.path.dirname(os.path.abspath(worldsheet.__file__)))
@@ -169,13 +171,11 @@ print(json.dumps(sorted(m for m in sys.modules
 """
 
 
-def test_planar_census_loads_no_scipy_interpolate():
+def test_planar_census_loads_no_scipy():
     src = os.path.dirname(os.path.dirname(os.path.abspath(worldsheet.__file__)))
     proc = subprocess.run([sys.executable, "-c", CENSUS_SCIPY_PROBE, src],
                           capture_output=True, text=True, check=True)
-    loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert "scipy.spatial" in loaded          # the probe did reach the search
-    assert not [m for m in loaded if m.startswith("scipy.interpolate")]
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
 COUPLE_EVOLVE = {"name": "couple-evolve", "task": "evolve",

@@ -12,7 +12,8 @@ from worldsheet.singular import (_sublevel_minima, angle_state,
                                  null_tangent_check, sing_star_time_extent,
                                  tangent_formula)
 from worldsheet.surface import derivatives, metric_det
-from oracles import roll_minimum_mask
+from oracles import (components_csgraph, near_pairs_kdtree, nms_ball_point,
+                     roll_minimum_mask)
 
 TWO_PI = 2.0 * np.pi
 
@@ -402,3 +403,85 @@ def plateau_grids(draw):
 @example(np.array([[0.05, 0.05, 0.05, 0.02], [0.3, 0.3, 0.3, 0.3]]), 0.1)
 def test_sublevel_minima_match_roll_mask(r2, level):
     assert np.array_equal(_sublevel_minima(r2, level), _roll_seeds(r2, level))
+
+
+def _sorted_pairs(pairs):
+    pairs = np.asarray(pairs).reshape(-1, 2)
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+
+
+@hst.composite
+def torus_clouds(draw):
+    """Points (s, sigma) in clusters a few radii wide, one of them on the
+    0/period seam in both axes, with some points repeated; radii run from
+    1e-4 period past period / 3, where one cell holds every point."""
+    period = draw(hst.sampled_from([1.0, TWO_PI, 7.3]))
+    radius = period * draw(hst.floats(1e-4, 0.6))
+    n = draw(hst.one_of(hst.integers(0, 2), hst.integers(3, 300)))
+    rng = np.random.default_rng(draw(hst.integers(0, 2 ** 32 - 1)))
+    centres = rng.uniform(0.0, period, (draw(hst.integers(1, 6)), 2))
+    centres[0] = 0.0
+    pts = (centres[rng.integers(len(centres), size=n)]
+           + rng.uniform(-2.0 * radius, 2.0 * radius, (n, 2)))
+    repeat = rng.random(n) < 0.2
+    pts[repeat] = pts[rng.integers(n, size=int(repeat.sum()))]
+    pts = np.mod(pts, period)
+    return pts[:, 0], pts[:, 1], period, radius
+
+
+@settings(max_examples=200, deadline=None)
+@given(torus_clouds(), hst.integers(0, 2 ** 32 - 1))
+def test_near_pairs_nms_components_match_scipy(cloud, seed):
+    s, sig, period, radius = cloud
+    pairs = singular._near_pairs(s, sig, period, radius)
+    assert np.array_equal(_sorted_pairs(pairs),
+                          _sorted_pairs(near_pairs_kdtree(s, sig, period, radius)))
+    assert np.array_equal(singular._components(len(s), pairs),
+                          components_csgraph(len(s), pairs))
+    order = np.random.default_rng(seed).permutation(len(s))
+    assert np.array_equal(singular._nms(s, sig, period, order, radius),
+                          nms_ball_point(s, sig, period, order, radius))
+
+
+@settings(max_examples=200, deadline=None)
+@given(hst.integers(1, 40).flatmap(lambda n: hst.tuples(
+    hst.just(n), hst.lists(hst.tuples(hst.integers(0, n - 1),
+                                      hst.integers(0, n - 1)), max_size=60))))
+def test_components_match_csgraph(graph):
+    n, edges = graph
+    pairs = np.array(edges, dtype=np.intp).reshape(-1, 2)
+    assert np.array_equal(singular._components(n, pairs),
+                          components_csgraph(n, pairs))
+
+
+def test_near_pairs_match_kdtree_on_census_links():
+    for seed in range(8):
+        g = catalog.random_planar_gauge(seed)
+        rep = find_antipodal_pairs(g)
+        s = np.array([p.s for p in rep.pairs])
+        sig = np.array([p.sigma for p in rep.pairs])
+        link = 8.0 * g.E0 / singular.DEFAULT_GRID
+        assert np.array_equal(
+            _sorted_pairs(singular._near_pairs(s, sig, g.E0, link)),
+            _sorted_pairs(near_pairs_kdtree(s, sig, g.E0, link))), seed
+
+
+def test_cantor_nms_and_components_match_scipy(cantor_k1, monkeypatch):
+    # the k = 1 search suppresses its 24,006 refined seeds to 4269 points
+    g, _ = cantor_k1
+    calls = []
+    nms = singular._nms
+    monkeypatch.setattr(singular, "_nms",
+                        lambda *args: calls.append(args) or nms(*args))
+    find_antipodal_pairs(g)
+    (s, sig, period, order, radius), = calls
+    assert np.array_equal(
+        _sorted_pairs(singular._near_pairs(s, sig, period, radius)),
+        _sorted_pairs(near_pairs_kdtree(s, sig, period, radius)))
+    kept = nms(s, sig, period, order, radius)
+    assert len(kept) < len(s)
+    assert np.array_equal(kept, nms_ball_point(s, sig, period, order, radius))
+    s, sig = s[kept], sig[kept]
+    link = singular._near_pairs(s, sig, period, 8.0 * period / singular.DEFAULT_GRID)
+    assert np.array_equal(singular._components(len(s), link),
+                          components_csgraph(len(s), link))
