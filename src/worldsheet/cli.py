@@ -50,16 +50,15 @@ def _task_evolve(g, params, out, ctx):
         xs = np.linspace(0.0, g.E0, nx, endpoint=False)
         tt, xx = np.meshgrid(ts, xs, indexing="ij")
         gm, gx, gt, det = surface._grid_sample(g, tt, xx)
-        rows = [[t, x] + list(p) + list(vx) + list(vt)
-                + [dd, int(dd < -surface.METRIC_DEGENERACY_EPS)]
-                for t, x, p, vx, vt, dd in
-                zip(tt.ravel(), xx.ravel(), gm, gx, gt, det)]
+        header = (["t", "x"] + [f"gamma_{i}" for i in range(g.dim)]
+                  + [f"gamma_x_{i}" for i in range(g.dim)]
+                  + [f"gamma_t_{i}" for i in range(g.dim)]
+                  + ["metric_det", "timelike"])
+        timelike = (det < -surface.METRIC_DEGENERACY_EPS).astype(np.int64)
         serialize.write_csv(
-            os.path.join(out, "surface.csv"),
-            ["t", "x"] + [f"gamma_{i}" for i in range(g.dim)]
-            + [f"gamma_x_{i}" for i in range(g.dim)]
-            + [f"gamma_t_{i}" for i in range(g.dim)]
-            + ["metric_det", "timelike"], rows)
+            os.path.join(out, "surface.csv"), header,
+            np.rec.fromarrays([tt.ravel(), xx.ravel(), *gm.T, *gx.T, *gt.T,
+                               det, timelike], names=header))
     if params.get("residuals"):
         rep = surface.constraint_residuals(
             g, n_t=int(params.get("residual_grid", 100)),
@@ -98,11 +97,12 @@ def _task_detect(g, params, out, ctx):
 
 def _task_diagram(g, params, out, ctx):
     d = topology.diagram(g, m=int(params.get("samples", 1024)))
+    header = ["which"] + [f"c_{i}" for i in range(g.dim)]
+    which = np.repeat(["a", "mb"], [len(d.curve_a), len(d.curve_mb)])
     serialize.write_csv(
-        os.path.join(out, "diagram.csv"),
-        ["which"] + [f"c_{i}" for i in range(g.dim)],
-        [["a"] + list(p) for p in d.curve_a]
-        + [["mb"] + list(p) for p in d.curve_mb])
+        os.path.join(out, "diagram.csv"), header,
+        np.rec.fromarrays([which, *np.vstack([d.curve_a, d.curve_mb]).T],
+                          names=header))
     report = {"task": "diagram", "min_distance": d.min_distance,
               "disjoint": d.disjoint, "samples": d.m}
     if d.disjoint and g.dim == 3:
@@ -115,10 +115,8 @@ def _task_diagram(g, params, out, ctx):
 
 
 def _task_construct(g, params, out, ctx):
-    spec = serialize.gauge_to_spec(g, samples=int(params.get("samples", 4096)))
-    with open(os.path.join(out, "gauge.json"), "w", encoding="utf-8") as fh:
-        json.dump(serialize.jsonable(spec), fh, sort_keys=True)
-        fh.write("\n")
+    serialize.write_gauge(os.path.join(out, "gauge.json"), g,
+                          samples=int(params.get("samples", 4096)))
     m = int(params.get("csv_samples", 1024))
     for label, curve in (("a", g.a), ("b", g.b)):
         xs = np.linspace(0.0, curve.period, m, endpoint=False)
@@ -224,14 +222,16 @@ _GAUGELESS_TASKS = {"nonuniq"}
 
 
 def run_scenario(scenario, out_dir, seed=None, grid=DEFAULT_GRID):
-    """Execute one scenario dict; returns the exit code."""
+    """Execute one scenario dict; returns the exit code.  A ``seed``
+    argument wins over the scenario's ``seed``."""
     name = scenario.get("name", "scenario")
     task = scenario.get("task")
     if task not in _TASKS:
         print(f"error: unknown task {task!r}", file=sys.stderr)
         return 1
     os.makedirs(out_dir, exist_ok=True)
-    ctx = {"seed": scenario.get("seed", seed), "grid": grid}
+    ctx = {"seed": scenario.get("seed") if seed is None else seed,
+           "grid": grid}
     t0 = time.time()
     try:
         if task in _GAUGELESS_TASKS:

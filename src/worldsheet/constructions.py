@@ -316,13 +316,14 @@ def sharp_example_gauge(spec: CantorSpec):
 PINCHED_PARAMS = ((0.20, 0.40), (0.30, 0.45), (0.25, 0.50))
 SWING_PARAMS = ((2.20, 1.00), (2.00, 0.90), (2.40, 1.08))
 DWELL_FRACTION = 0.22
+PLATEAU_ORDER = 3          # k of the pieces' from_tangent_image plateau maps
 
 
-def _aligned_realization(path, pin_param, k=3):
+def _aligned_realization(path, pin_param):
     """Period-1 unit-speed curve with tangent image ``path``, dwelling at
     the image of ``pin_param`` for at least DWELL_FRACTION of the period,
     reparametrized so the dwell is centered at 0 with position 0 there."""
-    curve = from_tangent_image(path, k=k, period=1.0,
+    curve = from_tangent_image(path, k=PLATEAU_ORDER, period=1.0,
                                pinned=[(pin_param, DWELL_FRACTION)])
     dwell = None
     for d0, d1, cp in curve.metadata["dwells"]:
@@ -359,7 +360,7 @@ def _assemble_period3(pieces):
     return UnitSpeedCurve(rep, np.zeros(dim))
 
 
-def nonuniqueness_pair(n=3, delta=0.05, k=3):
+def nonuniqueness_pair(n=3, delta=0.05):
     """Two gauges generating surfaces that coincide for t in [0, delta]
     and differ at t = 1/2.
 
@@ -383,11 +384,11 @@ def nonuniqueness_pair(n=3, delta=0.05, k=3):
     a_pieces = [
         _aligned_realization(
             meridian_oval_path(lon=0.0, width=w, overshoot=o, pinched=True),
-            0.5 * np.pi, k=k)
+            0.5 * np.pi)
         for (w, o) in PINCHED_PARAMS]
     b_pieces = [
         _aligned_realization(swing_path(swing=s, lat_max=-m, lon_center=0.0),
-                             0.0, k=k)
+                             0.0)
         for (s, m) in SWING_PARAMS]
 
     if n > 3:
@@ -425,16 +426,16 @@ def _embed(curve, n):
     return out
 
 
-def same_surface_family(k=3):
+def same_surface_family():
     """Remark-variant of the nonuniqueness pair: equal a-pieces, distinct
     b-pieces, so every time slice parametrizes the same curve while the
     parametrizations differ."""
     a_piece = _aligned_realization(
         meridian_oval_path(lon=0.0, width=0.25, overshoot=0.45, pinched=True),
-        0.5 * np.pi, k=k)
+        0.5 * np.pi)
     b_pieces = [
         _aligned_realization(swing_path(swing=s, lat_max=-m, lon_center=0.0),
-                             0.0, k=k)
+                             0.0)
         for (s, m) in SWING_PARAMS]
     a_id = _assemble_period3([a_piece] * 3)
     perm = (1, 0, 2)

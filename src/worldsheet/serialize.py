@@ -1,4 +1,4 @@
-"""JSON specs for curves, couples and gauges, plus CSV writers.
+"""JSON specs for curves, couples and gauges, plus the JSON and CSV writers.
 
 Builders referenced by name rebuild deterministically from their
 parameters; arbitrary gauges export as dense unit-sphere tangent samples.
@@ -6,7 +6,6 @@ parameters; arbitrary gauges export as dense unit-sphere tangent samples.
 
 from __future__ import annotations
 
-import csv
 import json
 
 import numpy as np
@@ -179,59 +178,55 @@ def gauge_to_spec(g: OrthogonalGauge, samples=4096):
 # ---------------------------------------------------------------------------
 # output helpers
 
-def jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return jsonable(obj.tolist())
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
+def _json_default(obj):
+    # np.float64 subclasses float, so json writes it as repr(float) itself
+    if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, (np.bool_,)):
+    if isinstance(obj, np.bool_):
         return bool(obj)
-    return obj
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def write_report(path, payload):
-    payload = dict(payload)
-    payload["schema_version"] = SCHEMA_VERSION
+def _write_json(path, obj, indent):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(jsonable(payload), fh, sort_keys=True, indent=1)
+        json.dump(obj, fh, sort_keys=True, indent=indent, default=_json_default)
         fh.write("\n")
 
 
+def write_report(path, payload):
+    _write_json(path, {**payload, "schema_version": SCHEMA_VERSION}, indent=1)
+
+
+def write_gauge(path, g: OrthogonalGauge, samples=4096):
+    _write_json(path, gauge_to_spec(g, samples), indent=None)
+
+
 def write_csv(path, header, rows):
+    """Write ``header`` and ``rows`` with \\r\\n line ends.  ``rows`` is an
+    (n, k) float64 array or a length-n structured array with one field per
+    column.  A float64 column renders as repr(float), any other as str."""
+    cols = ([rows[name] for name in rows.dtype.names] if rows.dtype.names
+            else list(rows.T))
+    texts = [_column_text(c) for c in cols]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        # csv writes a float as repr(float) and ends rows with \r\n; joining
-        # the text directly skips its per-cell overhead, and 1024-row chunks
-        # keep the lists small.  A column of which at most half the values
-        # are distinct (by bit pattern) renders each distinct value once.
-        if isinstance(rows, np.ndarray) and rows.dtype == np.float64:
-            bits = rows.view(np.int64)
-            texts = [_repeated_text(c) for c in bits.T]
-            for i in range(0, len(rows), 1024):
-                block, block_bits = rows[i:i + 1024], bits[i:i + 1024]
-                cols = [map(repr, block[:, j].tolist()) if text is None
-                        else text(block_bits[:, j])
-                        for j, text in enumerate(texts)]
-                fh.write("".join(",".join(r) + "\r\n" for r in zip(*cols)))
-            return
-        for row in rows:
-            w.writerow([repr(float(v)) if isinstance(v, (float, np.floating))
-                        else v for v in row])
+        fh.write(",".join(header) + "\r\n")
+        # 1024-row chunks keep the lists of cell texts small
+        for i in range(0, len(rows), 1024):
+            cells = [text(slice(i, i + 1024)) for text in texts]
+            fh.write("".join(",".join(r) + "\r\n" for r in zip(*cells)))
 
 
-def _repeated_text(bits):
-    """For a column of float64 bit patterns of which at most half are
-    distinct, a function from bit patterns of the column to the repr of
-    their values, each distinct value rendered once; otherwise None."""
+def _column_text(col):
+    """A function from a row slice to the texts of ``col``'s cells in it.
+    A float64 column of which at most half the values are distinct (by bit
+    pattern) renders each distinct value once."""
+    if col.dtype != np.float64:
+        return lambda rows: map(str, col[rows].tolist())
+    bits = col.view(np.int64)
     keys = np.unique(bits)
     if 2 * len(keys) > len(bits):
-        return None
+        return lambda rows: map(repr, col[rows].tolist())
     text = np.array([repr(v) for v in keys.view(float).tolist()], dtype=object)
-    return lambda b: text[np.searchsorted(keys, b)].tolist()
+    return lambda rows: text[np.searchsorted(keys, bits[rows])].tolist()

@@ -12,9 +12,14 @@ realized tangent image lies from its target by nearest-neighbour trees.
 ``near_pairs_kdtree``, ``nms_ball_point`` and ``components_csgraph`` are
 the detection's neighbour pairs, greedy suppression and connected
 components computed by scipy's KD-tree and sparse graph routines.
+``csv_per_cell`` writes a table one cell at a time through ``csv.writer``
+and ``json_plain`` copies a payload into plain Python types, the
+references for ``serialize.write_csv`` and ``serialize.write_report``.
 """
 
 from __future__ import annotations
+
+import csv
 
 import numpy as np
 
@@ -206,3 +211,33 @@ def components_csgraph(n, pairs):
     graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
                        shape=(n, n))
     return connected_components(graph, directed=False)[1]
+
+
+def csv_per_cell(path, header, rows):
+    """``rows`` (an array of rows, or a structured array of records) as CSV
+    through ``csv.writer``, a float cell as repr(float(v)) and any other
+    cell as ``csv`` writes it."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([repr(float(v)) if isinstance(v, (float, np.floating))
+                        else v for v in row])
+
+
+def json_plain(obj):
+    """``obj`` with numpy scalars and arrays, tuples and nested containers
+    converted to plain Python dicts, lists, ints, floats and bools."""
+    if isinstance(obj, dict):
+        return {k: json_plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [json_plain(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return json_plain(obj.tolist())
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    return obj

@@ -9,6 +9,8 @@ import pytest
 import worldsheet
 from worldsheet import cli, serialize
 
+from oracles import csv_per_cell, json_plain
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -84,6 +86,14 @@ def test_probe_with_seed(tmp_path):
     assert code == 0
     assert report["outcomes"]["smooth"] == 3
     assert 0.0 <= report["closure_defect_max"] <= 1e-12 * 2.0 * np.pi
+
+
+def test_seed_flag_overrides_scenario_seed(tmp_path):
+    scen = {"name": "probe", "task": "probe", "builder": {"name": "hopf"},
+            "params": {"trials": 3}, "seed": 11}
+    code, report, _ = run_cli(tmp_path, scen, extra=("--seed", "5"))
+    assert code == 0
+    assert report["seed"] == 5
 
 
 def test_unknown_task_exit_one(tmp_path):
@@ -297,16 +307,18 @@ def test_removed_flag_rejected(tmp_path, capsys, flag):
     assert not (tmp_path / "out").exists()
 
 
+CSV_SPECIALS = [-0.0, 0.0, np.nan, np.inf, -np.inf, 1e-300, 1e300, 0.1 + 0.2,
+                -5e-324, 1.0, 5e-324]
+# empty, one row, and around the 1024-row chunk edge
+CSV_ROW_COUNTS = (0, 1, 1023, 1024, 1025, 5000)
+
+
 def test_write_csv_float_array_matches_per_cell_text(tmp_path):
-    values = [-0.0, 0.0, np.nan, np.inf, -np.inf, 1e-300, 1e300, 0.1 + 0.2,
-              -5e-324, 1.0, 5e-324]
     header = ["p_0", "p_1", "p_2", "p_3"]
-    # empty, one row, and around the 1024-row chunk edge
-    for n_rows in (0, 1, 1023, 1024, 1025, 5000):
-        rows = np.resize(np.array(values), n_rows * 4).reshape(n_rows, 4)
+    for n_rows in CSV_ROW_COUNTS:
+        rows = np.resize(np.array(CSV_SPECIALS), n_rows * 4).reshape(n_rows, 4)
         serialize.write_csv(tmp_path / "fast.csv", header, rows)
-        # a list of rows takes the per-cell repr(float(v)) path
-        serialize.write_csv(tmp_path / "cells.csv", header, list(rows))
+        csv_per_cell(tmp_path / "cells.csv", header, rows)
         fast = (tmp_path / "fast.csv").read_bytes()
         assert fast == (tmp_path / "cells.csv").read_bytes()
         lines = fast.split(b"\r\n")
@@ -316,6 +328,31 @@ def test_write_csv_float_array_matches_per_cell_text(tmp_path):
             assert lines[1] == b"-0.0,0.0,nan,inf"
         if n_rows >= 3:
             assert lines[3] == b"-5e-324,1.0,5e-324,-0.0"
+
+
+@pytest.mark.parametrize("n_rows", CSV_ROW_COUNTS)
+def test_write_csv_structured_array_matches_per_cell_text(tmp_path, n_rows):
+    # a str label, float specials (one column with few distinct values,
+    # one with all distinct) and an int column, by column dtype
+    header = ["which", "v", "u", "flag"]
+    labels = np.resize(np.array(["a", "mb", "lbl"]), n_rows)
+    specials = np.resize(np.array(CSV_SPECIALS), n_rows)
+    unique = np.linspace(-1.0, 1.0, n_rows) ** 3
+    flags = np.resize(np.array([0, 1, -7, 2 ** 40], dtype=np.int64), n_rows)
+    rows = np.rec.fromarrays([labels, specials, unique, flags], names=header)
+    serialize.write_csv(tmp_path / "fast.csv", header, rows)
+    csv_per_cell(tmp_path / "cells.csv", header, rows)
+    fast = (tmp_path / "fast.csv").read_bytes()
+    assert fast == (tmp_path / "cells.csv").read_bytes()
+    lines = fast.split(b"\r\n")
+    assert lines[0] == b"which,v,u,flag"
+    assert len(lines) == n_rows + 2 and lines[-1] == b""
+    if n_rows >= 4:
+        assert [ln.split(b",")[::3] for ln in lines[1:5]] == [
+            [b"a", b"0"], [b"mb", b"1"], [b"lbl", b"-7"],
+            [b"a", b"1099511627776"]]
+        assert [ln.split(b",")[1] for ln in lines[1:4]] == [
+            b"-0.0", b"0.0", b"nan"]
 
 
 def test_write_csv_mixed_repeat_columns_match_per_cell_text(tmp_path):
@@ -330,9 +367,20 @@ def test_write_csv_mixed_repeat_columns_match_per_cell_text(tmp_path):
     rows = np.column_stack([repeat, half, unique, repeat[::-1]])
     header = ["r", "h", "u", "r2"]
     serialize.write_csv(tmp_path / "fast.csv", header, rows)
-    serialize.write_csv(tmp_path / "cells.csv", header, list(rows))
+    csv_per_cell(tmp_path / "cells.csv", header, rows)
     fast = (tmp_path / "fast.csv").read_bytes()
     assert fast == (tmp_path / "cells.csv").read_bytes()
     assert fast.split(b"\r\n")[1:4] == [b"-0.0,-3.0,-0.0,-0.0",
                                          b"0.0,-3.0,0.0,-5e-324",
                                          b"nan,-2.9,nan,1e+300"]
+
+
+def test_write_report_matches_plain_json(tmp_path):
+    payload = {"count": np.int64(7), "flag": np.bool_(True),
+               "array": np.array([[0.5, -0.0], [np.nan, 1e-300]]),
+               "ints": np.arange(3), "pair": (1.5, np.float64(0.1 + 0.2)),
+               "nan": float("nan"), "nested": {"ok": np.bool_(False)}}
+    serialize.write_report(tmp_path / "report.json", payload)
+    plain = json_plain({**payload, "schema_version": serialize.SCHEMA_VERSION})
+    assert (tmp_path / "report.json").read_text(encoding="utf-8") \
+        == json.dumps(plain, sort_keys=True, indent=1) + "\n"
