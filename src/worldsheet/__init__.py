@@ -14,8 +14,8 @@ from .errors import PreconditionError, UnderResolvedError, WorldsheetError
 from .gauge import (AdmissibleCouple, OrthogonalGauge, couple_from_gauge,
                     equivalent_gauges, gauge_from_couple, normalize,
                     period_E0)
-from .singular import (DetectionReport, SingComponent, SingularPair,
-                       angle_state, classify_sing_star, find_antipodal_pairs,
+from .singular import (DetectionReport, SingComponent, angle_state,
+                       classify_sing_star, find_antipodal_pairs,
                        is_global_immersion, null_tangent_check,
                        sing_star_time_extent, tangent_formula)
 from .surface import (ConstraintReport, SliceCurve, SurfaceSample,
@@ -29,7 +29,7 @@ __all__ = [
     "AdmissibleCouple", "ClosureReport", "ConstraintReport",
     "DetectionReport", "LinkingResult", "OrthogonalGauge",
     "PerturbationReport", "PointCloud", "PreconditionError",
-    "SingComponent", "SingularPair", "SliceCurve", "SlopeEstimate",
+    "SingComponent", "SliceCurve", "SlopeEstimate",
     "SphereDiagram", "SurfaceSample", "UnderResolvedError",
     "UnitSpeedCurve", "WorldsheetError", "angle_state", "box_count",
     "classify_sing_star", "constraint_residuals", "couple_from_gauge",

@@ -77,16 +77,19 @@ def _task_detect(g, params, out, ctx):
     for comp in rep.components:
         cc = singular.classify_sing_star(g, comp, grid_n=ctx["grid"]) \
             if params.get("classify", True) else comp
-        pairs = sorted(comp.pairs, key=lambda p: (p.s, p.sigma))[:32]
+        first = np.lexsort((comp.sigma, comp.s))[:32]
+        rows = zip(comp.s[first].tolist(), comp.sigma[first].tolist(),
+                   comp.t[first].tolist(), comp.x[first].tolist(),
+                   comp.residual[first].tolist(),
+                   comp.points(g)[first].tolist())
         comps.append({
             "kind": comp.kind,
             "sing_star": cc.sing_star,
             "tangent_gap": cc.tangent_gap,
             "slice_times": list(comp.slice_times),
-            "n_pairs": len(comp.pairs),
-            "pairs": [{"s": p.s, "sigma": p.sigma, "t": p.t, "x": p.x,
-                       "residual": p.residual,
-                       "point": p.point(g).tolist()} for p in pairs],
+            "n_pairs": len(comp.s),
+            "pairs": [{"s": s, "sigma": o, "t": t, "x": x, "residual": r,
+                       "point": pt} for s, o, t, x, r, pt in rows],
         })
     report = {"task": "detect", "n_components": len(rep.components),
               "margin": rep.min_grid_residual, "grid_n": rep.grid_n,
@@ -132,7 +135,7 @@ def _task_construct(g, params, out, ctx):
               "a_closure_defect": g.a.closure_defect().defect,
               "b_closure_defect": g.b.closure_defect().defect,
               "periodicity_defect": g.periodicity_defect(),
-              "x_margin": g.min_sum_norm()}
+              "x_margin": g.validate()}
     return report, 0
 
 
@@ -147,8 +150,7 @@ def _task_dimension(g, params, out, ctx):
             spec = g.metadata.get("spec")
             y1 = cloud.points[:, 1]
             dscale = 2.0 * float(y1.max() - y1.min())
-            ratio = spec.r_alpha if spec.k == 1 else 0.5
-            scales = [dscale * ratio ** j for j in range(1, 8)] \
+            scales = [dscale * spec.r_alpha ** j for j in range(1, 8)] \
                 if spec.k == 1 else [dscale * 0.5 ** j for j in range(3, 10)]
         else:
             scales = list(dimension.DEFAULT_SCALES)

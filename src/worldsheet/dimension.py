@@ -182,17 +182,12 @@ def singstar_cloud(g: OrthogonalGauge, resolution=1024, which="sing_star"):
         return cloud
 
     from .singular import classify_sing_star, find_antipodal_pairs
-    report = find_antipodal_pairs(g)
-    pts = []
-    for comp in report.components:
-        cc = classify_sing_star(g, comp)
-        keep = cc.sing_star == "yes" or which == "sing"
-        if not keep:
-            continue
-        for p in comp.pairs:
-            pts.append(p.point(g))
+    classed = [classify_sing_star(g, comp)
+               for comp in find_antipodal_pairs(g).components]
+    pts = [cc.points(g) for cc in classed
+           if cc.sing_star == "yes" or which == "sing"]
     if not pts:
         raise PreconditionError("no strict singular points at this resolution")
-    return PointCloud(np.array(pts),
+    return PointCloud(np.concatenate(pts),
                       provenance={"gauge": g.metadata.get("name", "?"),
                                   "resolution": resolution, "which": which})

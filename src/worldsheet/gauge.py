@@ -119,12 +119,6 @@ class OrthogonalGauge:
     def dim(self):
         return self.a.dim
 
-    def min_sum_norm(self, samples=4096):
-        """min over the diagonal of |a'(x) + b'(x)| (X-membership margin)."""
-        x = np.linspace(0.0, self.E0, samples, endpoint=False)
-        s = self.a.tangent(x) + self.b.tangent(x)
-        return float(np.linalg.norm(s, axis=1).min())
-
     def periodicity_defect(self):
         """|(a+b)(E0) - (a+b)(0)|; zero for members of the periodic class."""
         return float(np.linalg.norm(self.a.drift() + self.b.drift()))

@@ -14,7 +14,7 @@ no limit" decidable by local sign sampling of F.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,10 +31,17 @@ LIFT_SAMPLES = 8192       # samples of a spline angle lift per period
 
 
 @dataclass
-class SingularPair:
-    s: float
-    sigma: float
-    residual: float
+class SingComponent:
+    """One connected component of the antipodal set: its pairs as 1-D
+    arrays ``s``, ``sigma`` and ``residual``, in detection order."""
+
+    s: np.ndarray
+    sigma: np.ndarray
+    residual: np.ndarray
+    kind: str                      # isolated | curve_segment | full_time_slice
+    sing_star: str = "undetermined"
+    tangent_gap: float | None = None
+    slice_times: tuple = ()
 
     @property
     def t(self):
@@ -44,22 +51,10 @@ class SingularPair:
     def x(self):
         return 0.5 * (self.s + self.sigma)
 
-    def point(self, g: OrthogonalGauge):
-        return np.concatenate([[self.t], gamma(g, self.t, self.x)])
-
-
-@dataclass
-class SingComponent:
-    pairs: list
-    kind: str                      # isolated | curve_segment | full_time_slice
-    sing_star: str = "undetermined"
-    tangent_gap: float | None = None
-    slice_times: tuple = ()
-
-    def arrays(self):
-        s = np.array([p.s for p in self.pairs])
-        sig = np.array([p.sigma for p in self.pairs])
-        return s, sig
+    def points(self, g: OrthogonalGauge):
+        """The (m, 1 + n) rows (t, gamma(g, t, x)) of the pairs."""
+        t = self.t
+        return np.column_stack([t, gamma(g, t, self.x)])
 
 
 @dataclass
@@ -70,7 +65,10 @@ class DetectionReport:
 
     @property
     def pairs(self):
-        return [p for comp in self.components for p in comp.pairs]
+        """The (m, 2) array of (s, sigma) rows, component by component."""
+        return np.concatenate([np.empty((0, 2))]
+                              + [np.column_stack([c.s, c.sigma])
+                                 for c in self.components])
 
     @property
     def empty(self):
@@ -299,15 +297,11 @@ def find_antipodal_pairs(g: OrthogonalGauge, grid_n=DEFAULT_GRID):
     # up to 2 spacings apart per coordinate and suppression doubles that,
     # so the preserved chain needs a link radius of ~8 spacings
     labels = _components(len(s_ref), _near_pairs(s_ref, sig_ref, E0, 8.0 * spacing))
-    n_comp = int(labels.max()) + 1
-
-    components = []
-    for ci in range(n_comp):
-        mask = labels == ci
-        pairs = [SingularPair(float(s), float(o), float(r))
-                 for s, o, r in zip(s_ref[mask], sig_ref[mask], res[mask])]
-        components.append(_classify_kind(pairs, E0, spacing))
-    components.sort(key=lambda c: (c.pairs[0].s, c.pairs[0].sigma))
+    masks = (labels == ci for ci in range(int(labels.max()) + 1))
+    components = sorted(
+        (_classify_kind(s_ref[m], sig_ref[m], res[m], E0, spacing)
+         for m in masks),
+        key=lambda c: (c.s[0], c.sigma[0]))
     return DetectionReport(components, grid_n, min_grid)
 
 
@@ -318,10 +312,8 @@ def _circ_gap(values, period):
     return float(gaps.max())
 
 
-def _classify_kind(pairs, E0, spacing):
-    s = np.array([p.s for p in pairs])
-    sig = np.array([p.sigma for p in pairs])
-    comp = SingComponent(pairs=pairs, kind="curve_segment")
+def _classify_kind(s, sig, res, E0, spacing):
+    comp = SingComponent(s, sig, res, kind="curve_segment")
     embed = _torus_embed(s, sig, E0)
     diam = 0.0
     if len(s) > 1:
@@ -500,8 +492,7 @@ def classify_sing_star(g: OrthogonalGauge, component: SingComponent,
     and reused by later calls.
     """
     spacing = g.E0 / grid_n
-    comp = SingComponent(pairs=component.pairs, kind=component.kind,
-                         slice_times=component.slice_times)
+    comp = replace(component, sing_star="undetermined", tangent_gap=None)
     if component.kind == "full_time_slice":
         comp.sing_star = "no"
         comp.tangent_gap = 0.0
@@ -509,9 +500,8 @@ def classify_sing_star(g: OrthogonalGauge, component: SingComponent,
 
     if g.dim == 2:
         st = _gauge_angle_state(g) if state is None else state
-        s_arr, sig_arr = component.arrays()
-        t_arr = 0.5 * (s_arr - sig_arr)
-        x_arr = 0.5 * (s_arr + sig_arr)
+        s_arr, sig_arr = component.s, component.sigma
+        t_arr, x_arr = component.t, component.x
         t_extent = t_arr.max() - t_arr.min()
         x_extent = x_arr.max() - x_arr.min()
         sig_extent = _u_spread(np.mod(sig_arr, g.E0), g.E0)
@@ -563,14 +553,14 @@ def classify_sing_star(g: OrthogonalGauge, component: SingComponent,
     # n >= 3: oscillation of the unit tangent over shrinking annuli
     worst = 0.0
     finest = []
-    step = max(1, len(component.pairs) // 64)
-    for p in component.pairs[::step]:
+    step = max(1, len(component.s) // 64)
+    for t0, x0 in zip(component.t[::step], component.x[::step]):
         radii = [4.0 * spacing / 2 ** j for j in range(4)]
         osc_per_radius = []
         for r in radii:
             ang = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
-            ts = p.t + r * np.cos(ang)
-            xs = p.x + r * np.sin(ang)
+            ts = t0 + r * np.cos(ang)
+            xs = x0 + r * np.sin(ang)
             gx, _ = derivatives(g, ts, xs)
             nrm = np.linalg.norm(gx, axis=1)
             good = nrm > 1e-9
@@ -596,20 +586,19 @@ def classify_sing_star(g: OrthogonalGauge, component: SingComponent,
     return comp
 
 
-def null_tangent_check(g: OrthogonalGauge, pair, radii=(1e-2, 5e-3, 2.5e-3, 1.25e-3)):
+def null_tangent_check(g: OrthogonalGauge, t0, x0,
+                       radii=(1e-2, 5e-3, 2.5e-3, 1.25e-3)):
     """max |tau . gamma_t(t0, x0)| over approach points (t0 +- r, x0).
 
     The approach runs transversally to the singular slice at fixed x, so
     the sequence must decrease toward zero when the tangent limit exists.
     """
-    if pair is None:
-        raise PreconditionError("no singular pairs to check")
-    _, gt0 = derivatives(g, pair.t, pair.x)
+    _, gt0 = derivatives(g, t0, x0)
     out = []
     for r in radii:
         vals = []
-        for tq in (pair.t - r, pair.t + r):
-            gx, _ = derivatives(g, tq, pair.x)
+        for tq in (t0 - r, t0 + r):
+            gx, _ = derivatives(g, tq, x0)
             nrm = float(np.linalg.norm(gx))
             if nrm <= 1e-9:
                 continue

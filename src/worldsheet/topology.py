@@ -625,9 +625,9 @@ def transversal_count(g: OrthogonalGauge):
         if comp.kind != "isolated":
             raise PreconditionError(
                 "count undefined: non-transversal intersection (extended component)")
-        p = min(comp.pairs, key=lambda q: q.residual)
-        ja = g.a.tangent_derivative(np.array([p.s]))[0]
-        jb = -g.b.tangent_derivative(np.array([p.sigma]))[0]
+        i = int(np.argmin(comp.residual))
+        ja = g.a.tangent_derivative(comp.s[i:i + 1])[0]
+        jb = -g.b.tangent_derivative(comp.sigma[i:i + 1])[0]
         sv = np.linalg.svd(np.stack([ja, jb], axis=1), compute_uv=False)
         if sv[1] < 1e-12 or sv[0] / sv[1] > TRANSVERSAL_COND:
             raise PreconditionError("count undefined: non-transversal intersection")

@@ -12,6 +12,9 @@ realized tangent image lies from its target by nearest-neighbour trees.
 ``near_pairs_kdtree``, ``nms_ball_point`` and ``components_csgraph`` are
 the detection's neighbour pairs, greedy suppression and connected
 components computed by scipy's KD-tree and sparse graph routines.
+``pair_points`` builds the (t, gamma) row of each detected pair with one
+scalar ``gamma`` call per pair, the reference for
+``SingComponent.points``.
 ``csv_per_cell`` writes a table one cell at a time through ``csv.writer``
 and ``json_plain`` copies a payload into plain Python types, the
 references for ``serialize.write_csv`` and ``serialize.write_report``.
@@ -24,7 +27,8 @@ import csv
 import numpy as np
 
 from worldsheet.singular import _torus_embed
-from worldsheet.surface import ConstraintReport, _second_difference, derivatives
+from worldsheet.surface import (ConstraintReport, _second_difference,
+                                derivatives, gamma)
 
 
 class QuadratureError(Exception):
@@ -211,6 +215,16 @@ def components_csgraph(n, pairs):
     graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
                        shape=(n, n))
     return connected_components(graph, directed=False)[1]
+
+
+def pair_points(g, s, sigma):
+    """The (m, 1 + n) rows (t, gamma(g, t, x)) of the pairs (s, sigma),
+    one pair at a time."""
+    rows = []
+    for s0, sig0 in zip(s.tolist(), sigma.tolist()):
+        t, x = 0.5 * (s0 - sig0), 0.5 * (s0 + sig0)
+        rows.append(np.concatenate([[t], gamma(g, t, x)]))
+    return np.array(rows).reshape(-1, 1 + g.dim)
 
 
 def csv_per_cell(path, header, rows):

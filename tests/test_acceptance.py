@@ -74,7 +74,7 @@ def test_criterion_03_planar_always_singular_with_oracle(circle):
         hot = np.argwhere(res < PAIR_TOL / 10)
         if len(hot) == 0:
             return
-        pairs = np.array([[p.s, p.sigma] for p in rep.pairs])
+        pairs = rep.pairs
         spacing = g.E0 / 512
         for i, j in hot:
             d = np.abs(pairs - np.array([grid[i], grid[j]]))

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 import worldsheet
-from worldsheet import cli, serialize
+from worldsheet import catalog, cli, serialize, singular
+from worldsheet.curves import AngleTangent
 
-from oracles import csv_per_cell, json_plain
+from oracles import csv_per_cell, json_plain, pair_points
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -60,6 +61,64 @@ def test_detect_circle_reports_extinction_slice(tmp_path):
     assert comp["kind"] == "full_time_slice"
     assert comp["sing_star"] == "no"
     assert min(abs(t - np.pi / 2) for t in comp["slice_times"]) < 0.05
+
+
+@pytest.mark.parametrize("name", ["circle", "census0"])
+def test_detect_rows_match_per_pair_oracle(tmp_path, name):
+    g = (catalog.circle_gauge() if name == "circle"
+         else catalog.random_planar_gauge(seed=0))
+    report, code = cli._task_detect(g, {"classify": False}, str(tmp_path),
+                                    {"grid": singular.DEFAULT_GRID})
+    assert code == 0
+    comps = singular.find_antipodal_pairs(g).components
+    assert len(report["components"]) == len(comps)
+    for got, comp in zip(report["components"], comps):
+        rows = sorted(zip(comp.s.tolist(), comp.sigma.tolist(),
+                          comp.residual.tolist()),
+                      key=lambda row: row[:2])[:32]
+        s, sigma, _ = (np.array(col) for col in zip(*rows))
+        want = [{"s": a, "sigma": b, "t": 0.5 * (a - b), "x": 0.5 * (a + b),
+                 "residual": r, "point": pt}
+                for (a, b, r), pt in zip(rows,
+                                         pair_points(g, s, sigma).tolist())]
+        assert got["n_pairs"] == len(comp.s)
+        assert got["pairs"] == want
+    if name == "circle":                  # the 32-row cut is exercised
+        assert report["components"][0]["n_pairs"] > 32
+
+
+def test_construct_meridian_loops(tmp_path):
+    with open(os.path.join(ROOT, "scenarios", "meridian_construct.json"),
+              encoding="utf-8") as fh:
+        scenario = json.load(fh)
+    assert cli.run_scenario(scenario, str(tmp_path)) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    for key in ("a_closure_defect", "b_closure_defect", "periodicity_defect"):
+        assert report[key] <= 1e-12
+    g = catalog.meridian_loops_gauge()
+    assert report["x_margin"] == g.validate()
+    h = serialize.gauge_from_spec(
+        json.loads((tmp_path / "gauge.json").read_text()))
+    assert abs(h.E0 - g.E0) <= 1e-12
+
+
+def test_diagram_meridian_loops_winding(tmp_path):
+    scen = {"name": "meridian-diagram", "task": "diagram",
+            "builder": {"name": "meridian_loops"}}
+    assert cli.run_scenario(scen, str(tmp_path)) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["disjoint"]
+    assert report["winding"] == 0
+
+
+@pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"])
+def test_unreadable_scenario_exit_one(tmp_path, capsys, content):
+    path = tmp_path / "scen.json"
+    if content is not None:
+        path.write_text(content)
+    assert cli.main(["--scenario", str(path),
+                     "--out", str(tmp_path / "out")]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_diagram_hopf_linking(tmp_path):
@@ -278,6 +337,20 @@ def test_gauge_spec_with_smoothness_keys_still_loads():
                               c_new.tangent_derivative(xs))
 
 
+def test_angle_fourier_and_circle_curve_specs():
+    g = serialize.gauge_from_spec(
+        {"a": {"kind": "angle_fourier", "winding": 1,
+               "modes": [[2, 0.3, 0.1], [4, 0.0, 0.05]]},
+         "b": {"kind": "circle"}})
+    assert isinstance(g.a.rep, AngleTangent)
+    assert g.a.closure_defect().defect <= 1e-14
+    xs = np.linspace(0.0, g.E0, 4096, endpoint=False)
+    h = 1e-5
+    central = (g.a.tangent(xs + h) - g.a.tangent(xs - h)) / (2.0 * h)
+    assert np.abs(g.a.tangent_derivative(xs) - central).max() <= 1e-8
+    assert len(singular.find_antipodal_pairs(g).components) == 8
+
+
 @pytest.mark.parametrize("v0, E0", [
     ({"kind": "zero"}, 6.2983),
     ({"kind": "normal_scale", "scale": 0.4, "wobble": 0.3}, 6.9153),
@@ -290,7 +363,7 @@ def test_fourier_loop_couple_spec(v0, E0):
     xs = np.linspace(0, g.E0, 1000, endpoint=False)
     for curve in (g.a, g.b):
         assert np.abs(np.linalg.norm(curve.tangent(xs), axis=1) - 1).max() < 1e-9
-    assert g.min_sum_norm() > 0.5
+    assert g.validate() > 0.5
     assert abs(g.E0 - E0) < 1e-4
 
 

@@ -85,7 +85,7 @@ def test_sharp_gauge_unit_speed(cantor_k1):
 
 def test_sharp_gauge_membership_and_immersed_start(cantor_k1):
     g, _ = cantor_k1
-    assert g.min_sum_norm(8192) > 0.2
+    assert g.validate(8192) > 0.2
     assert g.periodicity_defect() < 1e-6
 
 
@@ -93,7 +93,7 @@ def test_predicted_points_are_detected(cantor_k1):
     g, pred = cantor_k1
     rep = find_antipodal_pairs(g, grid_n=512)
     spacing = g.E0 / 512
-    pairs = np.array([[p.s, p.sigma] for p in rep.pairs])
+    pairs = rep.pairs
     for s in pred["sigma_star"]:
         res = np.linalg.norm(g.a.tangent(np.array([s]))
                              + g.b.tangent(np.array([0.5])))
@@ -147,7 +147,7 @@ def test_cantor_classifier_flags_strict_points(cantor_k1):
     # the characteristic band is one fat component at this resolution;
     # classification must find strict singular behavior inside it
     band = [c for c in rep.components
-            if any(3.9 <= p.s <= 5.1 for p in c.pairs)]
+            if np.any((3.9 <= c.s) & (c.s <= 5.1))]
     assert band
     flags = {classify_sing_star(g, c, grid_n=512).sing_star for c in band}
     assert "yes" in flags

@@ -13,7 +13,7 @@ from worldsheet.singular import (_sublevel_minima, angle_state,
                                  tangent_formula)
 from worldsheet.surface import derivatives, metric_det
 from oracles import (components_csgraph, near_pairs_kdtree, nms_ball_point,
-                     roll_minimum_mask)
+                     pair_points, roll_minimum_mask)
 
 TWO_PI = 2.0 * np.pi
 
@@ -28,15 +28,28 @@ def test_circle_full_slice_detection(circle):
 
 
 def test_circle_pairs_satisfy_antipodal_relation(circle):
-    rep = find_antipodal_pairs(circle)
-    for p in rep.components[0].pairs[:50]:
-        # a'(s) = -b'(sigma) happens exactly at s - sigma = pi mod 2pi
-        assert abs((p.s - p.sigma - np.pi + np.pi) % TWO_PI - np.pi) < 1e-7
-        assert p.residual <= 1e-8
-        # round trip (t, x) -> (s, sigma) is the exact algebraic inverse
-        # (no modular adjustment), up to one rounding of the half-sums
-        assert abs((p.x + p.t) - p.s) <= 4 * np.finfo(float).eps * max(1, p.s)
-        assert abs((p.x - p.t) - p.sigma) <= 4 * np.finfo(float).eps * max(1, p.s)
+    comp = find_antipodal_pairs(circle).components[0]
+    s, sigma, t, x = comp.s[:50], comp.sigma[:50], comp.t[:50], comp.x[:50]
+    # a'(s) = -b'(sigma) happens exactly at s - sigma = pi mod 2pi
+    assert np.all(np.abs((s - sigma - np.pi + np.pi) % TWO_PI - np.pi) < 1e-7)
+    assert np.all(comp.residual[:50] <= 1e-8)
+    # round trip (t, x) -> (s, sigma) is the exact algebraic inverse
+    # (no modular adjustment), up to one rounding of the half-sums
+    tol = 4 * np.finfo(float).eps * np.maximum(1, s)
+    assert np.all(np.abs((x + t) - s) <= tol)
+    assert np.all(np.abs((x - t) - sigma) <= tol)
+
+
+@pytest.mark.parametrize("gauge", ["census0", "census1", "census2",
+                                   "census3", "cantor_k1"])
+def test_component_points_match_per_pair_gamma(gauge, request):
+    g = (request.getfixturevalue("cantor_k1")[0] if gauge == "cantor_k1"
+         else catalog.random_planar_gauge(seed=int(gauge[-1])))
+    comps = find_antipodal_pairs(g).components
+    assert comps
+    for comp in comps:
+        assert np.array_equal(comp.points(g),
+                              pair_points(g, comp.s, comp.sigma))
 
 
 def test_hopf_immersion_margin(hopf):
@@ -69,9 +82,9 @@ def test_random_planar_always_singular():
 
 def test_detected_pairs_have_degenerate_metric():
     g = catalog.random_planar_gauge(seed=9)
-    rep = find_antipodal_pairs(g)
-    for p in rep.pairs[:100]:
-        assert abs(metric_det(g, p.t, p.x)) <= 1e-6
+    s, sigma = find_antipodal_pairs(g).pairs[:100].T
+    assert np.all(np.abs(metric_det(g, 0.5 * (s - sigma),
+                                    0.5 * (s + sigma))) <= 1e-6)
 
 
 def test_brute_force_oracle_agreement():
@@ -82,14 +95,14 @@ def test_brute_force_oracle_agreement():
         rep = find_antipodal_pairs(g, grid_n=512)
         res, grid = grid_residuals(g, 512)
         hot = np.argwhere(res < PAIR_TOL / 10)
-        pairs = np.array([[p.s, p.sigma] for p in rep.pairs])
+        pairs = rep.pairs
         spacing = g.E0 / 512
         for i, j in hot:
             d = np.abs(pairs - np.array([grid[i], grid[j]]))
             d = np.minimum(d, g.E0 - d).max(axis=1)
             assert d.min() <= 2 * spacing
-        for p in rep.pairs:
-            assert p.residual <= 10 * PAIR_TOL
+        for comp in rep.components:
+            assert np.all(comp.residual <= 10 * PAIR_TOL)
 
 
 def test_tangent_formula_quarter_offset_gauge():
@@ -202,9 +215,10 @@ def _reference_sign_pattern(state, t0, x0, radius, n=48):
 
 def _reference_votes(state, comp, spacing):
     votes = []
-    for p in comp.pairs[::max(1, len(comp.pairs) // 64)]:
+    step = max(1, len(comp.s) // 64)
+    for t0, x0 in zip(comp.t[::step], comp.x[::step]):
         radii = [4.0 * spacing / 2 ** j for j in range(4)]
-        has_both = [all(_reference_sign_pattern(state, p.t, p.x, r))
+        has_both = [all(_reference_sign_pattern(state, t0, x0, r))
                     for r in radii]
         votes.append("yes" if all(has_both)
                      else "no" if not any(has_both) else "undetermined")
@@ -265,7 +279,7 @@ def test_sign_votes_evaluate_two_lifts_per_component():
             classify_sing_star(g, comp, state=st)
         except PreconditionError:
             continue
-        voters = len(comp.pairs[::max(1, len(comp.pairs) // 64)])
+        voters = len(comp.s[::max(1, len(comp.s) // 64)])
         for name in ("alpha", "beta"):
             assert len(calls[name]) <= 1
             assert sum(calls[name]) <= 4 * 48 * voters
@@ -303,29 +317,22 @@ def test_sign_content_matches_outer_difference(pair):
 
 
 def test_null_tangent_circle(circle):
-    rep = find_antipodal_pairs(circle)
-    vals = null_tangent_check(circle, rep.components[0].pairs[0])
+    comp = find_antipodal_pairs(circle).components[0]
+    vals = null_tangent_check(circle, comp.t[0], comp.x[0])
     assert np.nanmax(vals) < 1e-7
 
 
 def test_null_tangent_decay_perturbed_circle():
     g = catalog.random_planar_gauge(seed=9)
     rep = find_antipodal_pairs(g)
-    comp = min(rep.components, key=lambda c: len(c.pairs))
-    p = min(comp.pairs, key=lambda q: q.residual)
+    comp = min(rep.components, key=lambda c: len(c.s))
+    i = np.argmin(comp.residual)
     radii = (2e-2, 1e-2, 5e-3, 2.5e-3)
-    vals = null_tangent_check(g, p, radii=radii)
+    vals = null_tangent_check(g, comp.t[i], comp.x[i], radii=radii)
     good = np.isfinite(vals)
     vals = vals[good]
     for a, b in zip(vals[:-1], vals[1:]):
         assert b <= 0.5 * a + 1e-7
-
-
-def test_null_tangent_requires_pair(hopf):
-    rep = find_antipodal_pairs(hopf)
-    pair = rep.pairs[0] if rep.pairs else None
-    with pytest.raises(PreconditionError, match="no singular pairs"):
-        null_tangent_check(hopf, pair)
 
 
 def test_time_extent_nonconvex_nonempty():
@@ -458,8 +465,7 @@ def test_near_pairs_match_kdtree_on_census_links():
     for seed in range(8):
         g = catalog.random_planar_gauge(seed)
         rep = find_antipodal_pairs(g)
-        s = np.array([p.s for p in rep.pairs])
-        sig = np.array([p.sigma for p in rep.pairs])
+        s, sig = rep.pairs.T
         link = 8.0 * g.E0 / singular.DEFAULT_GRID
         assert np.array_equal(
             _sorted_pairs(singular._near_pairs(s, sig, g.E0, link)),
