@@ -94,16 +94,14 @@ def _density(couple, x):
     return np.linalg.norm(gp, axis=1) / np.sqrt(1.0 - (v * v).sum(axis=1))
 
 
-@dataclass
+@dataclass(eq=False)
 class OrthogonalGauge:
-    """A pair (a, b) of unit-speed curves with common period E0."""
+    """A pair (a, b) of unit-speed curves with common period E0; hashed
+    and compared by identity."""
 
     a: UnitSpeedCurve
     b: UnitSpeedCurve
     metadata: dict = field(default_factory=dict)
-    # (a, b, planar angle lift) kept by singular.classify_sing_star
-    _angle_cache: tuple | None = field(default=None, init=False, repr=False,
-                                       compare=False)
 
     def __post_init__(self):
         if self.a.dim != self.b.dim:

@@ -14,6 +14,7 @@ no limit" decidable by local sign sampling of F.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -428,13 +429,17 @@ def angle_state(g: OrthogonalGauge):
     return TwoDAngleState(alpha=alpha_n, beta=beta, E0=g.E0)
 
 
+# gauge -> (a, b, angle_state(gauge)), dropped with the gauge
+_LIFTS = weakref.WeakKeyDictionary()
+
+
 def _gauge_angle_state(g: OrthogonalGauge):
     """angle_state(g), lifted once per gauge and kept until g.a or g.b
     is replaced."""
-    a, b, st = g._angle_cache or (None, None, None)
+    a, b, st = _LIFTS.get(g, (None, None, None))
     if a is not g.a or b is not g.b:
         st = angle_state(g)
-        g._angle_cache = (g.a, g.b, st)
+        _LIFTS[g] = (g.a, g.b, st)
     return st
 
 
@@ -474,7 +479,6 @@ def _half_g_jump_ok(st, t, s0, s1):
 
 
 def classify_sing_star(g: OrthogonalGauge, component: SingComponent,
-                       state: TwoDAngleState | None = None,
                        grid_n=DEFAULT_GRID):
     """Classify whether the component carries points where the unit
     tangent has no limit.
@@ -486,10 +490,10 @@ def classify_sing_star(g: OrthogonalGauge, component: SingComponent,
     on 4 shrinking squares around up to 64 voting pairs.  F is
     alpha(s) - beta(sigma), so each square's sign content is read from
     the two 48-point lifts along the characteristics s and sigma, one
-    alpha and one beta call per component.  Higher dimensions: tangent
-    oscillation over shrinking annuli with an honest undetermined band.
-    Without ``state``, the planar angle lift is computed once per gauge
-    and reused by later calls.
+    alpha and one beta call per component, from the planar angle lift
+    computed once per gauge.  Higher dimensions: tangent oscillation over
+    shrinking annuli, all voters' circles read by one ``derivatives``
+    call, with an honest undetermined band.
     """
     spacing = g.E0 / grid_n
     comp = replace(component, sing_star="undetermined", tangent_gap=None)
@@ -497,9 +501,12 @@ def classify_sing_star(g: OrthogonalGauge, component: SingComponent,
         comp.sing_star = "no"
         comp.tangent_gap = 0.0
         return comp
+    # both probes below: up to 64 voters, each at 4 shrinking radii
+    step = max(1, len(component.s) // 64)
+    radii = 4.0 * spacing / 2.0 ** np.arange(4)
 
     if g.dim == 2:
-        st = _gauge_angle_state(g) if state is None else state
+        st = _gauge_angle_state(g)
         s_arr, sig_arr = component.s, component.sigma
         t_arr, x_arr = component.t, component.x
         t_extent = t_arr.max() - t_arr.min()
@@ -531,8 +538,6 @@ def classify_sing_star(g: OrthogonalGauge, component: SingComponent,
         # F(t, x) = alpha(x + t) - beta(x - t): on a square rotated onto
         # the characteristics, the grid point at offsets (d_i, d_j) along
         # s and sigma has F = alpha(s0 + d_i) - beta(sigma0 + d_j)
-        step = max(1, len(s_arr) // 64)
-        radii = 4.0 * spacing / 2.0 ** np.arange(4)
         d = np.linspace(-radii, radii, 48, axis=1)                 # (4, 48)
         A = st.alpha((s_arr[::step, None, None] + d).ravel()).reshape(-1, 4, 48)
         B = st.beta((sig_arr[::step, None, None] + d).ravel()).reshape(-1, 4, 48)
@@ -550,39 +555,25 @@ def classify_sing_star(g: OrthogonalGauge, component: SingComponent,
             comp.sing_star = "undetermined"
         return comp
 
-    # n >= 3: oscillation of the unit tangent over shrinking annuli
-    worst = 0.0
-    finest = []
-    step = max(1, len(component.s) // 64)
-    for t0, x0 in zip(component.t[::step], component.x[::step]):
-        radii = [4.0 * spacing / 2 ** j for j in range(4)]
-        osc_per_radius = []
-        for r in radii:
-            ang = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
-            ts = t0 + r * np.cos(ang)
-            xs = x0 + r * np.sin(ang)
-            gx, _ = derivatives(g, ts, xs)
-            nrm = np.linalg.norm(gx, axis=1)
-            good = nrm > 1e-9
-            if good.sum() < 2:
-                osc_per_radius.append(np.nan)
-                continue
-            tau = gx[good] / nrm[good][:, None]
-            dots = np.clip(tau @ tau.T, -1.0, 1.0)
-            osc_per_radius.append(float(np.arccos(dots).max()))
-        fine = [o for o in osc_per_radius[-2:] if np.isfinite(o)]
-        if fine:
-            finest.append(min(fine))
-            worst = max(worst, min(fine))
-    comp.tangent_gap = worst
-    if not finest:
-        comp.sing_star = "undetermined"
-    elif worst >= OSC_YES:
-        comp.sing_star = "yes"
-    elif worst <= OSC_NO:
-        comp.sing_star = "no"
-    else:
-        comp.sing_star = "undetermined"
+    # n >= 3: oscillation of the unit tangent over a 16-point circle of
+    # each radius around each voter, read in one batch
+    ang = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
+    ts = component.t[::step, None, None] + radii[:, None] * np.cos(ang)
+    xs = component.x[::step, None, None] + radii[:, None] * np.sin(ang)
+    gx, _ = derivatives(g, ts, xs)                      # (voters, 4, 16, n)
+    nrm = np.linalg.norm(gx, axis=-1)
+    nrm[nrm <= 1e-9] = np.nan                           # skipped points
+    tau = gx / nrm[..., None]
+    # a skipped point's dot products read 1, an angle of 0
+    dots = np.nan_to_num(tau @ np.swapaxes(tau, -1, -2), nan=1.0)
+    osc = np.arccos(np.clip(dots, -1.0, 1.0)).max(axis=(-2, -1))
+    osc[np.isfinite(nrm).sum(axis=-1) < 2] = np.nan
+    finest = np.fmin(osc[:, 2], osc[:, 3])              # per voter
+    finest = finest[~np.isnan(finest)]
+    comp.tangent_gap = worst = float(finest.max(initial=0.0))
+    if len(finest):
+        comp.sing_star = ("yes" if worst >= OSC_YES else
+                          "no" if worst <= OSC_NO else "undetermined")
     return comp
 
 
@@ -592,29 +583,24 @@ def null_tangent_check(g: OrthogonalGauge, t0, x0,
 
     The approach runs transversally to the singular slice at fixed x, so
     the sequence must decrease toward zero when the tangent limit exists.
+    Points with |gamma_x| <= 1e-9 are skipped; NaN when both are.
     """
     _, gt0 = derivatives(g, t0, x0)
-    out = []
-    for r in radii:
-        vals = []
-        for tq in (t0 - r, t0 + r):
-            gx, _ = derivatives(g, tq, x0)
-            nrm = float(np.linalg.norm(gx))
-            if nrm <= 1e-9:
-                continue
-            vals.append(abs(float(gx @ gt0)) / nrm)
-        out.append(max(vals) if vals else np.nan)
-    return np.array(out)
+    r = np.asarray(radii, dtype=float)[:, None]
+    gx, _ = derivatives(g, np.hstack([t0 - r, t0 + r]), x0)   # (radii, 2, n)
+    nrm = np.linalg.norm(gx, axis=-1)
+    nrm[nrm <= 1e-9] = np.nan
+    vals = np.abs(gx @ gt0) / nrm
+    return np.fmax(vals[:, 0], vals[:, 1])
 
 
-def sing_star_time_extent(g: OrthogonalGauge, t_samples=512, x_samples=2048,
-                          state: TwoDAngleState | None = None):
+def sing_star_time_extent(g: OrthogonalGauge, t_samples=512, x_samples=2048):
     """Maximal time intervals in [0, E0) containing strict singular points,
-    located through sign changes of F(t, .) (planar gauges).  Without
-    ``state``, the per-gauge lift of ``classify_sing_star`` is reused."""
+    located through sign changes of F(t, .) (planar gauges), from the
+    per-gauge lift of ``classify_sing_star``."""
     if g.dim != 2:
         raise PreconditionError("time-extent scan requires a planar gauge")
-    st = _gauge_angle_state(g) if state is None else state
+    st = _gauge_angle_state(g)
     E0 = g.E0
     ts = np.linspace(0.0, E0, t_samples, endpoint=False)
     xs = np.linspace(0.0, E0, x_samples, endpoint=False)

@@ -180,14 +180,15 @@ def _projection_centers(d: SphereDiagram, n_candidates):
 
 
 def _planar_winding(loop, z):
-    """Winding number of a closed planar polyline around z."""
-    rel = loop - z
-    ang = np.arctan2(rel[:, 1], rel[:, 0])
-    inc = np.diff(np.concatenate([ang, ang[:1]]))
+    """Winding numbers of a closed planar polyline around each row of z,
+    and each one's distance from the nearest integer, as two arrays."""
+    rel = loop - z[:, None, :]                              # (len(z), m, 2)
+    ang = np.arctan2(rel[..., 1], rel[..., 0])
+    inc = np.diff(ang, axis=1, append=ang[:, :1])
     inc = np.mod(inc + np.pi, 2.0 * np.pi) - np.pi
-    total = inc.sum() / (2.0 * np.pi)
-    w = int(np.round(total))
-    return w, float(abs(total - w))
+    total = inc.sum(axis=1) / (2.0 * np.pi)
+    w = np.round(total)
+    return w.astype(int), np.abs(total - w)
 
 
 def winding_number(d: SphereDiagram):
@@ -207,17 +208,17 @@ def winding_number(d: SphereDiagram):
     def value(center, A, MB):
         pa = _stereographic(A, center)
         pm = _stereographic(MB, center)
-        w, resid = _planar_winding(pa, pm[0])
-        if resid > 0.05:
+        # pm[0] and ~8 representative points of the projected -b' curve,
+        # which must all agree
+        w, resid = _planar_winding(
+            pa, np.vstack([pm[:1], pm[1::max(1, len(pm) // 8)]]))
+        if resid[0] > 0.05:
             raise UnderResolvedError("winding integral far from an integer")
-        # every representative point of the projected -b' curve must agree
-        for k in range(1, len(pm), max(1, len(pm) // 8)):
-            wk, _ = _planar_winding(pa, pm[k])
-            if wk != w:
-                raise UnderResolvedError(
-                    "winding depends on the representative point; "
-                    "diagram under-resolved")
-        return w
+        if (w != w[0]).any():
+            raise UnderResolvedError(
+                "winding depends on the representative point; "
+                "diagram under-resolved")
+        return int(w[0])
 
     w1 = value(q1, d.curve_a, d.curve_mb)
 
@@ -616,20 +617,29 @@ def genericity_probe(g: OrthogonalGauge, epsilon, trials, seed, grid_n=256):
 
 def transversal_count(g: OrthogonalGauge):
     """Number of transversal antipodal intersections per fundamental
-    domain (n = 3); errors out when any intersection is non-transversal."""
+    domain (n = 3), read at each component's lowest-residual pair; errors
+    out when any intersection is extended or non-transversal.  Closed
+    curves on S^2 have intersection number 0, so the crossing signs
+    det(a'(s), a''(s), -b''(sigma)) must sum to 0, or one was missed."""
     if g.dim != 3:
         raise PreconditionError("transversal count requires n = 3")
-    report = find_antipodal_pairs(g)
-    count = 0
-    for comp in report.components:
-        if comp.kind != "isolated":
-            raise PreconditionError(
-                "count undefined: non-transversal intersection (extended component)")
-        i = int(np.argmin(comp.residual))
-        ja = g.a.tangent_derivative(comp.s[i:i + 1])[0]
-        jb = -g.b.tangent_derivative(comp.sigma[i:i + 1])[0]
-        sv = np.linalg.svd(np.stack([ja, jb], axis=1), compute_uv=False)
-        if sv[1] < 1e-12 or sv[0] / sv[1] > TRANSVERSAL_COND:
-            raise PreconditionError("count undefined: non-transversal intersection")
-        count += 1
-    return count
+    comps = find_antipodal_pairs(g).components
+    if any(c.kind != "isolated" for c in comps):
+        raise PreconditionError(
+            "count undefined: non-transversal intersection (extended component)")
+    best = [np.argmin(c.residual) for c in comps]
+    s = np.array([c.s[i] for c, i in zip(comps, best)])
+    sigma = np.array([c.sigma[i] for c, i in zip(comps, best)])
+    ja = g.a.tangent_derivative(s)
+    jb = -g.b.tangent_derivative(sigma)
+    sv = np.linalg.svd(np.stack([ja, jb], axis=2), compute_uv=False)
+    cond = np.divide(sv[:, 0], sv[:, 1], out=np.full(len(sv), np.inf),
+                     where=sv[:, 1] >= 1e-12)
+    if (cond > TRANSVERSAL_COND).any():
+        raise PreconditionError("count undefined: non-transversal intersection")
+    signs = np.sign(np.linalg.det(np.stack([g.a.tangent(s), ja, jb], axis=1)))
+    if signs.sum() != 0:
+        raise UnderResolvedError(
+            f"signed intersection sum {int(signs.sum())} is not 0; "
+            "an antipodal crossing was missed")
+    return len(comps)

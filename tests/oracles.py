@@ -15,6 +15,10 @@ components computed by scipy's KD-tree and sparse graph routines.
 ``pair_points`` builds the (t, gamma) row of each detected pair with one
 scalar ``gamma`` call per pair, the reference for
 ``SingComponent.points``.
+``oscillation_votes`` is the n >= 3 tangent-oscillation classifier read
+one voter and one radius at a time, the reference for the batched
+``classify_sing_star``; ``embed_planar`` copies a planar gauge into R^3,
+where that classifier needs no angle lift.
 ``csv_per_cell`` writes a table one cell at a time through ``csv.writer``
 and ``json_plain`` copies a payload into plain Python types, the
 references for ``serialize.write_csv`` and ``serialize.write_report``.
@@ -26,7 +30,9 @@ import csv
 
 import numpy as np
 
-from worldsheet.singular import _torus_embed
+from worldsheet.curves import CallableTangent, UnitSpeedCurve
+from worldsheet.gauge import OrthogonalGauge
+from worldsheet.singular import OSC_NO, OSC_YES, _torus_embed
 from worldsheet.surface import (ConstraintReport, _second_difference,
                                 derivatives, gamma)
 
@@ -225,6 +231,56 @@ def pair_points(g, s, sigma):
         t, x = 0.5 * (s0 - sig0), 0.5 * (s0 + sig0)
         rows.append(np.concatenate([[t], gamma(g, t, x)]))
     return np.array(rows).reshape(-1, 1 + g.dim)
+
+
+def oscillation_votes(g, component, spacing):
+    """(sing_star, tangent_gap) of an n >= 3 component: for every voter
+    and each of 4 shrinking radii, the largest angle between unit tangents
+    on a 16-point circle, skipping points with |gamma_x| <= 1e-9."""
+    worst = 0.0
+    finest = []
+    step = max(1, len(component.s) // 64)
+    for t0, x0 in zip(component.t[::step], component.x[::step]):
+        radii = [4.0 * spacing / 2 ** j for j in range(4)]
+        osc_per_radius = []
+        for r in radii:
+            ang = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
+            ts = t0 + r * np.cos(ang)
+            xs = x0 + r * np.sin(ang)
+            gx, _ = derivatives(g, ts, xs)
+            nrm = np.linalg.norm(gx, axis=1)
+            good = nrm > 1e-9
+            if good.sum() < 2:
+                osc_per_radius.append(np.nan)
+                continue
+            tau = gx[good] / nrm[good][:, None]
+            dots = np.clip(tau @ tau.T, -1.0, 1.0)
+            osc_per_radius.append(float(np.arccos(dots).max()))
+        fine = [o for o in osc_per_radius[-2:] if np.isfinite(o)]
+        if fine:
+            finest.append(min(fine))
+            worst = max(worst, min(fine))
+    if not finest:
+        return "undetermined", worst
+    if worst >= OSC_YES:
+        return "yes", worst
+    if worst <= OSC_NO:
+        return "no", worst
+    return "undetermined", worst
+
+
+def embed_planar(g):
+    """The copy of a planar gauge in R^3: tangents and basepoints padded
+    by a zero third coordinate."""
+    def padded(curve):
+        rep = curve.rep
+        return UnitSpeedCurve(
+            CallableTangent(lambda x, order: np.pad(
+                rep(x, order), [(0, 0)] * np.ndim(x) + [(0, 1)]),
+                rep.period, 3, breakpoints=rep.breakpoints),
+            np.append(curve.basepoint, 0.0))
+
+    return OrthogonalGauge(padded(g.a), padded(g.b))
 
 
 def csv_per_cell(path, header, rows):

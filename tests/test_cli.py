@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import worldsheet
-from worldsheet import catalog, cli, serialize, singular
+from worldsheet import catalog, cli, dimension, serialize, singular, topology
 from worldsheet.curves import AngleTangent
+from worldsheet.errors import UnderResolvedError
 
 from oracles import csv_per_cell, json_plain, pair_points
 
@@ -111,6 +112,19 @@ def test_diagram_meridian_loops_winding(tmp_path):
     assert report["winding"] == 0
 
 
+def test_under_resolved_exit_three(tmp_path, capsys, monkeypatch):
+    def unresolved(d):
+        raise UnderResolvedError("winding integral far from an integer")
+
+    monkeypatch.setattr(topology, "winding_number", unresolved)
+    scen = {"name": "meridian-diagram", "task": "diagram",
+            "builder": {"name": "meridian_loops"}}
+    assert cli.run_scenario(scen, str(tmp_path)) == 3
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["kind"] == "under-resolved"
+    assert "under-resolved:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"])
 def test_unreadable_scenario_exit_one(tmp_path, capsys, content):
     path = tmp_path / "scen.json"
@@ -176,6 +190,14 @@ def test_unreliable_dimension_exit_three(tmp_path):
                        "scales": [0.2, 0.1, 0.05, 0.025, 0.0125, 0.00625]}}
     code, report, _ = run_cli(tmp_path, scen)
     assert code == 3
+
+
+def test_dimension_default_scale_ladder(tmp_path):
+    scen = {"name": "wavy-dim", "task": "dimension",
+            "builder": {"name": "wavy_pair"}, "params": {"which": "sing"}}
+    assert cli.run_scenario(scen, str(tmp_path)) == 3
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["scales"] == list(dimension.DEFAULT_SCALES)
 
 
 def test_rerun_byte_identical(tmp_path):

@@ -12,8 +12,9 @@ from worldsheet.singular import (_sublevel_minima, angle_state,
                                  null_tangent_check, sing_star_time_extent,
                                  tangent_formula)
 from worldsheet.surface import derivatives, metric_det
-from oracles import (components_csgraph, near_pairs_kdtree, nms_ball_point,
-                     pair_points, roll_minimum_mask)
+from oracles import (components_csgraph, embed_planar, near_pairs_kdtree,
+                     nms_ball_point, oscillation_votes, pair_points,
+                     roll_minimum_mask)
 
 TWO_PI = 2.0 * np.pi
 
@@ -183,16 +184,21 @@ def test_classify_lifts_planar_angles_once_per_gauge(monkeypatch):
     lift = singular.angle_state
     monkeypatch.setattr(singular, "angle_state",
                         lambda *a, **k: calls.append(1) or lift(*a, **k))
-    cached, explicit = [], []
-    for comp in rep.components:
-        for out, state in ((cached, None), (explicit, lift(g))):
+
+    def verdicts():
+        out = []
+        for comp in rep.components:
             try:
-                out.append(classify_sing_star(g, comp, state=state).sing_star)
+                out.append(classify_sing_star(g, comp).sing_star)
             except PreconditionError:
                 out.append("failed")
+        return out
+
+    cached = verdicts()
     assert len(rep.components) > 1
     assert len(calls) == 1
-    assert cached == explicit
+    singular._LIFTS[g] = (g.a, g.b, lift(g))      # a fresh lift of g
+    assert verdicts() == cached
     sing_star_time_extent(g, t_samples=16, x_samples=256)   # shares the lift
     assert len(calls) == 1
     g.b = UnitSpeedCurve(g.b.rep, g.b.basepoint)   # a new curve: lift again
@@ -252,11 +258,12 @@ def test_sign_votes_match_full_grid_reference(gauge, request):
         g = g[0] if gauge == "cantor_k1" else g
     spacing = g.E0 / singular.DEFAULT_GRID
     st, calls = _counting_state(g)
+    singular._LIFTS[g] = (g.a, g.b, st)
     voted = 0
     for comp in find_antipodal_pairs(g).components:
         calls["alpha"].clear()
         try:
-            cc = classify_sing_star(g, comp, state=st)
+            cc = classify_sing_star(g, comp)
         except PreconditionError:
             continue
         if comp.kind == "full_time_slice":
@@ -271,12 +278,13 @@ def test_sign_votes_match_full_grid_reference(gauge, request):
 def test_sign_votes_evaluate_two_lifts_per_component():
     g = catalog.random_planar_gauge(seed=0)
     st, calls = _counting_state(g)
+    singular._LIFTS[g] = (g.a, g.b, st)
     voted = 0
     for comp in find_antipodal_pairs(g).components:
         calls["alpha"].clear()
         calls["beta"].clear()
         try:
-            classify_sing_star(g, comp, state=st)
+            classify_sing_star(g, comp)
         except PreconditionError:
             continue
         voters = len(comp.s[::max(1, len(comp.s) // 64)])
@@ -333,6 +341,70 @@ def test_null_tangent_decay_perturbed_circle():
     vals = vals[good]
     for a, b in zip(vals[:-1], vals[1:]):
         assert b <= 0.5 * a + 1e-7
+
+
+def _counting_derivatives(monkeypatch):
+    """Patch singular.derivatives to record the shape of each call."""
+    calls = []
+    monkeypatch.setattr(singular, "derivatives",
+                        lambda g, t, x: calls.append(np.shape(t))
+                        or derivatives(g, t, x))
+    return calls
+
+
+def test_null_tangent_check_reads_approach_points_once(monkeypatch):
+    g = catalog.random_planar_gauge(seed=9)
+    comp = min(find_antipodal_pairs(g).components, key=lambda c: len(c.s))
+    t0, x0 = comp.t[0], comp.x[0]
+    radii = (2e-2, 1e-2, 5e-3, 2.5e-3)
+    calls = _counting_derivatives(monkeypatch)
+    vals = null_tangent_check(g, t0, x0, radii=radii)
+    assert calls == [(), (4, 2)]
+    # one approach point at a time
+    _, gt0 = derivatives(g, t0, x0)
+    ref = [max(abs(float(gx @ gt0)) / float(np.linalg.norm(gx))
+               for gx in (derivatives(g, t0 - r, x0)[0],
+                          derivatives(g, t0 + r, x0)[0])) for r in radii]
+    assert np.allclose(vals, ref, rtol=1e-12, atol=0.0)
+
+
+def _r3_gauges(request):
+    """wavy_pair with its own components, and the R^3 copies of census
+    gauges 0-2 and Cantor k = 1 with the planar gauges' components."""
+    yield request.getfixturevalue("wavy_pair"), None
+    planar = [catalog.random_planar_gauge(seed=s) for s in range(3)]
+    for p in planar + [request.getfixturevalue("cantor_k1")[0]]:
+        yield embed_planar(p), p
+
+
+def test_n3_classifier_matches_per_voter_oracle(request, monkeypatch):
+    checked = 0
+    for g, planar in _r3_gauges(request):
+        spacing = g.E0 / singular.DEFAULT_GRID
+        for comp in find_antipodal_pairs(planar or g).components:
+            calls = _counting_derivatives(monkeypatch)
+            cc = classify_sing_star(g, comp)
+            assert len(calls) == 1
+            verdict, gap = oscillation_votes(g, comp, spacing)
+            assert cc.sing_star == verdict
+            assert abs(cc.tangent_gap - gap) <= 1e-12
+            checked += 1
+    assert checked == 58
+
+
+def test_lift_free_census_verdicts():
+    # the n >= 3 classifier needs no angle lift: on the R^3 copy of each
+    # census gauge, every planar component carries a tangent jump
+    gaps = []
+    for seed in range(8):
+        g = catalog.random_planar_gauge(seed=seed)
+        g3 = embed_planar(g)
+        for comp in find_antipodal_pairs(g).components:
+            cc = classify_sing_star(g3, comp)
+            assert cc.sing_star == "yes"
+            gaps.append(cc.tangent_gap)
+    assert len(gaps) == 123
+    assert min(gaps) >= 3.1
 
 
 def test_time_extent_nonconvex_nonempty():

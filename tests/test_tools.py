@@ -8,6 +8,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "tools"))
 
 import bench_collect  # noqa: E402
+import line_trace  # noqa: E402
 import scenario_digests  # noqa: E402
 
 
@@ -51,3 +52,36 @@ def test_workload_digests_hash_one_pass_per_seed():
     # the exact counts of the pass are printed beside its digest
     assert [json.loads(counts) for _, _, counts in digests] == [
         {"rows": 5, "attempted": 1, "failed": 0}] * 2
+
+
+SMALL_MODULE = """\
+def used(x):
+    if x > 0:
+        return x
+    raise ValueError(x)
+
+
+def unused():
+    return [
+        1,
+    ]
+
+
+class Box:
+    def get(self):
+        return 1
+"""
+
+
+def test_line_trace_lists_lines_no_process_ran(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "small.py").write_text(SMALL_MODULE)
+    assert line_trace.executable_lines(str(pkg / "small.py")) == {
+        1, 2, 3, 4, 7, 8, 9, 13, 14, 15}
+    env = dict(os.environ, PYTHONPATH=str(tmp_path))
+    status, missed = line_trace.trace_run(
+        [sys.executable, "-c", "import pkg.small as m; m.used(1)"],
+        str(pkg), env)
+    assert status == 0
+    assert missed == {str(pkg / "small.py"): [4, 8, 9, 15]}

@@ -4,10 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from worldsheet import catalog, topology
-from worldsheet.errors import PreconditionError
+from worldsheet import catalog, serialize, topology
+from worldsheet.errors import PreconditionError, UnderResolvedError
 from worldsheet.gauge import OrthogonalGauge
 from worldsheet.singular import find_antipodal_pairs
 from worldsheet.topology import (_ProbeBasis, _crossing_linking,
@@ -521,6 +521,74 @@ def test_transversal_count_rejects_extended_components(circle):
     b = UnitSpeedCurve(CallableTangent(tan3, TWO_PI, 3), np.array([1., 0., 0.]))
     with pytest.raises(PreconditionError, match="non-transversal"):
         transversal_count(OrthogonalGauge(a, b))
+
+
+def test_winding_reads_each_center_once(meridian_loops, monkeypatch):
+    d = diagram(meridian_loops, m=512)
+    q1, q2 = topology._projection_centers(d, 4096)
+    rows = []
+    winding = topology._planar_winding
+    monkeypatch.setattr(topology, "_planar_winding",
+                        lambda loop, z: rows.append(len(z)) or winding(loop, z))
+    assert winding_number(d) == 0
+    # primary center, its sample doubling, and the second center if any
+    assert rows == [9] * (2 + (q2 is not None))
+
+
+def test_planar_winding_rows_match_one_point_at_a_time():
+    u = np.linspace(0.0, TWO_PI, 400, endpoint=False)
+    loop = np.column_stack([np.cos(u), np.sin(2 * u)])   # a figure eight
+    z = np.array([[0.5, 0.0], [-0.5, 0.0], [2.0, 0.0], [0.5, 0.3]])
+    w, resid = topology._planar_winding(loop, z)
+    for k in range(len(z)):
+        wk, rk = topology._planar_winding(loop, z[k:k + 1])
+        assert (w[k], resid[k]) == (wk[0], rk[0])
+    assert w.tolist() == [1, -1, 0, 1]
+    assert resid.max() < 1e-12
+
+
+def test_transversal_count_reads_curvature_once(wavy_pair, monkeypatch):
+    rep = find_antipodal_pairs(wavy_pair)
+    monkeypatch.setattr(topology, "find_antipodal_pairs", lambda g: rep)
+    calls = []
+    for curve in (wavy_pair.a, wavy_pair.b):
+        monkeypatch.setattr(curve, "tangent_derivative",
+                            lambda x, _f=curve.tangent_derivative:
+                            calls.append(len(x)) or _f(x))
+    assert transversal_count(wavy_pair) == 2
+    assert calls == [2, 2]
+
+
+def test_transversal_count_dropped_component_raises(wavy_pair, monkeypatch):
+    rep = find_antipodal_pairs(wavy_pair)
+    dropped = dataclasses.replace(rep, components=rep.components[1:])
+    monkeypatch.setattr(topology, "find_antipodal_pairs", lambda g: dropped)
+    with pytest.raises(UnderResolvedError, match="signed intersection sum"):
+        transversal_count(wavy_pair)
+
+
+@st.composite
+def _fourier_loop_couples(draw):
+    """An n = 3 fourier_loop couple: modes 2 .. count + 1 with coefficients
+    of size 0.3 / m^2, and a normal velocity of scale 0.5."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    modes = [[m] + [(rng.uniform(-1, 1, 3) * 0.3 / m ** 2).tolist()
+                    for _ in range(2)]
+             for m in range(2, draw(st.integers(3, 8)) + 2)]
+    return {"gamma0": {"kind": "fourier_loop", "n": 3, "modes": modes},
+            "v0": {"kind": "normal_scale", "scale": 0.5, "wobble": 0.3,
+                   "phase": float(rng.uniform(0.0, TWO_PI))}}
+
+
+@settings(max_examples=12, deadline=None)
+@given(_fourier_loop_couples())
+def test_transversal_count_signed_sum_vanishes(couple):
+    g = serialize.gauge_from_spec({"couple": couple})
+    try:
+        count = transversal_count(g)       # raises if the sum is not 0
+    except PreconditionError:
+        assume(False)           # extended or non-transversal: no count
+    assert count % 2 == 0
 
 
 def test_transversal_count_perturbation_invariant(wavy_pair):
