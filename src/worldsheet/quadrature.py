@@ -64,8 +64,7 @@ class PrefixIntegrator:
         edges = np.unique(np.concatenate([edges, extra]))
         # drop panels of negligible width produced by near-duplicates
         edges = edges[np.concatenate([[True], np.diff(edges) > 1e-13 * self.period])]
-        if edges[-1] < self.period:
-            edges = np.concatenate([edges, [self.period]])
+        edges[-1] = self.period
         vals = _gl_values(f, edges[:-1], edges[1:])
         # queries see the interpolant, which unlike the rule is exact only to degree 7
         for _ in range(16):

@@ -29,6 +29,9 @@ SEED_LEVEL = 0.1          # squared-residual level below which minima seed GN
 OSC_YES = 1e-2            # tangent oscillation certifying no limit
 OSC_NO = 1e-4             # oscillation below which the limit is accepted
 LIFT_SAMPLES = 8192       # samples of a spline angle lift per period
+# suppression at 2 spacings over seeds up to 2 apart leaves gaps of at
+# most ~6 spacings along a chain of pairs
+CHAIN_GAP = 6.5           # in grid spacings
 
 
 @dataclass
@@ -307,10 +310,12 @@ def find_antipodal_pairs(g: OrthogonalGauge, grid_n=DEFAULT_GRID):
 
 
 def _circ_gap(values, period):
-    """Largest gap between consecutive values on a circle."""
+    """Largest gap between consecutive values on a circle, and the value
+    at its end: the start of the shortest arc holding every value."""
     v = np.sort(np.mod(values, period))
     gaps = np.diff(np.concatenate([v, [v[0] + period]]))
-    return float(gaps.max())
+    i = int(np.argmax(gaps))
+    return float(gaps[i]), float(v[(i + 1) % len(v)])
 
 
 def _classify_kind(s, sig, res, E0, spacing):
@@ -326,9 +331,7 @@ def _classify_kind(s, sig, res, E0, spacing):
         return comp
     u = np.mod(s - sig, E0)
     u_spread = _u_spread(u, E0)
-    # suppression at 2 spacings over seeds up to 2 apart leaves gaps of
-    # at most ~6 spacings along a covering curve
-    covers = _circ_gap(s, E0) <= 6.5 * spacing
+    covers = _circ_gap(s, E0)[0] <= CHAIN_GAP * spacing
     if u_spread <= 3.0 * spacing and covers:
         comp.kind = "full_time_slice"
         u0 = _circ_mean(u, E0)
@@ -594,61 +597,46 @@ def null_tangent_check(g: OrthogonalGauge, t0, x0,
     return np.fmax(vals[:, 0], vals[:, 1])
 
 
-def sing_star_time_extent(g: OrthogonalGauge, t_samples=512, x_samples=2048):
-    """Maximal time intervals in [0, E0) containing strict singular points,
-    located through sign changes of F(t, .) (planar gauges), from the
-    per-gauge lift of ``classify_sing_star``."""
+def sing_star_time_extent(g: OrthogonalGauge, grid_n=DEFAULT_GRID):
+    """Maximal time intervals in [0, E0) containing strict singular points
+    (planar gauges), as sorted (start, end) tuples; an interval across the
+    seam starts below 0.
+
+    The projection of the detection: the t-arc of each component that
+    ``classify_sing_star`` calls "yes", padded at both ends by the chain
+    gap between its pairs.  t = (s - sigma) / 2 is defined mod E0 / 2, as
+    the (t, x) torus covers the (s, sigma) torus twice, so each arc is
+    taken at t and t + E0 / 2.  Components whose classification raises
+    ``PreconditionError`` are not counted.
+    """
     if g.dim != 2:
-        raise PreconditionError("time-extent scan requires a planar gauge")
-    st = _gauge_angle_state(g)
-    E0 = g.E0
-    ts = np.linspace(0.0, E0, t_samples, endpoint=False)
-    xs = np.linspace(0.0, E0, x_samples, endpoint=False)
-    marked = np.zeros(t_samples, dtype=bool)
-    # strict sign changes only: an entirely degenerate slice evaluates to
-    # floating noise around zero and must not register as a crossing
-    theta = 1e-9
-    for i, t in enumerate(ts):
-        F = st.F(np.full_like(xs, t), xs)
-        nxt = np.roll(F, -1)
-        crossings = np.where((F * nxt < 0) & (np.abs(F) > theta)
-                             & (np.abs(nxt) > theta))[0]
-        if len(crossings) == 0:
+        raise PreconditionError("time extent requires a planar gauge")
+    E0, half = g.E0, 0.5 * g.E0
+    pad = CHAIN_GAP * E0 / grid_n
+    arcs = []                                   # (start, width)
+    for comp in find_antipodal_pairs(g, grid_n).components:
+        try:
+            if classify_sing_star(g, comp, grid_n).sing_star != "yes":
+                continue
+        except PreconditionError:
             continue
-        scale = np.abs(F).max()
-        for ci in crossings:
-            # width of the near-zero set right of the crossing
-            lo = xs[ci]
-            width = 0
-            j = (ci + 1) % x_samples
-            while abs(F[j]) < 1e-9 * scale and width < x_samples:
-                width += 1
-                j = (j + 1) % x_samples
-            if width <= 1:
-                marked[i] = True            # point component: tangent flips
-                break
-            # interval component: apply the one-sided matching rule
-            s0 = xs[(ci + 1) % x_samples]
-            s1 = xs[(ci + width) % x_samples]
-            if not _half_g_jump_ok(st, t, s0, s1):
-                marked[i] = True
-                break
-    if not marked.any():
-        return []
-    step = E0 / t_samples
-    idx = np.where(marked)[0]
-    intervals = []
-    start = prev = idx[0]
-    for i in idx[1:]:
-        if i - prev > 1:
-            intervals.append((ts[start], ts[prev] + step))
-            start = i
-        prev = i
-    intervals.append((ts[start], ts[prev] + step))
-    # merge across the periodic seam
-    if len(intervals) > 1 and intervals[0][0] == 0.0 and \
-            abs(intervals[-1][1] - E0) < 1e-12:
-        first = intervals.pop(0)
-        last = intervals.pop()
-        intervals.insert(0, (last[0] - E0, first[1]))
-    return intervals
+        gap, start = _circ_gap(comp.t, half)
+        width = half - gap + 2.0 * pad
+        arcs += [(start - pad, width), (start - pad + half, width)]
+    # union on the circle: merge the arcs sorted by start, then let the
+    # run reaching past E0 absorb the first runs it covers
+    runs = []
+    for a, b in sorted((a % E0, a % E0 + w) for a, w in arcs):
+        if runs and a <= runs[-1][1]:
+            runs[-1][1] = max(runs[-1][1], b)
+        else:
+            runs.append([a, b])
+    if runs and runs[-1][1] > E0:
+        start, end = runs.pop()
+        start, end = start - E0, end - E0
+        while runs and runs[0][0] <= end:
+            end = max(end, runs.pop(0)[1])
+        if end - start >= E0:
+            return [(0.0, E0)]
+        runs.insert(0, [start, end])
+    return [tuple(r) for r in runs]

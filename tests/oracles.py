@@ -19,6 +19,10 @@ scalar ``gamma`` call per pair, the reference for
 one voter and one radius at a time, the reference for the batched
 ``classify_sing_star``; ``embed_planar`` copies a planar gauge into R^3,
 where that classifier needs no angle lift.
+``time_extent_scan`` marks the rows of a t x x grid of the planar angle
+difference F that change sign, a direct scan against which the time
+intervals of ``sing_star_time_extent``, projected from the classified
+components, are checked.
 ``csv_per_cell`` writes a table one cell at a time through ``csv.writer``
 and ``json_plain`` copies a payload into plain Python types, the
 references for ``serialize.write_csv`` and ``serialize.write_report``.
@@ -32,7 +36,8 @@ import numpy as np
 
 from worldsheet.curves import CallableTangent, UnitSpeedCurve
 from worldsheet.gauge import OrthogonalGauge
-from worldsheet.singular import OSC_NO, OSC_YES, _torus_embed
+from worldsheet.singular import (OSC_NO, OSC_YES, _gauge_angle_state,
+                                 _half_g_jump_ok, _torus_embed)
 from worldsheet.surface import (ConstraintReport, _second_difference,
                                 derivatives, gamma)
 
@@ -281,6 +286,42 @@ def embed_planar(g):
             np.append(curve.basepoint, 0.0))
 
     return OrthogonalGauge(padded(g.a), padded(g.b))
+
+
+def time_extent_scan(g, t_samples=512, x_samples=2048):
+    """The times of the rows t of a t_samples x x_samples grid on which
+    F(t, .) of a planar gauge changes sign strictly (|F| > 1e-9 on both
+    sides) at a point, or across an interval of near-zeros (|F| below
+    1e-9 max |F|) that fails the one-sided matching rule."""
+    st = _gauge_angle_state(g)
+    E0 = g.E0
+    ts = np.linspace(0.0, E0, t_samples, endpoint=False)
+    xs = np.linspace(0.0, E0, x_samples, endpoint=False)
+    marked = np.zeros(t_samples, dtype=bool)
+    theta = 1e-9
+    for i, t in enumerate(ts):
+        F = st.F(np.full_like(xs, t), xs)
+        nxt = np.roll(F, -1)
+        crossings = np.where((F * nxt < 0) & (np.abs(F) > theta)
+                             & (np.abs(nxt) > theta))[0]
+        if len(crossings) == 0:
+            continue
+        scale = np.abs(F).max()
+        for ci in crossings:
+            width = 0
+            j = (ci + 1) % x_samples
+            while abs(F[j]) < 1e-9 * scale and width < x_samples:
+                width += 1
+                j = (j + 1) % x_samples
+            if width <= 1:
+                marked[i] = True
+                break
+            s0 = xs[(ci + 1) % x_samples]
+            s1 = xs[(ci + width) % x_samples]
+            if not _half_g_jump_ok(st, t, s0, s1):
+                marked[i] = True
+                break
+    return ts[marked]
 
 
 def csv_per_cell(path, header, rows):

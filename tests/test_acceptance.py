@@ -210,14 +210,13 @@ def test_criterion_08_sharp_dimension(k, window, cantor_k1, cantor_k2):
 
 def test_criterion_09_both_alternatives(circle):
     nonconvex = catalog.nonconvex_gauge()
-    iv = sing_star_time_extent(nonconvex, t_samples=256, x_samples=1024)
+    iv = sing_star_time_extent(nonconvex)
     assert iv
     total = sum(b - a for a, b in iv)
     assert total > 0.0
 
     degenerate = catalog.degenerate_slice_gauge()
-    assert sing_star_time_extent(degenerate, t_samples=256,
-                                 x_samples=1024) == []
+    assert sing_star_time_extent(degenerate) == []
     rep = find_antipodal_pairs(degenerate)
     assert any(c.kind == "full_time_slice" for c in rep.components)
     _report(9, f"strict-singular time extent {total:.3f} (nonconvex); "

@@ -359,6 +359,17 @@ def test_gauge_spec_with_smoothness_keys_still_loads():
                               c_new.tangent_derivative(xs))
 
 
+def test_random_planar_builder_spec():
+    g = serialize.gauge_from_spec(
+        {"builder": {"name": "random_planar", "seed": 3, "modes": 4,
+                     "v_scale": 0.4}})
+    ref = catalog.random_planar_gauge(3, 4, 0.4)
+    xs = np.linspace(0.0, ref.E0, 1024, endpoint=False)
+    for curve, ref_curve in ((g.a, ref.a), (g.b, ref.b)):
+        assert np.array_equal(curve.tangent(xs), ref_curve.tangent(xs))
+    assert g.metadata["name"] == ref.metadata["name"] == "random-planar-3"
+
+
 def test_angle_fourier_and_circle_curve_specs():
     g = serialize.gauge_from_spec(
         {"a": {"kind": "angle_fourier", "winding": 1,

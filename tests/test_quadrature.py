@@ -63,6 +63,16 @@ def test_prefix_integrator_breakpoints_exact_on_pieces():
     assert abs(pre.per_period[0] - exact) < 1e-15
 
 
+def test_prefix_integrator_breakpoint_just_below_period():
+    # a breakpoint within the width filter of the period replaces no panel
+    # edge by a sliver: the last edge stays the period itself
+    P = 2.0 * np.pi
+    pre = PrefixIntegrator(lambda x: np.cos(x)[..., None], P, n_panels=8,
+                           breakpoints=[P * (1.0 - 1e-15)])
+    assert pre.edges[-1] == P
+    assert np.all(pre.widths > 1e-13 * P)
+
+
 @st.composite
 def piecewise_polynomials(draw):
     """Period, sorted breakpoints and per-piece local coefficients (degree <= 7)."""

@@ -14,7 +14,7 @@ from worldsheet.singular import (_sublevel_minima, angle_state,
 from worldsheet.surface import derivatives, metric_det
 from oracles import (components_csgraph, embed_planar, near_pairs_kdtree,
                      nms_ball_point, oscillation_votes, pair_points,
-                     roll_minimum_mask)
+                     roll_minimum_mask, time_extent_scan)
 
 TWO_PI = 2.0 * np.pi
 
@@ -199,7 +199,7 @@ def test_classify_lifts_planar_angles_once_per_gauge(monkeypatch):
     assert len(calls) == 1
     singular._LIFTS[g] = (g.a, g.b, lift(g))      # a fresh lift of g
     assert verdicts() == cached
-    sing_star_time_extent(g, t_samples=16, x_samples=256)   # shares the lift
+    sing_star_time_extent(g)                       # shares the lift
     assert len(calls) == 1
     g.b = UnitSpeedCurve(g.b.rep, g.b.basepoint)   # a new curve: lift again
     try:
@@ -409,15 +409,78 @@ def test_lift_free_census_verdicts():
 
 def test_time_extent_nonconvex_nonempty():
     g = catalog.nonconvex_gauge()
-    iv = sing_star_time_extent(g, t_samples=256, x_samples=1024)
+    iv = sing_star_time_extent(g)
     assert iv
     assert sum(b - a for a, b in iv) > 0.05
 
 
 def test_time_extent_degenerate_cases_empty(circle):
-    assert sing_star_time_extent(circle, t_samples=128, x_samples=512) == []
+    assert sing_star_time_extent(circle) == []
     d = catalog.degenerate_slice_gauge()
-    assert sing_star_time_extent(d, t_samples=128, x_samples=512) == []
+    assert sing_star_time_extent(d) == []
+
+
+def _covered(intervals, t, period):
+    """Whether each time of ``t`` lies in one of ``intervals``, a seam
+    interval reaching below 0."""
+    t = np.mod(np.asarray(t, dtype=float), period)
+    return np.array([any(lo <= v <= hi or lo <= v - period <= hi
+                         for lo, hi in intervals) for v in t.ravel()])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_time_extent_covers_scan_rows(seed):
+    # every row of the 512 x 2048 sign-change scan lies in the projection
+    g = catalog.random_planar_gauge(seed=seed)
+    rows = time_extent_scan(g)
+    assert len(rows)
+    assert _covered(sing_star_time_extent(g), rows, g.E0).all()
+
+
+def test_time_extent_nonconvex_scan_rows_outside_near_slices():
+    # the detection seeds no zero within a few spacings of the degenerate
+    # slices t = pi / 2, 3 pi / 2, so the scan rows there lie outside
+    g = catalog.nonconvex_gauge()
+    rows = time_extent_scan(g)
+    out = rows[~_covered(sing_star_time_extent(g), rows, g.E0)]
+    slices = [t for c in find_antipodal_pairs(g).components
+              if c.kind == "full_time_slice" for t in c.slice_times]
+    assert slices
+    half = 0.5 * g.E0
+    near = np.abs(np.mod(out[:, None] - np.array(slices) + half, g.E0)
+                  - half).min(axis=1)
+    assert np.all(near <= singular.CHAIN_GAP * g.E0 / 512)
+
+
+# census seeds 0-79 each build, detect and classify without a warning
+@settings(max_examples=6, deadline=None)
+@given(seed=hst.integers(0, 79))
+@example(seed=0)
+def test_time_extent_holds_every_yes_component(seed):
+    g = catalog.random_planar_gauge(seed=seed)
+    iv = sing_star_time_extent(g)
+    for comp in find_antipodal_pairs(g).components:
+        try:
+            verdict = classify_sing_star(g, comp).sing_star
+        except PreconditionError:
+            continue
+        if verdict == "yes":
+            # (t, x) and (t + E0 / 2, x + E0 / 2) are the same pair
+            assert _covered(iv, comp.t, g.E0).all()
+            assert _covered(iv, comp.t + 0.5 * g.E0, g.E0).all()
+
+
+def test_time_extent_merges_across_the_seam():
+    # shifting a by c moves the surface's times by -c / 2
+    g = catalog.nonconvex_gauge()
+    h = OrthogonalGauge(g.a.shifted(2.0), g.b)
+    iv = sing_star_time_extent(h)
+    assert iv == sorted(iv)
+    assert iv[0][0] < 0.0 < iv[0][1]
+    assert all(0.0 <= lo < hi <= h.E0 for lo, hi in iv[1:])
+    # on a coarse grid the padded arcs cover every time
+    wide = catalog.nonconvex_gauge(1.2)
+    assert sing_star_time_extent(wide, grid_n=64) == [(0.0, wide.E0)]
 
 
 def test_coarse_grid_warning():

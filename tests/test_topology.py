@@ -12,6 +12,7 @@ from worldsheet.gauge import OrthogonalGauge
 from worldsheet.singular import find_antipodal_pairs
 from worldsheet.topology import (_ProbeBasis, _crossing_linking,
                                  _gauss_linking_polylines, _perturb_curve,
+                                 _rotation_to_pole,
                                  diagram, genericity_probe, linking_number,
                                  synthetic_diagram, transversal_count,
                                  winding_number)
@@ -70,6 +71,17 @@ def test_winding_stable_under_doubling(meridian_loops):
     w1 = winding_number(d1)
     w2 = winding_number(d2)
     assert w1 == w2
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_rotation_to_pole_at_the_poles(dim, sign):
+    # q = -e_n takes the pi-rotation branch, q = e_n the identity
+    e = np.eye(dim)[-1]
+    R = _rotation_to_pole(sign * e, dim)
+    assert np.allclose(R @ R.T, np.eye(dim), rtol=0.0, atol=1e-15)
+    assert np.linalg.det(R) == pytest.approx(1.0, abs=1e-15)
+    assert np.array_equal(R @ (sign * e), e)
 
 
 def test_linking_hopf(hopf):
