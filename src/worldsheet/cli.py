@@ -5,8 +5,9 @@ or as a couple) and a task; outputs are machine-readable reports and CSV
 data.  Reports are byte-stable across reruns with the same seed;
 wall-clock metadata lives in a separate file.
 
-Exit codes: 0 success, 1 unknown task or schema violation,
-2 precondition failure, 3 numerical-reliability flag.
+Exit codes: 0 success, 1 unknown task or schema violation (a scenario's
+``params`` are its task function's keyword arguments, so an unknown key
+is one), 2 precondition failure, 3 numerical-reliability flag.
 """
 
 from __future__ import annotations
@@ -19,33 +20,32 @@ import time
 
 import numpy as np
 
-from . import dimension, serialize, singular, surface, topology
+from . import constructions, dimension, serialize, singular, surface, topology
 from .errors import PreconditionError, UnderResolvedError
 from .singular import DEFAULT_GRID
 
 
-def _task_evolve(g, params, out, ctx):
-    times = params.get("times")
+def _task_evolve(g, out, ctx, times=None, count=8, t_max=None, samples=512,
+                 surface_grid=None, residuals=False, residual_grid=100,
+                 h=1e-3):
     if times is None:
-        count = int(params.get("count", 8))
-        t_max = float(params.get("t_max", g.E0))
-        times = np.linspace(0.0, t_max, count, endpoint=False).tolist()
-    m = int(params.get("samples", 512))
+        times = np.linspace(0.0, g.E0 if t_max is None else t_max, count,
+                            endpoint=False).tolist()
+    slice_xs = np.linspace(0.0, g.E0, samples, endpoint=False)
     summary = []
     for j, t in enumerate(times):
-        sl = surface.slice_curve(g, float(t), m=m)
+        sl = surface.slice_curve(g, float(t), m=samples)
         radii = np.linalg.norm(sl.points, axis=1)
         serialize.write_csv(
             os.path.join(out, f"slice_{j:03d}.csv"),
             ["x"] + [f"gamma_{i}" for i in range(g.dim)],
-            np.column_stack([np.linspace(0.0, g.E0, m, endpoint=False), sl.points]))
+            np.column_stack([slice_xs, sl.points]))
         summary.append({"t": float(t), "min_radius": float(radii.min()),
                         "max_radius": float(radii.max()),
                         "closure_gap": sl.closure_gap})
     report = {"task": "evolve", "slices": summary}
-    grid_shape = params.get("surface_grid")
-    if grid_shape:
-        nt, nx = int(grid_shape[0]), int(grid_shape[1])
+    if surface_grid:
+        nt, nx = surface_grid
         ts = np.linspace(0.0, g.E0, nt, endpoint=False)
         xs = np.linspace(0.0, g.E0, nx, endpoint=False)
         tt, xx = np.meshgrid(ts, xs, indexing="ij")
@@ -59,11 +59,9 @@ def _task_evolve(g, params, out, ctx):
             os.path.join(out, "surface.csv"), header,
             np.rec.fromarrays([tt.ravel(), xx.ravel(), *gm.T, *gx.T, *gt.T,
                                det, timelike], names=header))
-    if params.get("residuals"):
-        rep = surface.constraint_residuals(
-            g, n_t=int(params.get("residual_grid", 100)),
-            n_x=int(params.get("residual_grid", 100)),
-            h=float(params.get("h", 1e-3)))
+    if residuals:
+        rep = surface.constraint_residuals(g, n_t=residual_grid,
+                                           n_x=residual_grid, h=h)
         report["residuals"] = {
             "gauge": rep.gauge_residual, "orthogonality": rep.ortho_residual,
             "wave": rep.wave_residual, "wave_ratio": rep.wave_ratio,
@@ -71,12 +69,12 @@ def _task_evolve(g, params, out, ctx):
     return report, 0
 
 
-def _task_detect(g, params, out, ctx):
+def _task_detect(g, out, ctx, classify=True):
     rep = singular.find_antipodal_pairs(g, grid_n=ctx["grid"])
     comps = []
     for comp in rep.components:
         cc = singular.classify_sing_star(g, comp, grid_n=ctx["grid"]) \
-            if params.get("classify", True) else comp
+            if classify else comp
         first = np.lexsort((comp.sigma, comp.s))[:32]
         rows = zip(comp.s[first].tolist(), comp.sigma[first].tolist(),
                    comp.t[first].tolist(), comp.x[first].tolist(),
@@ -98,8 +96,8 @@ def _task_detect(g, params, out, ctx):
     return report, 0
 
 
-def _task_diagram(g, params, out, ctx):
-    d = topology.diagram(g, m=int(params.get("samples", 1024)))
+def _task_diagram(g, out, ctx, samples=1024):
+    d = topology.diagram(g, m=samples)
     header = ["which"] + [f"c_{i}" for i in range(g.dim)]
     which = np.repeat(["a", "mb"], [len(d.curve_a), len(d.curve_mb)])
     serialize.write_csv(
@@ -117,12 +115,10 @@ def _task_diagram(g, params, out, ctx):
     return report, 0
 
 
-def _task_construct(g, params, out, ctx):
-    serialize.write_gauge(os.path.join(out, "gauge.json"), g,
-                          samples=int(params.get("samples", 4096)))
-    m = int(params.get("csv_samples", 1024))
+def _task_construct(g, out, ctx, samples=4096, csv_samples=1024):
+    serialize.write_gauge(os.path.join(out, "gauge.json"), g, samples=samples)
     for label, curve in (("a", g.a), ("b", g.b)):
-        xs = np.linspace(0.0, curve.period, m, endpoint=False)
+        xs = np.linspace(0.0, curve.period, csv_samples, endpoint=False)
         pos = curve.position(xs)
         tan = curve.tangent(xs)
         serialize.write_csv(
@@ -139,11 +135,9 @@ def _task_construct(g, params, out, ctx):
     return report, 0
 
 
-def _task_dimension(g, params, out, ctx):
-    which = params.get("which", "sing_star")
-    resolution = int(params.get("resolution", 2048))
+def _task_dimension(g, out, ctx, which="sing_star", resolution=2048,
+                    scales=None):
     cloud = dimension.singstar_cloud(g, resolution=resolution, which=which)
-    scales = params.get("scales")
     if scales is None:
         pred = g.metadata.get("cantor_prediction")
         if pred is not None:
@@ -166,13 +160,11 @@ def _task_dimension(g, params, out, ctx):
     return report, (0 if est.reliable else 3)
 
 
-def _task_probe(g, params, out, ctx):
+def _task_probe(g, out, ctx, epsilon=0.05, trials=50, grid_n=256):
     if ctx["seed"] is None:
         raise PreconditionError("probe task requires --seed")
-    rep = topology.genericity_probe(
-        g, float(params.get("epsilon", 0.05)),
-        int(params.get("trials", 50)), seed=ctx["seed"],
-        grid_n=int(params.get("grid_n", 256)))
+    rep = topology.genericity_probe(g, epsilon, trials, seed=ctx["seed"],
+                                    grid_n=grid_n)
     report = {"task": "probe", "epsilon": rep.epsilon, "trials": rep.trials,
               "outcomes": rep.outcome_counts, "discarded": rep.n_discarded,
               "margin_min": float(np.min(rep.margins)) if rep.margins else None,
@@ -184,25 +176,27 @@ def _task_probe(g, params, out, ctx):
     return report, 0
 
 
-def _task_nonuniq(g, params, out, ctx):
-    from . import constructions
-    variant = params.get("variant", "pair")
-    if variant == "pair":
-        g1, g2, delta = constructions.nonuniqueness_pair(
-            n=int(params.get("n", 3)))
-        times = np.linspace(0.0, delta, int(params.get("coincidence_times", 4)))
-        extra = [0.5]
-    elif variant == "same_surface":
-        g1, g2 = constructions.same_surface_family()
-        delta = None
-        times = np.linspace(0.0, 3.0, int(params.get("times", 8)),
-                            endpoint=False)
-        extra = []
-    else:
+def _nonuniq_pair(n=3, coincidence_times=4):
+    g1, g2, delta = constructions.nonuniqueness_pair(n=n)
+    return g1, g2, delta, [*np.linspace(0.0, delta, coincidence_times), 0.5]
+
+
+def _nonuniq_same_surface(times=8):
+    g1, g2 = constructions.same_surface_family()
+    return g1, g2, None, np.linspace(0.0, 3.0, times, endpoint=False)
+
+
+_NONUNIQ_VARIANTS = {"pair": _nonuniq_pair,
+                     "same_surface": _nonuniq_same_surface}
+
+
+def _task_nonuniq(g, out, ctx, variant="pair", **params):
+    if variant not in _NONUNIQ_VARIANTS:
         raise ValueError(f"unknown nonuniq variant {variant!r}; "
                          f"expected 'pair' or 'same_surface'")
+    g1, g2, delta, times = _NONUNIQ_VARIANTS[variant](**params)
     rows = []
-    for t in list(times) + extra:
+    for t in times:
         d = surface.slice_set_distance(g1, g2, float(t), m_sparse=256)
         rows.append({"t": float(t), "slice_distance": d})
     report = {"task": "nonuniq", "variant": variant, "delta": delta,
@@ -236,11 +230,12 @@ def run_scenario(scenario, out_dir, seed=None, grid=DEFAULT_GRID):
            "grid": grid}
     t0 = time.time()
     try:
-        if task in _GAUGELESS_TASKS:
-            g = None
-        else:
-            g = serialize.gauge_from_spec(scenario)
-        report, code = _TASKS[task](g, scenario.get("params", {}), out_dir, ctx)
+        params = scenario.get("params", {})
+        if not isinstance(params, dict):
+            raise TypeError(f"'params' must be an object, not {params!r}")
+        g = (None if task in _GAUGELESS_TASKS
+             else serialize.gauge_from_spec(scenario))
+        report, code = _TASKS[task](g, out_dir, ctx, **params)
     except UnderResolvedError as exc:
         serialize.write_report(os.path.join(out_dir, "report.json"),
                                {"name": name, "task": task,

@@ -23,6 +23,7 @@ C_PERIOD = 2.0 * np.pi    # period of a tangent image c
 IMAGE_SAMPLES = 1024      # samples of c for the hull test and dwell search
 HULL_TOL = 1e-9           # smallest accepted hull margin
 ELL_MIN = 1e-3            # shortest dwell of from_tangent_image
+MOMENT_TOL = 1e-12        # accepted change of a segment moment on doubling
 
 NORM_TOL = 1e-9           # largest accepted tangent norm / periodicity error
 PAIR_TOL = 1e-8           # largest residual of an accepted antipodal pair
@@ -45,9 +46,6 @@ class TangentRep:
     def __init__(self, period, dim):
         self.period = float(period)
         self.dim = int(dim)
-
-    def __call__(self, x, order=0):
-        raise NotImplementedError
 
 
 class AngleTangent(TangentRep):
@@ -444,13 +442,20 @@ def from_tangent_image(c, k=3, period=None, pinned=()):
     pin_params = [u0 % C_PERIOD for u0, _ in pinned]
 
     def segment_moment(params):
+        # 16 Gauss-Legendre panels per moving segment, doubled (up to 4096)
+        # while a doubling moves the segment's integral by more than MOMENT_TOL
         prev = np.concatenate([[params[-1] - C_PERIOD], params[:-1]])
         moment = np.zeros(dim)
         for lo, hi in zip(prev, params):
-            edges = np.linspace(lo, hi, 17)
-            moment += _panel_gl(
-                lambda y, lo=lo, hi=hi: cfun(lo + (hi - lo) * poly((y - lo) / (hi - lo))),
-                edges[:-1], edges[1:]).sum(axis=0)
+            f = lambda y: cfun(lo + (hi - lo) * poly((y - lo) / (hi - lo)))
+            seg = None
+            for n in 16 * 2 ** np.arange(9):
+                edges = np.linspace(lo, hi, n + 1)
+                finer = _panel_gl(f, edges[:-1], edges[1:]).sum(axis=0)
+                if seg is not None and np.linalg.norm(finer - seg) <= MOMENT_TOL:
+                    break
+                seg = finer
+            moment += seg
         return prev, moment
 
     from scipy.optimize import linprog, nnls

@@ -124,35 +124,34 @@ def couple_from_spec(spec):
 # ---------------------------------------------------------------------------
 # gauges
 
+def _cantor_gauge(k=1, **kw):
+    return constructions.sharp_example_gauge(
+        constructions.CantorSpec.single_mode(k, **kw))[0]
+
+
+# a builder spec's keys other than "name" are the function's keyword arguments
 _BUILDERS = {
-    "circle": lambda p: catalog.circle_gauge(),
-    "hopf": lambda p: catalog.hopf_gauge(),
-    "mirrored_hopf": lambda p: catalog.mirrored_hopf_gauge(),
-    "nonconvex": lambda p: catalog.nonconvex_gauge(p.get("amplitude", 0.8)),
-    "degenerate_slice": lambda p: catalog.degenerate_slice_gauge(),
-    "random_planar": lambda p: catalog.random_planar_gauge(
-        seed=int(p.get("seed", 0)), modes=int(p.get("modes", 3)),
-        v_scale=float(p.get("v_scale", 0.5))),
-    "meridian_loops": lambda p: catalog.meridian_loops_gauge(),
-    "wavy_pair": lambda p: catalog.wavy_pair_gauge(
-        wave_a=float(p.get("wave_a", 0.25)),
-        phase_a=float(p.get("phase_a", 0.0)),
-        wave_b=float(p.get("wave_b", 0.18)),
-        phase_b=float(p.get("phase_b", 1.2))),
-    "cantor": lambda p: constructions.sharp_example_gauge(
-        constructions.CantorSpec.single_mode(
-            int(p.get("k", 1)), m=int(p.get("m", 8)),
-            depth=int(p.get("depth", 8))))[0],
+    "circle": catalog.circle_gauge,
+    "hopf": catalog.hopf_gauge,
+    "mirrored_hopf": catalog.mirrored_hopf_gauge,
+    "nonconvex": catalog.nonconvex_gauge,
+    "degenerate_slice": catalog.degenerate_slice_gauge,
+    "random_planar": catalog.random_planar_gauge,
+    "meridian_loops": catalog.meridian_loops_gauge,
+    "wavy_pair": catalog.wavy_pair_gauge,
+    "cantor": _cantor_gauge,
 }
 
 
 def gauge_from_spec(spec):
     if "builder" in spec:
-        b = spec["builder"]
-        name = b.get("name")
+        kw = spec["builder"]
+        if not isinstance(kw, dict):
+            raise TypeError(f"'builder' must be an object, not {kw!r}")
+        name = kw.get("name")
         if name not in _BUILDERS:
             raise PreconditionError(f"unknown builder {name!r}")
-        return _BUILDERS[name]({k: v for k, v in b.items() if k != "name"})
+        return _BUILDERS[name](**{k: v for k, v in kw.items() if k != "name"})
     if "couple" in spec:
         from .gauge import gauge_from_couple, normalize
         return gauge_from_couple(normalize(couple_from_spec(spec["couple"])))

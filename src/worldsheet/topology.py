@@ -142,11 +142,10 @@ def _candidate_centers(dim, n):
 
 def _clear_geodesic(q1, q2, tree):
     """True if the great-circle arc q1 -> q2 stays EPS_DIAG away from
-    the diagram curves (a same-component certificate for the centers)."""
+    the diagram curves (a same-component certificate for the centers).
+    The caller passes centers at least 0.5 rad apart."""
     dot = float(np.clip(q1 @ q2, -1.0, 1.0))
     ang = np.arccos(dot)
-    if ang < 1e-9:
-        return True
     ts = np.linspace(0.0, 1.0, GEODESIC_SAMPLES)
     arc = (np.sin((1 - ts) * ang)[:, None] * q1
            + np.sin(ts * ang)[:, None] * q2) / np.sin(ang)
@@ -558,8 +557,6 @@ def _perturb_curve(basis, rng, epsilon):
     damp = 1j * basis.omega * basis.ms[:, None] * amp
     dv, dvd = (basis.modes @ amp).real, (basis.modes @ damp).real
     size = max(_rows_norm(dv).max(), _rows_norm(dvd).max())
-    if size == 0:
-        return None
     scale = epsilon / size
     w = basis.base + scale * dv
     bump = basis.bump
@@ -598,8 +595,8 @@ def genericity_probe(g: OrthogonalGauge, epsilon, trials, seed, grid_n=256):
         if pa is None or pb is None:
             rep.n_discarded += 1
             continue
+        pert = OrthogonalGauge(pa[0], pb[0])
         try:
-            pert = OrthogonalGauge(pa[0], pb[0])
             pert.validate(samples=1024)
         except PreconditionError:
             rep.n_discarded += 1

@@ -68,8 +68,9 @@ def test_detect_circle_reports_extinction_slice(tmp_path):
 def test_detect_rows_match_per_pair_oracle(tmp_path, name):
     g = (catalog.circle_gauge() if name == "circle"
          else catalog.random_planar_gauge(seed=0))
-    report, code = cli._task_detect(g, {"classify": False}, str(tmp_path),
-                                    {"grid": singular.DEFAULT_GRID})
+    report, code = cli._task_detect(g, str(tmp_path),
+                                    {"grid": singular.DEFAULT_GRID},
+                                    classify=False)
     assert code == 0
     comps = singular.find_antipodal_pairs(g).components
     assert len(report["components"]) == len(comps)
@@ -329,6 +330,29 @@ def test_nonuniq_unknown_variant_exit_one(tmp_path):
     code, report, _ = run_cli(tmp_path, scen)
     assert code == 1
     assert report is None
+
+
+@pytest.mark.parametrize("scenario, key", [
+    ({"task": "diagram", "builder": {"name": "hopf"},
+      "params": {"sampels": 64}}, "sampels"),
+    ({"task": "probe", "builder": {"name": "hopf"}, "seed": 1,
+      "params": {"trails": 2}}, "trails"),
+    ({"task": "detect", "builder": {"name": "nonconvex", "amplitud": 0.3}},
+     "amplitud"),
+    ({"task": "nonuniq", "params": {"variant": "same_surface",
+                                    "coincidence_times": 3}},
+     "coincidence_times"),
+    ({"task": "diagram", "builder": {"name": "hopf"}, "params": None},
+     "params"),
+    ({"task": "detect", "builder": "hopf"}, "builder"),
+])
+def test_unknown_or_malformed_key_exit_one(tmp_path, capsys, scenario, key):
+    # scenario keys bind to keyword arguments, so a misspelled key is a
+    # schema error rather than a silently applied default
+    assert cli.run_scenario({"name": "typo", **scenario}, str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert "invalid scenario" in err and repr(key) in err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_gauge_roundtrip_through_spec(tmp_path):

@@ -131,6 +131,19 @@ def test_from_tangent_image_rejects_hemisphere():
         from_tangent_image(north, k=1)
 
 
+def test_latitude_circle_hull_lp_infeasible():
+    # every point has z = 1/2, so no combination with unit sum is 0 and
+    # the hull LP has no feasible point at all
+    u = np.linspace(0.0, TWO_PI, 256, endpoint=False)
+    lat = np.stack([0.5 * np.sqrt(3.0) * np.cos(u),
+                    0.5 * np.sqrt(3.0) * np.sin(u), np.full_like(u, 0.5)],
+                   axis=1)
+    assert _hull_interior_lp(lat) == -np.inf
+    with pytest.raises(PreconditionError,
+                       match="convex hull does not contain origin"):
+        from_tangent_image(lat, k=2)
+
+
 def _hull_point_sets():
     rng = np.random.default_rng(7)
 
@@ -164,6 +177,39 @@ def test_from_tangent_image_sampled_input():
     # the sampled tangent is renormalized on every read, so it meets the
     # one norm tolerance of every representation
     a.validate(4096)
+
+
+def test_dwell_solve_retries_after_infeasible_lp(monkeypatch):
+    # normalize(c0 + sum_m cc_m cos mu + ss_m sin mu): the first point set
+    # leaves the dwell LP infeasible, and a larger one solves it; a moving
+    # segment there needs more than 16 panels for its moment to close
+    rng = np.random.default_rng(182)
+    cc, ss = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+    c0 = 0.3 * rng.normal(size=3)
+    ms = np.arange(1, 5)
+
+    def path(u, order=0):
+        mu = np.multiply.outer(np.asarray(u, dtype=float), ms)
+        v = c0 + np.cos(mu) @ cc + np.sin(mu) @ ss
+        r = np.linalg.norm(v, axis=-1, keepdims=True)
+        if order == 0:
+            return v / r
+        dv = (-ms * np.sin(mu)) @ cc + (ms * np.cos(mu)) @ ss
+        return dv / r - v * (v * dv).sum(-1, keepdims=True) / r ** 3
+
+    import scipy.optimize
+    linprog, solved = scipy.optimize.linprog, []
+
+    def counted(*args, **kwargs):
+        res = linprog(*args, **kwargs)
+        solved.append(res.success)
+        return res
+
+    monkeypatch.setattr(scipy.optimize, "linprog", counted)
+    a = from_tangent_image(path, k=3)
+    assert solved == [True, False, True]        # hull LP, then two dwell LPs
+    assert a.closure_defect().closed
+    assert a.closure_defect().defect <= 1e-12
 
 
 def test_from_tangent_image_requested_period():

@@ -2,13 +2,15 @@
 
 A rotation Q of R^n applied to both tangents rotates the sphere diagram,
 so it keeps the linking and winding numbers and the detection margin; an
-improper Q mirrors the diagram and negates the Hopf linking.  A common
-parameter shift x0 moves every antipodal pair (s, sigma) to
-(s - x0, sigma - x0), and swapping a and b moves it to (sigma, s), so
-it negates every slice time t = (s - sigma)/2 modulo E0.  The
+improper Q mirrors the diagram and negates the Hopf linking and a nonzero
+winding number.  A common parameter shift x0 moves every antipodal pair
+(s, sigma) to (s - x0, sigma - x0), and swapping a and b moves it to
+(sigma, s), so it negates every slice time t = (s - sigma)/2 modulo E0.  The
 ``gauge_to_spec`` -> ``gauge_from_spec`` round trip resamples both
 tangents into ``SphereSamplesTangent`` splines, keeps every verdict and
-refines each antipodal pair as tightly as the analytic tangents do.
+refines each antipodal pair as tightly as the analytic tangents do.  The
+``couple_from_gauge`` -> ``gauge_from_couple`` round trip rebakes both
+tangents and keeps every planar verdict.
 """
 
 import contextlib
@@ -19,10 +21,12 @@ from hypothesis import given, settings, strategies as st
 
 from worldsheet import catalog, serialize
 from worldsheet.curves import CallableTangent, UnitSpeedCurve
-from worldsheet.gauge import OrthogonalGauge
-from worldsheet.singular import find_antipodal_pairs
-from worldsheet.topology import (diagram, linking_number, transversal_count,
-                                 winding_number)
+from worldsheet.errors import PreconditionError
+from worldsheet.gauge import (OrthogonalGauge, couple_from_gauge,
+                              gauge_from_couple)
+from worldsheet.singular import classify_sing_star, find_antipodal_pairs
+from worldsheet.topology import (diagram, linking_number, synthetic_diagram,
+                                 transversal_count, winding_number)
 
 SEEDS = st.integers(0, 2 ** 32 - 1)
 FRACTIONS = st.floats(0.0, 1.0, exclude_max=True)
@@ -91,6 +95,20 @@ def test_rotation_keeps_meridian_loops_winding(meridian_loops, seed):
 
 
 @settings(max_examples=4, deadline=None)
+@given(seed=SEEDS)
+def test_improper_rotation_negates_synthetic_winding(seed):
+    # the equator winds +1 around a loop at latitude 80 degrees
+    th = np.linspace(0.0, 2.0 * np.pi, 600, endpoint=False)
+    eq = np.stack([np.cos(-th), np.sin(-th), np.zeros_like(th)], axis=1)
+    lat = np.radians(80.0)
+    loop = np.stack([np.cos(lat) * np.cos(th), np.cos(lat) * np.sin(th),
+                     np.full_like(th, np.sin(lat))], axis=1)
+    q = _orthogonal(seed, 3, proper=False)
+    assert winding_number(synthetic_diagram(eq, loop)) == 1
+    assert winding_number(synthetic_diagram(eq @ q.T, loop @ q.T)) == -1
+
+
+@settings(max_examples=4, deadline=None)
 @given(frac=FRACTIONS)
 def test_shift_moves_wavy_pair_components(wavy_pair, frac):
     E0 = wavy_pair.E0
@@ -141,6 +159,27 @@ def test_spec_round_trip_keeps_verdicts(request, name, invariant):
     want, got = find_antipodal_pairs(g), find_antipodal_pairs(h)
     assert want.empty and got.empty
     assert abs(got.min_grid_residual - want.min_grid_residual) <= 1e-6
+
+
+def _planar_verdicts(g):
+    """Sorted (kind, sing_star) of every component, "failed" where the
+    classification raises."""
+    out = []
+    for comp in find_antipodal_pairs(g).components:
+        try:
+            out.append((comp.kind, classify_sing_star(g, comp).sing_star))
+        except PreconditionError:
+            out.append((comp.kind, "failed"))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_couple_round_trip_keeps_planar_verdicts(seed):
+    # the round trip rebakes both tangents, so components may come out in
+    # another order with other first pairs; the verdicts must not move
+    g = catalog.random_planar_gauge(seed)
+    assert (_planar_verdicts(gauge_from_couple(couple_from_gauge(g)))
+            == _planar_verdicts(g))
 
 
 @pytest.mark.parametrize("name", ["random_planar_0", "wavy_pair", "nonconvex",

@@ -517,6 +517,24 @@ def test_probe_achieved_epsilon_close_to_requested(hopf):
     assert max(rep.achieved) > 0.01
 
 
+def test_probe_discards_unclosed_perturbations(hopf, monkeypatch):
+    # with no Newton step the re-closure defect stays far above tolerance
+    monkeypatch.setattr(topology, "PROBE_NEWTON_STEPS", 0)
+    rep = genericity_probe(hopf, 0.05, 3, seed=1)
+    assert (rep.n_discarded, rep.n_smooth, rep.n_singular) == (3, 0, 0)
+    assert rep.margins == rep.achieved == rep.closure_defects == []
+
+
+def test_probe_discards_invalid_perturbed_gauges(hopf, monkeypatch):
+    def invalid(self, samples=None):
+        raise PreconditionError("tangent not periodic")
+
+    monkeypatch.setattr(OrthogonalGauge, "validate", invalid)
+    rep = genericity_probe(hopf, 0.05, 3, seed=1)
+    assert (rep.n_discarded, rep.n_smooth, rep.n_singular) == (3, 0, 0)
+    assert rep.margins == rep.achieved == rep.closure_defects == []
+
+
 def test_transversal_count_wavy_pair(wavy_pair):
     assert transversal_count(wavy_pair) == 2
 
@@ -545,6 +563,23 @@ def test_winding_reads_each_center_once(meridian_loops, monkeypatch):
     assert winding_number(d) == 0
     # primary center, its sample doubling, and the second center if any
     assert rows == [9] * (2 + (q2 is not None))
+
+
+def test_projection_centers_single_clear_cap():
+    # two interleaved spirals wind down from polar angle 0.4, so every
+    # candidate 0.5 rad away from the best one lies too close to a curve
+    u = np.linspace(0.0, 1.0, 2000)
+    polar = 0.4 + (np.pi - 0.4) * u
+
+    def spiral(phase):
+        az = 20 * TWO_PI * u + phase
+        return np.stack([np.sin(polar) * np.cos(az),
+                         np.sin(polar) * np.sin(az), np.cos(polar)], axis=1)
+
+    q1, q2 = topology._projection_centers(
+        synthetic_diagram(spiral(0.0), spiral(np.pi)), 4096)
+    assert q1[2] > np.cos(0.4)
+    assert q2 is None
 
 
 def test_planar_winding_rows_match_one_point_at_a_time():
@@ -579,17 +614,23 @@ def test_transversal_count_dropped_component_raises(wavy_pair, monkeypatch):
         transversal_count(wavy_pair)
 
 
-@st.composite
-def _fourier_loop_couples(draw):
-    """An n = 3 fourier_loop couple: modes 2 .. count + 1 with coefficients
-    of size 0.3 / m^2, and a normal velocity of scale 0.5."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+def _fourier_loop_couple(seed, count):
+    """An n = 3 fourier_loop couple drawn from default_rng(seed): modes
+    2 .. count + 1 with coefficients of size 0.3 / m^2, and a normal
+    velocity of scale 0.5."""
+    rng = np.random.default_rng(seed)
     modes = [[m] + [(rng.uniform(-1, 1, 3) * 0.3 / m ** 2).tolist()
                     for _ in range(2)]
-             for m in range(2, draw(st.integers(3, 8)) + 2)]
+             for m in range(2, count + 2)]
     return {"gamma0": {"kind": "fourier_loop", "n": 3, "modes": modes},
             "v0": {"kind": "normal_scale", "scale": 0.5, "wobble": 0.3,
                    "phase": float(rng.uniform(0.0, TWO_PI))}}
+
+
+@st.composite
+def _fourier_loop_couples(draw):
+    return _fourier_loop_couple(draw(st.integers(0, 2**32 - 1)),
+                                draw(st.integers(3, 8)))
 
 
 @settings(max_examples=12, deadline=None)
@@ -601,6 +642,26 @@ def test_transversal_count_signed_sum_vanishes(couple):
     except PreconditionError:
         assume(False)           # extended or non-transversal: no count
     assert count % 2 == 0
+
+
+def _known_miss(seed, raises):
+    return pytest.param(seed, marks=pytest.mark.xfail(
+        strict=True, raises=raises,
+        reason="the default search misses or merges close zeros"))
+
+
+# falsifying draws of the strategy among rng seeds 0-999 (count = 3 +
+# seed mod 6): three miss one of two crossings in a grid basin, and at
+# seed 77 two close crossings link into one extended component
+@pytest.mark.parametrize("seed", [
+    _known_miss(77, PreconditionError),
+    _known_miss(177, UnderResolvedError),
+    _known_miss(358, UnderResolvedError),
+    _known_miss(460, UnderResolvedError)])
+def test_transversal_count_known_misses(seed):
+    g = serialize.gauge_from_spec(
+        {"couple": _fourier_loop_couple(seed, 3 + seed % 6)})
+    assert transversal_count(g) % 2 == 0
 
 
 def test_transversal_count_perturbation_invariant(wavy_pair):
