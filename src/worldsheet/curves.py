@@ -24,6 +24,8 @@ IMAGE_SAMPLES = 1024      # samples of c for the hull test and dwell search
 HULL_TOL = 1e-9           # smallest accepted hull margin
 ELL_MIN = 1e-3            # shortest dwell of from_tangent_image
 MOMENT_TOL = 1e-12        # accepted change of a segment moment on doubling
+LP_TOL = 1e-9             # pivot, reduced-cost and feasibility tolerance
+NNLS_TOL = 1e-14          # smallest relative gradient entering the NNLS set
 
 NORM_TOL = 1e-9           # largest accepted tangent norm / periodicity error
 PAIR_TOL = 1e-8           # largest residual of an accepted antipodal pair
@@ -308,30 +310,158 @@ class PlateauSpline:
         return out
 
 
+def _simplex(c, a, b):
+    """A minimizer of c.x subject to a x = b, x >= 0, or None when no x is
+    feasible.  The problem must be bounded below.
+
+    Dense two-phase tableau simplex that cannot cycle (see
+    ``_simplex_pivots``).  Phase 1 minimizes the sum of one artificial
+    per row, and the program is infeasible when that sum stays above
+    LP_TOL (relative); a basic artificial left at level 0 is pivoted out
+    or, if its row is redundant, dropped with the row.  The optimal basis
+    is solved once more from ``a`` and ``b``, so x carries no pivoting
+    error.
+    """
+    m, n = a.shape
+    flip = np.where(b < 0.0, -1.0, 1.0)
+    t = np.zeros((m + 1, n + m + 1))
+    t[:m, :n] = a * flip[:, None]
+    t[:m, n:n + m] = np.eye(m)
+    t[:m, -1] = b * flip
+    t[m, :n] = -t[:m, :n].sum(axis=0)
+    t[m, -1] = -t[:m, -1].sum()
+    basis = np.arange(n, n + m)
+    _simplex_pivots(t, basis, n + m)
+    if -t[m, -1] > LP_TOL * max(1.0, np.abs(b).sum()):
+        return None
+    keep = np.ones(m, dtype=bool)
+    for i in np.flatnonzero(basis >= n):
+        j = np.flatnonzero(np.abs(t[i, :n]) > LP_TOL)
+        if j.size:
+            _pivot(t, basis, i, j[0])
+        else:
+            keep[i] = False
+    rows = np.flatnonzero(keep)
+    t = np.vstack([t[rows][:, np.r_[:n, -1]], np.zeros(n + 1)])
+    basis = basis[rows]
+    t[-1, :n] = c
+    t[-1] -= c[basis] @ t[:-1]
+    _simplex_pivots(t, basis, n)
+    x = np.zeros(n)
+    x[basis] = np.linalg.solve(a[rows][:, basis], b[rows])
+    return x
+
+
+def _simplex_pivots(t, basis, n):
+    """Pivot the tableau ``t`` (last row: reduced costs and -objective)
+    until no column j < n has a reduced cost below -LP_TOL.
+
+    The entering column has the most negative reduced cost (Dantzig's
+    rule), except after as many consecutive degenerate pivots as ``t``
+    has rows: from there until the objective next falls, the lowest such
+    column enters and ties in the ratio test leave by the lowest basic
+    variable (Bland's rule, Bland 1977).  A cycle would consist of
+    degenerate pivots alone, so it would reach Bland's rule, which cannot
+    cycle."""
+    stalled = 0
+    while True:
+        cost = t[-1, :n]
+        bland = stalled >= len(t)
+        j = int(np.argmax(cost < -LP_TOL)) if bland else int(np.argmin(cost))
+        if cost[j] >= -LP_TOL:
+            return
+        col = t[:-1, j]
+        rows = np.flatnonzero(col > LP_TOL)
+        if not rows.size:
+            raise PreconditionError("linear program is unbounded")
+        ratio = t[rows, -1] / col[rows]
+        tied = rows[ratio <= ratio.min()]
+        i = tied[np.argmin(basis[tied])]
+        stalled = stalled + 1 if t[i, -1] <= LP_TOL * col[i] else 0
+        _pivot(t, basis, i, j)
+
+
+def _pivot(t, basis, i, j):
+    t[i] /= t[i, j]
+    col = t[:, j].copy()
+    col[i] = 0.0
+    t -= np.outer(col, t[i])
+    basis[i] = j
+
+
+def _nnls(a, b):
+    """argmin |a x - b| over x >= 0 by the active-set method of Lawson &
+    Hanson (1974).
+
+    While the passive set holds fewer columns than ``a`` has rows, the
+    column of largest gradient w = a^T (b - a x) above NNLS_TOL (relative)
+    enters it; a column whose least-squares coefficient is not positive
+    on entry is rejected for that step.  The least-squares solution z on
+    the passive set is accepted once positive; until then x moves toward
+    z as far as stays feasible, and the coordinates that reach 0 leave.
+    """
+    m, n = a.shape
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    w = a.T @ b
+    floor = NNLS_TOL * np.abs(a).max() * np.abs(b).sum()
+    while passive.sum() < m:
+        j = int(np.argmax(np.where(passive, -np.inf, w)))
+        if passive[j] or w[j] <= floor:
+            break
+        passive[j] = True
+        idx = np.flatnonzero(passive)
+        z = np.linalg.lstsq(a[:, idx], b, rcond=None)[0]
+        if z[np.searchsorted(idx, j)] <= 0.0:
+            passive[j] = False
+            w[j] = 0.0
+            continue
+        while not (z > 0.0).all():
+            neg = np.flatnonzero(z <= 0.0)
+            xs = x[idx]
+            step = xs[neg] / (xs[neg] - z[neg])
+            k = int(np.argmin(step))
+            xs += step[k] * (z - xs)
+            xs[neg[k]] = 0.0
+            x[idx] = xs
+            passive[idx[xs <= 0.0]] = False
+            x[~passive] = 0.0
+            idx = np.flatnonzero(passive)
+            z = np.linalg.lstsq(a[:, idx], b, rcond=None)[0]
+        x[idx] = z
+        w = a.T @ (b - a @ x)
+    return x
+
+
+def _dwell_lengths(a_eq, b_eq, a_ub, b_ub):
+    """min sum(ell) s.t. a_eq ell = b_eq, a_ub ell <= b_ub, ell >= ELL_MIN;
+    None when infeasible.  Solved as ell = ELL_MIN + x, x >= 0, with one
+    slack per row of a_ub."""
+    (n_eq, n), n_ub = a_eq.shape, len(a_ub)
+    a = np.zeros((n_eq + n_ub, n + n_ub))
+    a[:n_eq, :n] = a_eq
+    a[n_eq:, :n] = a_ub
+    a[n_eq:, n:] = np.eye(n_ub)
+    b = np.concatenate([b_eq, b_ub]) - ELL_MIN * a[:, :n].sum(axis=1)
+    x = _simplex(np.r_[np.ones(n), np.zeros(n_ub)], a, b)
+    return None if x is None else ELL_MIN + x[:n]
+
+
 def _hull_interior_lp(points):
     """max t s.t. sum(lam_i p_i) = 0, sum(lam) = 1, lam_i >= t.
 
     Positive optimum certifies that 0 admits a strictly positive convex
-    combination of the points (relative-interior containment).  Solved
-    as lam = t + mu, mu >= 0: n + 1 equality rows and bounds only.
+    combination of the points (relative-interior containment).  With
+    lam = t + mu, mu >= 0, the row sum(lam) = 1 gives t = (1 - sum(mu)) / m,
+    so the problem is: min sum(mu) s.t. sum(mu_i (p_i - pbar)) = -pbar,
+    with pbar the mean point: n equality rows in standard form.
     """
-    m, n = points.shape
-    # variables: mu (m), t
-    c = np.zeros(m + 1)
-    c[-1] = -1.0
-    a_eq = np.empty((n + 1, m + 1))
-    a_eq[:n, :m] = points.T
-    a_eq[:n, m] = points.sum(axis=0)
-    a_eq[n, :m] = 1.0
-    a_eq[n, m] = m
-    b_eq = np.zeros(n + 1)
-    b_eq[n] = 1.0
-    from scipy.optimize import linprog
-    res = linprog(c, A_eq=a_eq, b_eq=b_eq,
-                  bounds=[(0.0, None)] * m + [(None, 1.0)], method="highs")
-    if not res.success:
+    m, _ = points.shape
+    pbar = points.mean(axis=0)
+    mu = _simplex(np.ones(m), (points - pbar).T, -pbar)
+    if mu is None:
         return -np.inf
-    return float(-res.fun)
+    return float((1.0 - mu.sum()) / m)
 
 
 class _TangentImageRep(TangentRep):
@@ -458,7 +588,6 @@ def from_tangent_image(c, k=3, period=None, pinned=()):
             moment += seg
         return prev, moment
 
-    from scipy.optimize import linprog, nnls
     n_start = dim + 1 + len(pinned)
     last_err = None
     for q in range(n_start, max(4 * dim, n_start) + 1, 2):
@@ -469,7 +598,7 @@ def from_tangent_image(c, k=3, period=None, pinned=()):
         _, moment0 = segment_moment(params)
         # augment with the positive-combination support of the moment
         # equation over all image samples, so the dwell cone is feasible
-        sol, _ = nnls(image.T, -moment0)
+        sol = _nnls(image.T, -moment0)
         support = [us[i] for i in np.where(sol > 1e-9)[0]]
         params = np.array(sorted(set(params.tolist() + support)))
         # merge junctions closer than a minimum separation (short moving
@@ -498,25 +627,14 @@ def from_tangent_image(c, k=3, period=None, pinned=()):
         if resid_perp > 1e-9 * max(1.0, np.linalg.norm(target)):
             last_err = "moment outside dwell-point span"
             continue
-        a_eq = basis.T @ pts.T          # rank x q
-        b_eq = basis.T @ target
-        a_ub, b_ub = None, None
-        if pinned:
-            rows = []
-            rhs = []
-            for (u0, frac) in pinned:
-                j = int(np.argmin(np.abs(params - (u0 % C_PERIOD))))
-                row = np.full(len(params), frac)
-                row[j] = frac - 1.0
-                rows.append(row)           # frac*sum(l) - l_j <= -frac*cP
-                rhs.append(-frac * C_PERIOD)
-            a_ub = np.array(rows)
-            b_ub = np.array(rhs)
-        res = linprog(np.ones(len(params)), A_ub=a_ub, b_ub=b_ub,
-                      A_eq=a_eq, b_eq=b_eq,
-                      bounds=(ELL_MIN, None), method="highs")
-        if res.success:
-            ell = res.x
+        a_ub = np.empty((len(pinned), len(params)))
+        for row, (u0, frac) in zip(a_ub, pinned):
+            # frac * sum(ell) - ell_j <= -frac * C_PERIOD
+            row[:] = frac
+            row[int(np.argmin(np.abs(params - (u0 % C_PERIOD))))] -= 1.0
+        ell = _dwell_lengths(basis.T @ pts.T, basis.T @ target, a_ub,
+                             np.array([-frac * C_PERIOD for _, frac in pinned]))
+        if ell is not None:
             # polish the equality residual with a pseudo-inverse correction
             r = target - pts.T @ ell
             corr, *_ = np.linalg.lstsq(pts.T, r, rcond=None)

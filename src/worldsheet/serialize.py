@@ -18,11 +18,32 @@ from .gauge import AdmissibleCouple, OrthogonalGauge
 SCHEMA_VERSION = 1
 
 
+def _check_keys(spec, allowed, what):
+    """TypeError naming the keys of ``spec`` outside ``allowed``, so a
+    misspelled key is a schema error rather than a silent default."""
+    unknown = sorted(set(spec) - set(allowed))
+    if unknown:
+        raise TypeError(f"unknown {what} key{'s' * (len(unknown) > 1)} "
+                        + ", ".join(map(repr, unknown)))
+
+
 # ---------------------------------------------------------------------------
 # curves
 
+# each curve kind's keys; "smoothness" is read and ignored, since gauge
+# files written before it was dropped carry it on every curve
+_CURVE_KEYS = {
+    "circle": ("basepoint",),
+    "angle_fourier": ("period", "winding", "phase", "modes", "basepoint"),
+    "sphere_samples": ("samples", "period", "basepoint"),
+}
+
+
 def curve_from_spec(spec):
     kind = spec.get("kind")
+    if kind in _CURVE_KEYS:
+        _check_keys(spec, ("kind", "smoothness", *_CURVE_KEYS[kind]),
+                    f"{kind} curve")
     if kind == "circle":
         return catalog.circle_curve(tuple(spec.get("basepoint", (1.0, 0.0))))
     if kind == "angle_fourier":
@@ -73,9 +94,18 @@ def curve_to_spec(curve: UnitSpeedCurve, samples=4096):
 # ---------------------------------------------------------------------------
 # couples
 
+_GAMMA0_KEYS = {"circle": ("radius", "n"),
+                "fourier_loop": ("n", "modes", "basepoint")}
+_V0_KEYS = {"zero": (), "normal_scale": ("scale", "phase", "wobble"),
+            "fourier": ("modes", "mean")}
+
+
 def couple_from_spec(spec):
+    _check_keys(spec, ("gamma0", "v0"), "couple")
     g0 = spec["gamma0"]
     kind = g0.get("kind")
+    if kind in _GAMMA0_KEYS:
+        _check_keys(g0, ("kind", *_GAMMA0_KEYS[kind]), f"{kind} gamma0")
     if kind == "circle":
         radius = float(g0.get("radius", 1.0))
         dim = int(g0.get("n", 2))
@@ -93,6 +123,8 @@ def couple_from_spec(spec):
 
     v0spec = spec.get("v0", {"kind": "zero"})
     vkind = v0spec.get("kind", "zero")
+    if vkind in _V0_KEYS:
+        _check_keys(v0spec, ("kind", *_V0_KEYS[vkind]), f"{vkind} v0")
     if vkind == "zero":
         def fields(x):
             gp = deriv(x)

@@ -32,6 +32,7 @@ METRIC_DEGENERACY_EPS = 1e-12
 SEED_SAMPLES = 4096
 SEED_CANDIDATES = 32
 SEED_NEIGHBOURS = 4
+RUN_SAMPLES = 16          # consecutive coarse samples per ball of the search
 NEWTON_STEPS = 32
 NEWTON_XTOL = 1e-6
 
@@ -195,8 +196,7 @@ def _project_distances(g: OrthogonalGauge, t, pts):
     safeguarded Newton from coarse samples (see slice_set_distance)."""
     xs = np.linspace(0.0, g.E0, SEED_SAMPLES, endpoint=False)
     coarse = gamma(g, np.full(SEED_SAMPLES, t), xs)
-    from scipy.spatial import cKDTree
-    near_dist, near = cKDTree(coarse).query(pts, k=SEED_CANDIDATES)
+    near_dist, near = _nearest_samples(coarse, pts, SEED_CANDIDATES)
     x = xs[_local_minimum_seeds(coarse, pts, near)].ravel()
     h = g.E0 / SEED_SAMPLES
     lo, hi = x - h, x + h
@@ -219,6 +219,78 @@ def _project_distances(g: OrthogonalGauge, t, pts):
     end_dist = np.linalg.norm(gamma(g, t, x) - p, axis=1)
     end_dist = end_dist.reshape(-1, SEED_NEIGHBOURS).min(axis=1)
     return np.minimum(near_dist[:, 0], end_dist)
+
+
+def _nearest_samples(samples, pts, k):
+    """(distances, indices) of the k rows of ``samples`` nearest to each
+    row of pts, nearest first; equal distances are ordered by the lower
+    sample index.  Each distance is the root of the sum of squared
+    coordinate differences in coordinate order, as in a k-d tree query.
+
+    Exact search over one level of balls, each a run of RUN_SAMPLES
+    consecutive samples about its mean c, of radius r.  The k-th nearest
+    sample of the fewest balls of least |p - c| + r that hold k samples
+    bounds the k-th distance U; only balls with |p - c| - r <= U (plus a
+    rounding margin) can hold a nearer sample, and their samples are
+    ranked exactly.  len(samples) is a multiple of RUN_SAMPLES."""
+    n, dim = samples.shape
+    rows = np.arange(len(pts))
+    runs = samples.reshape(n // RUN_SAMPLES, RUN_SAMPLES, dim)
+    # coordinate j of sample r * RUN_SAMPLES + i at runs_j[j, r, i]
+    runs_j = np.ascontiguousarray(samples.T).reshape(dim, -1, RUN_SAMPLES)
+
+    def sq_dist(ball, p):
+        """(len(ball), RUN_SAMPLES) squared distances from the rows of p
+        to the samples of their balls, summed in coordinate order."""
+        out = 0.0
+        for j in range(dim):
+            diff = runs_j[j][ball] - p[:, j, None]
+            out = out + diff * diff
+        return out
+
+    centre = runs.mean(axis=1)
+    radius = np.sqrt(sq_dist(np.arange(len(runs)), centre).max(axis=1))
+    # |p - c| from the product form, lowered by its rounding bound
+    # 1e-13 (|p|^2 + |c|^2) on the square
+    pp, cc = (pts * pts).sum(axis=1), (centre * centre).sum(axis=1)
+    dc = np.column_stack([pts, np.ones(len(pts))]) @ np.vstack(
+        [-2.0 * centre.T, cc])
+    dc += (pp - 1e-13 * (pp.max() + cc.max()))[:, None]
+    np.sqrt(np.maximum(dc, 0.0, out=dc), out=dc)
+    outer = dc + radius
+    few = np.empty((len(pts), -(-k // RUN_SAMPLES)), dtype=np.intp)
+    for j in range(few.shape[1]):
+        few[:, j] = np.argmin(outer, axis=1)
+        outer[rows, few[:, j]] = np.inf
+    bound = np.partition(
+        sq_dist(few.ravel(), np.repeat(pts, few.shape[1], axis=0)).reshape(
+            len(pts), -1), k - 1, axis=1)[:, k - 1]
+    slack = 1e-12 * (np.abs(samples).max() + np.abs(pts).max())
+    dc -= radius
+    hit, ball = np.nonzero(dc <= (np.sqrt(bound) + slack)[:, None])
+    # each row's candidate balls side by side in sample order; empty
+    # places hold distance inf
+    count = np.bincount(hit, minlength=len(pts))
+    slot = np.arange(len(hit)) - np.repeat(np.cumsum(count) - count, count)
+    balls = np.zeros((len(pts), count.max()), dtype=np.intp)
+    balls[hit, slot] = ball
+    d2 = np.full((len(pts), count.max(), RUN_SAMPLES), np.inf)
+    d2[hit, slot] = sq_dist(ball, pts[hit])
+    d2 = d2.reshape(len(pts), -1)
+    # the k least; ties at the k-th value go to the lowest indices
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+    keep = d2 <= kth
+    if np.count_nonzero(keep) > k * len(pts):
+        tie = d2 == kth
+        keep &= (d2 < kth) | (np.cumsum(tie, axis=1) <= k - (
+            d2 < kth).sum(axis=1, keepdims=True))
+    col = np.nonzero(keep)[1].reshape(-1, k)
+    d2 = np.take_along_axis(d2, col, axis=1)
+    idx = (np.take_along_axis(balls, col // RUN_SAMPLES, axis=1) * RUN_SAMPLES
+           + col % RUN_SAMPLES)
+    order = np.argsort(d2, axis=1, kind="stable")
+    return (np.sqrt(np.take_along_axis(d2, order, axis=1)),
+            np.take_along_axis(idx, order, axis=1))
 
 
 def _local_minimum_seeds(coarse, pts, near):

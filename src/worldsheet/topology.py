@@ -22,6 +22,7 @@ from .singular import find_antipodal_pairs
 
 EPS_DIAG = 1e-4
 GEODESIC_SAMPLES = 64           # arc samples of the clear-geodesic test
+NEAREST_BLOCK = 128             # query rows per block of the nearest-point scan
 PROBE_NODES = 4096              # tangent nodes of a perturbed curve
 PROBE_MODES = 8                 # Fourier modes per perturbation component
 PROBE_NEWTON_STEPS = 6          # Newton steps of a perturbation's re-closure
@@ -140,17 +141,58 @@ def _candidate_centers(dim, n):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _clear_geodesic(q1, q2, tree):
+def _nearest_distance(points, queries):
+    """Distance from each query row to its nearest row of ``points``, the
+    same bits as a k-d tree query.
+
+    Blocks of at most NEAREST_BLOCK queries (fewer when the points are
+    many, so a block's scores fill at most 4 MB) take the scores
+    q.p - |p|^2/2 of all points in one product; the nearest point has the
+    largest score up to rounding.  Its distance is the root of the sum of
+    squared coordinate differences in coordinate order.  Where the second
+    largest score of a row comes within a rounding margin of the largest,
+    the row takes the least distance over every point within that margin."""
+    n, dim = points.shape
+    pts = np.column_stack([points, 0.5 * (points * points).sum(axis=1)]).T
+    margin = 1e-12 * dim * np.abs(points).max() * (
+        np.abs(queries).max() + np.abs(points).max())
+    block = max(1, min(NEAREST_BLOCK, 2 ** 19 // n))
+    score = np.empty((min(block, len(queries)), n))
+    d2 = np.empty(len(queries))
+    for i0 in range(0, len(queries), block):
+        q = queries[i0:i0 + block]
+        s, r = score[:len(q)], np.arange(len(q))
+        np.matmul(np.column_stack([q, np.full(len(q), -1.0)]), pts, out=s)
+        c = s.argmax(axis=1)
+        floor = s[r, c] - margin
+        d2[i0:i0 + len(q)] = _sq_dist(q, points[c])
+        s[r, c] = -np.inf
+        tied = np.flatnonzero(s.max(axis=1) >= floor)
+        if tied.size:
+            tr, tc = np.nonzero(s[tied] >= floor[tied, None])
+            np.minimum.at(d2, i0 + tied[tr], _sq_dist(q[tied[tr]], points[tc]))
+    return np.sqrt(d2)
+
+
+def _sq_dist(a, b):
+    """Squared distances of the rows a - b, summed in coordinate order."""
+    diff = a - b
+    out = diff[..., 0] * diff[..., 0]
+    for k in range(1, diff.shape[-1]):
+        out += diff[..., k] * diff[..., k]
+    return out
+
+
+def _clear_geodesic(q1, q2, points):
     """True if the great-circle arc q1 -> q2 stays EPS_DIAG away from
-    the diagram curves (a same-component certificate for the centers).
-    The caller passes centers at least 0.5 rad apart."""
+    the diagram curve samples ``points`` (a same-component certificate
+    for the centers).  The caller passes centers at least 0.5 rad apart."""
     dot = float(np.clip(q1 @ q2, -1.0, 1.0))
     ang = np.arccos(dot)
     ts = np.linspace(0.0, 1.0, GEODESIC_SAMPLES)
     arc = (np.sin((1 - ts) * ang)[:, None] * q1
            + np.sin(ts * ang)[:, None] * q2) / np.sin(ang)
-    d, _ = tree.query(arc)
-    return bool(d.min() >= EPS_DIAG)
+    return bool(_nearest_distance(points, arc).min() >= EPS_DIAG)
 
 
 def _projection_centers(d: SphereDiagram, n_candidates):
@@ -158,10 +200,9 @@ def _projection_centers(d: SphereDiagram, n_candidates):
     the candidate of largest clearance from both curves, then the next one
     at least 0.5 rad away with clearance >= max(2 EPS_DIAG, half the
     primary's), joined to it by a clear geodesic on S^2."""
-    from scipy.spatial import cKDTree
-    tree = cKDTree(np.vstack([d.curve_a, d.curve_mb]))
+    points = np.vstack([d.curve_a, d.curve_mb])
     cands = _candidate_centers(d.dim, n_candidates)
-    clearance, _ = tree.query(cands)
+    clearance = _nearest_distance(points, cands)
     order = np.argsort(-clearance)
     if clearance[order[0]] < EPS_DIAG:
         raise PreconditionError("no projection center with required clearance")
@@ -173,7 +214,7 @@ def _projection_centers(d: SphereDiagram, n_candidates):
         q2 = cands[idx]
         if float(q1 @ q2) > np.cos(0.5):
             continue
-        if d.dim != 3 or _clear_geodesic(q1, q2, tree):
+        if d.dim != 3 or _clear_geodesic(q1, q2, points):
             return q1, q2
     return q1, None
 

@@ -7,8 +7,13 @@ periods against it.  ``full_grid_constraint_residuals`` and
 and of the local-minimum test, reading every grid point and rolling the
 whole grid; the package must match them bit for bit.
 ``hull_interior_lp_dense`` is the hull-margin linear program with its
-inequality rows written out.  ``sampled_hausdorff`` measures how far a
-realized tangent image lies from its target by nearest-neighbour trees.
+inequality rows written out, and ``hull_interior_lp_bounds`` the same
+program with bounds in place of those rows; ``dwell_lengths_linprog`` is
+the dwell-length program of ``from_tangent_image``.  All three are solved
+by scipy's HiGHS at feasibility tolerances 1e-10, since at its defaults
+(1e-7) HiGHS can stop up to 7e-10 short of the hull optimum.
+``sampled_hausdorff`` measures how far a realized tangent image lies
+from its target by nearest-neighbour trees.
 ``near_pairs_kdtree``, ``nms_ball_point`` and ``components_csgraph`` are
 the detection's neighbour pairs, greedy suppression and connected
 components computed by scipy's KD-tree and sparse graph routines.
@@ -157,6 +162,11 @@ def roll_minimum_mask(r2):
     return is_min
 
 
+# HiGHS options of the linear-program oracles
+HIGHS_TIGHT = {"primal_feasibility_tolerance": 1e-10,
+               "dual_feasibility_tolerance": 1e-10}
+
+
 def hull_interior_lp_dense(points):
     """max t s.t. sum(lam_i p_i) = 0, sum(lam) = 1, lam_i >= t, with the
     m inequalities lam_i >= t written out as a dense block; -inf when
@@ -173,8 +183,42 @@ def hull_interior_lp_dense(points):
     b_eq[n] = 1.0
     a_ub = np.hstack([-np.eye(m), np.ones((m, 1))])
     res = linprog(c, A_ub=a_ub, b_ub=np.zeros(m), A_eq=a_eq, b_eq=b_eq,
-                  bounds=[(None, None)] * m + [(None, 1.0)], method="highs")
+                  bounds=[(None, None)] * m + [(None, 1.0)], method="highs",
+                  options=HIGHS_TIGHT)
     return float(-res.fun) if res.success else -np.inf
+
+
+def hull_interior_lp_bounds(points):
+    """The same optimum as ``lam = t + mu``, mu >= 0, t <= 1: n + 1
+    equality rows and bounds only; -inf when the solver fails."""
+    from scipy.optimize import linprog
+
+    m, n = points.shape
+    c = np.zeros(m + 1)
+    c[-1] = -1.0
+    a_eq = np.empty((n + 1, m + 1))
+    a_eq[:n, :m] = points.T
+    a_eq[:n, m] = points.sum(axis=0)
+    a_eq[n, :m] = 1.0
+    a_eq[n, m] = m
+    b_eq = np.zeros(n + 1)
+    b_eq[n] = 1.0
+    res = linprog(c, A_eq=a_eq, b_eq=b_eq,
+                  bounds=[(0.0, None)] * m + [(None, 1.0)], method="highs",
+                  options=HIGHS_TIGHT)
+    return float(-res.fun) if res.success else -np.inf
+
+
+def dwell_lengths_linprog(a_eq, b_eq, a_ub, b_ub, ell_min):
+    """min sum(ell) s.t. a_eq ell = b_eq, a_ub ell <= b_ub, ell >= ell_min:
+    the optimum, or None when the solver fails."""
+    from scipy.optimize import linprog
+
+    res = linprog(np.ones(a_eq.shape[1]),
+                  A_ub=a_ub if len(a_ub) else None,
+                  b_ub=b_ub if len(a_ub) else None, A_eq=a_eq, b_eq=b_eq,
+                  bounds=(ell_min, None), method="highs", options=HIGHS_TIGHT)
+    return float(res.fun) if res.success else None
 
 
 def sampled_hausdorff(a_pts, b_pts):

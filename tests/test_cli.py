@@ -233,7 +233,10 @@ print(json.dumps(sorted(m for m in sys.modules
                                       "cantor_k1_dimension.json",
                                       "cantor_k1_detect.json",
                                       "hopf_detect.json",
-                                      "hopf_probe.json"])
+                                      "hopf_diagram.json",
+                                      "hopf_probe.json",
+                                      "meridian_construct.json",
+                                      "nonuniq_pair.json"])
 def test_scipy_not_loaded(tmp_path, scenario):
     src = os.path.dirname(os.path.dirname(os.path.abspath(worldsheet.__file__)))
     args = [] if scenario is None else [
@@ -274,6 +277,22 @@ COUPLE_EVOLVE = {"name": "couple-evolve", "task": "evolve",
                  "couple": {"gamma0": {"kind": "circle", "radius": 1.0},
                             "v0": {"kind": "normal_scale", "scale": 0.5}},
                  "params": {"times": [0.0], "samples": 64}}
+
+
+def test_wavy_pair_diagram_loads_no_scipy(tmp_path):
+    # the wavy pair builds both curves by from_tangent_image (hull LP, NNLS
+    # and dwell LP)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(worldsheet.__file__)))
+    path = tmp_path / "wavy_diagram.json"
+    path.write_text(json.dumps({"name": "wavy-diagram", "task": "diagram",
+                                "builder": {"name": "wavy_pair"}}),
+                    encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, src, str(path),
+                           str(tmp_path / "out")],
+                          capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["samples"] == 1024
 
 
 def test_couple_evolve_loads_no_scipy(tmp_path):
@@ -364,6 +383,40 @@ def test_gauge_roundtrip_through_spec(tmp_path):
     xs = np.linspace(0, g.E0, 257)
     assert np.abs(g2.a.tangent(xs) - g.a.tangent(xs)).max() < 1e-6
     assert abs(g2.E0 - g.E0) < 1e-12
+
+
+@pytest.mark.parametrize("spec, key", [
+    ({"couple": {"gamma0": {"kind": "circle", "radius": 1.0},
+                 "v0": {"kind": "normal_scale", "scal": 0.1}}}, "scal"),
+    ({"couple": {"gamma0": {"kind": "circle", "radis": 1.0}}}, "radis"),
+    ({"couple": {"gamma0": {"kind": "fourier_loop", "n": 3, "modes": [],
+                            "basepiont": [0, 0, 0]}}}, "basepiont"),
+    ({"couple": {"gamma0": {"kind": "circle"},
+                 "v0": {"kind": "fourier", "mode": [[2, 0.1, 0.0]]}}}, "mode"),
+    ({"couple": {"gamma0": {"kind": "circle"}, "vo": {"kind": "zero"}}},
+     "vo"),
+    ({"a": {"kind": "circle", "basepont": [1.0, 0.0]},
+      "b": {"kind": "circle"}}, "basepont"),
+    ({"a": {"kind": "circle"},
+      "b": {"kind": "angle_fourier", "winding": 1, "mods": []}}, "mods"),
+])
+def test_unknown_curve_or_couple_key_exit_one(tmp_path, capsys, spec, key):
+    # before, each of these ran with the key's default and exited 0
+    scen = {"name": "typo", "task": "evolve",
+            "params": {"times": [0.5], "samples": 64}, **spec}
+    assert cli.run_scenario(scen, str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert "invalid scenario" in err and repr(key) in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_angle_fourier_spec_with_smoothness_key_still_loads():
+    spec = {"kind": "angle_fourier", "winding": 1,
+            "modes": [[2, 0.1, 0.0]]}
+    old = serialize.curve_from_spec({**spec, "smoothness": 7})
+    new = serialize.curve_from_spec(spec)
+    xs = np.linspace(0.0, 2.0 * np.pi, 64)
+    assert np.array_equal(old.tangent(xs), new.tangent(xs))
 
 
 def test_gauge_spec_with_smoothness_keys_still_loads():

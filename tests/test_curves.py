@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from worldsheet import catalog, constructions
+from worldsheet import catalog, constructions, curves
 from worldsheet.curves import (CallableTangent, PeriodicCubicSpline,
                                PlateauSpline, SphereSamplesTangent,
                                UnitSpeedCurve, _hull_interior_lp,
                                from_tangent_image, smoothstep)
 from worldsheet.errors import PreconditionError
-from oracles import adaptive_simpson, hull_interior_lp_dense, sampled_hausdorff
+from oracles import (adaptive_simpson, dwell_lengths_linprog,
+                     hull_interior_lp_bounds, hull_interior_lp_dense,
+                     sampled_hausdorff)
 from worldsheet.quadrature import _panel_gl
 
 TWO_PI = 2.0 * np.pi
@@ -169,6 +171,116 @@ def test_hull_interior_lp_matches_dense_formulation():
     assert _hull_interior_lp(_hull_point_sets()["cap"]) < 0.0
 
 
+def _random_hull_points(seed):
+    """m unit vectors in R^dim; seed mod 3 picks the kind: on the sphere,
+    shifted along the last axis, or flat in a plane missing 0 (then no
+    affine combination is 0 and the hull program is infeasible)."""
+    rng = np.random.default_rng(seed)
+    m, dim = int(rng.integers(4, 257)), int(rng.integers(2, 5))
+    v = rng.normal(size=(m, dim))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    if seed % 3 == 1:
+        v[:, -1] += rng.uniform(0.0, 1.0)
+    elif seed % 3 == 2:
+        v[:, -1] = rng.choice([0.5, -0.3])
+    return v
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+# at its default tolerances HiGHS stops 1.7e-10 (1795, dense form) and
+# 7.4e-10 (2155, bounds form) short of these optima
+@example(1795)
+@example(2155)
+def test_hull_lp_matches_linprog(seed):
+    pts = _random_hull_points(seed)
+    t_star = _hull_interior_lp(pts)
+    for ref in (hull_interior_lp_bounds(pts), hull_interior_lp_dense(pts)):
+        if np.isinf(ref) or np.isinf(t_star):
+            assert t_star == ref
+        else:
+            assert abs(t_star - ref) <= 1e-12
+
+
+def _random_dwell_program(seed):
+    """Dwell points, moment target and at most one pinned-fraction row;
+    odd seeds put the target in the cone of the points."""
+    rng = np.random.default_rng(seed)
+    q = int(rng.integers(4, 13))
+    pts = rng.normal(size=(q, 3))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    target = (pts.T @ rng.uniform(0.0, 3.0, q) if seed % 2
+              else 3.0 * rng.normal(size=3))
+    n_pin = int(rng.integers(0, 2))
+    a_ub, b_ub = np.empty((n_pin, q)), np.empty(n_pin)
+    for i in range(n_pin):
+        frac = rng.uniform(0.05, 0.3)
+        a_ub[i] = frac
+        a_ub[i, rng.integers(q)] -= 1.0
+        b_ub[i] = -frac * TWO_PI
+    return pts.T, target, a_ub, b_ub
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+@example(0)
+@example(1)
+def test_dwell_lp_matches_linprog(seed):
+    program = _random_dwell_program(seed)
+    ell = curves._dwell_lengths(*program)
+    ref = dwell_lengths_linprog(*program, curves.ELL_MIN)
+    assert (ell is None) == (ref is None)
+    if ell is not None:
+        assert abs(ell.sum() - ref) <= 1e-12 * max(1.0, abs(ref))
+        assert ell.min() >= curves.ELL_MIN
+        a_eq, b_eq, a_ub, b_ub = program
+        assert np.abs(a_eq @ ell - b_eq).max() <= 1e-12 * max(1.0, ref)
+        assert np.all(a_ub @ ell <= b_ub + 1e-12 * max(1.0, ref))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+@example(0)
+@example(1)
+def test_nnls_matches_scipy(seed):
+    from scipy.optimize import nnls
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(2, 6)), int(rng.integers(2, 40))
+    a = rng.normal(size=(m, n))
+    # even seeds: b in the cone of the columns, so the residual is 0 and
+    # the solution is one of many; the two must take the same path to it
+    b = (a @ np.maximum(rng.normal(size=n), 0.0) if seed % 2 == 0
+         else rng.normal(size=m))
+    x, ref = curves._nnls(a, b), nnls(a, b)[0]
+    assert np.abs(x - ref).max() <= 1e-12
+    assert np.array_equal(x > 1e-9, ref > 1e-9)
+
+
+def test_simplex_redundant_rows_and_unbounded():
+    # x0 - x1 = 0 twice over (once negated): phase 1 ends at once with both
+    # artificials basic at level 0; the first is pivoted out, the second
+    # row is then all zero and is dropped
+    a = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    assert np.array_equal(curves._simplex(np.array([1.0, 2.0]), a,
+                                          np.zeros(2)), np.zeros(2))
+    with pytest.raises(PreconditionError, match="unbounded"):
+        curves._simplex(np.array([-1.0, -1.0]), a, np.zeros(2))
+
+
+def test_nnls_matches_scipy_on_dwell_support():
+    # the dwell search's own shape: 1024 image samples of a meridian oval
+    # against the negated moment of a few of them
+    from scipy.optimize import nnls
+    path = catalog.meridian_oval_path(lon=0.0, width=0.3, overshoot=0.45)
+    image = path(np.linspace(0.0, TWO_PI, curves.IMAGE_SAMPLES,
+                             endpoint=False))
+    b = -image[[3, 200, 611, 900]].sum(axis=0)
+    x, ref = curves._nnls(image.T, b), nnls(image.T, b)[0]
+    assert np.abs(x - ref).max() <= 1e-12
+    assert np.array_equal(np.flatnonzero(x > 1e-9), np.flatnonzero(ref > 1e-9))
+    assert np.abs(image.T @ x - b).max() <= 1e-12
+
+
 def test_from_tangent_image_sampled_input():
     us = np.linspace(0, TWO_PI, 2048, endpoint=False)
     path = catalog.meridian_oval_path(lon=0.0, width=0.3, overshoot=0.2)
@@ -197,15 +309,14 @@ def test_dwell_solve_retries_after_infeasible_lp(monkeypatch):
         dv = (-ms * np.sin(mu)) @ cc + (ms * np.cos(mu)) @ ss
         return dv / r - v * (v * dv).sum(-1, keepdims=True) / r ** 3
 
-    import scipy.optimize
-    linprog, solved = scipy.optimize.linprog, []
+    simplex, solved = curves._simplex, []
 
     def counted(*args, **kwargs):
-        res = linprog(*args, **kwargs)
-        solved.append(res.success)
-        return res
+        x = simplex(*args, **kwargs)
+        solved.append(x is not None)
+        return x
 
-    monkeypatch.setattr(scipy.optimize, "linprog", counted)
+    monkeypatch.setattr(curves, "_simplex", counted)
     a = from_tangent_image(path, k=3)
     assert solved == [True, False, True]        # hull LP, then two dwell LPs
     assert a.closure_defect().closed
@@ -233,6 +344,44 @@ def test_pinned_dwell_fraction():
                  if abs(d[2] - np.pi / 2) < 1e-9][0]
     mid = 0.5 * (d0 + d1)
     assert np.abs(a.tangent(mid) - np.array([1.0, 0.0, 0.0])).max() < 1e-12
+
+
+def test_pinned_dwell_replaces_a_close_junction():
+    # pinned at 2 pi / 64, one junction spacing after the junction at 0:
+    # the merge drops that junction and keeps the pinned one
+    path = catalog.meridian_oval_path(lon=0.0, width=0.3, overshoot=0.45,
+                                      pinched=True)
+    u0 = TWO_PI / 64.0
+    a = from_tangent_image(path, k=3, period=1.0, pinned=[(u0, 0.2)])
+    params = np.array([cp for _, _, cp in a.metadata["dwells"]])
+    assert params[0] == u0 and 0.0 not in params
+    assert np.diff(np.r_[params, params[0] + TWO_PI]).min() >= TWO_PI / 64.0
+    d0, d1, _ = a.metadata["dwells"][0]
+    assert d1 - d0 >= 0.2 - 1e-9
+    assert np.abs(a.tangent(0.5 * (d0 + d1)) - path(u0)).max() < 1e-12
+    assert a.closure_defect().defect <= 1e-12
+
+
+def test_dwell_solve_fails_when_moment_leaves_dwell_span():
+    # the equator with a narrow up and down bump just after u = 0: the
+    # junction merge drops every bump point, the dwell points all lie on
+    # the equator, and the moment's z part stays out of their span
+    w, h = 0.005, 0.5
+
+    def path(u, order=0):
+        u = np.asarray(u, dtype=float)
+        g1, g2 = (np.exp(-((u - c) / w) ** 2) for c in (0.04, 0.06))
+        v = np.stack([np.cos(u), np.sin(u), h * (g1 - g2)], axis=-1)
+        r = np.linalg.norm(v, axis=-1, keepdims=True)
+        if order == 0:
+            return v / r
+        dz = 2.0 * h / w ** 2 * ((0.04 - u) * g1 - (0.06 - u) * g2)
+        dv = np.stack([-np.sin(u), np.cos(u), dz], axis=-1)
+        return dv / r - v * (v * dv).sum(-1, keepdims=True) / r ** 3
+
+    with pytest.raises(PreconditionError,
+                       match="moment outside dwell-point span"):
+        from_tangent_image(path, k=3)
 
 
 def test_plateau_reparametrization_junction_smoothness():

@@ -7,7 +7,9 @@ from worldsheet import catalog, constructions
 from worldsheet.curves import CallableTangent, UnitSpeedCurve
 from worldsheet.gauge import OrthogonalGauge, couple_from_gauge
 from worldsheet.quadrature import _GL_NODES
-from worldsheet.surface import (_grid_sample, _read_once, _row_dot,
+from worldsheet.surface import (SEED_CANDIDATES, SEED_SAMPLES,
+                                _grid_sample, _nearest_samples, _read_once,
+                                _row_dot,
                                 constraint_residuals,
                                 derivatives, gamma, metric_det, sample,
                                 slice_curve, slice_set_distance)
@@ -307,3 +309,65 @@ def test_row_dot_matches_numpy_row_sums(dim):
         got = np.asarray(_row_dot(a, b))
         assert got.shape == ref.shape
         assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+def _brute_nearest(samples, pts, k):
+    """The k nearest samples of each point by a full scan: squared
+    distances summed in coordinate order, ordered by (distance, index)."""
+    diff = pts[:, None, :] - samples[None]
+    d2 = diff[..., 0] * diff[..., 0]
+    for j in range(1, diff.shape[-1]):
+        d2 += diff[..., j] * diff[..., j]
+    idx = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return np.sqrt(np.take_along_axis(d2, idx, axis=1)), idx
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+@example(0)
+@example(1)
+@example(3)
+def test_nearest_samples_match_kdtree_and_scan(seed):
+    # samples of a random closed Fourier curve (or, for seeds 0 mod 3, of
+    # an unstructured cloud), queried at random points, at samples and
+    # halfway between consecutive samples (ties of equal distance)
+    rng = np.random.default_rng(seed)
+    dim, n = int(rng.integers(2, 5)), 16 * int(rng.integers(2, 129))
+    if seed % 3:
+        u = np.linspace(0.0, TWO_PI, n, endpoint=False)[:, None]
+        modes = np.arange(1, 5)
+        samples = (np.cos(u * modes) @ rng.normal(size=(4, dim))
+                   + np.sin(u * modes) @ rng.normal(size=(4, dim)))
+    else:
+        samples = rng.normal(size=(n, dim))
+    i = rng.integers(n, size=60)
+    pts = np.vstack([rng.normal(size=(60, dim)), samples[i],
+                     0.5 * (samples[i] + samples[(i + 1) % n])])
+    k = min(SEED_CANDIDATES, n)
+    dist, idx = _nearest_samples(samples, pts, k)
+    assert np.array_equal(dist, cKDTree(samples).query(pts, k=k)[0])
+    ref_dist, ref_idx = _brute_nearest(samples, pts, k)
+    assert np.array_equal(dist, ref_dist)
+    assert np.array_equal(idx, ref_idx)
+
+
+def test_nearest_samples_ties_by_lower_index():
+    # the nonuniqueness pair at t = 0, as slice_set_distance queries it:
+    # several rows hold equal distances among their 32 nearest samples,
+    # and those come in increasing sample index
+    from worldsheet.cli import _nonuniq_pair
+    g1, g2, _, _ = _nonuniq_pair()
+    tied = 0
+    for ga, gb in ((g1, g2), (g2, g1)):
+        pts = slice_curve(ga, 0.0, m=256).points
+        coarse = gamma(gb, np.zeros(SEED_SAMPLES),
+                       np.linspace(0.0, gb.E0, SEED_SAMPLES, endpoint=False))
+        dist, idx = _nearest_samples(coarse, pts, SEED_CANDIDATES)
+        assert np.array_equal(
+            dist, cKDTree(coarse).query(pts, k=SEED_CANDIDATES)[0])
+        ref_dist, ref_idx = _brute_nearest(coarse, pts, SEED_CANDIDATES)
+        assert np.array_equal(dist, ref_dist) and np.array_equal(idx, ref_idx)
+        same = dist[:, 1:] == dist[:, :-1]
+        assert np.all(idx[:, 1:][same] > idx[:, :-1][same])
+        tied += int(same.any(axis=1).sum())
+    assert tied > 0

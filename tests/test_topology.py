@@ -674,3 +674,34 @@ def test_transversal_count_perturbation_invariant(wavy_pair):
         assert pa is not None and pb is not None
         pert = OrthogonalGauge(pa[0], pb[0])
         assert transversal_count(pert) == 2
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+@example(0)
+@example(5)
+def test_nearest_distance_matches_kdtree(seed):
+    # points on the sphere or off it, queries drawn at random, on points
+    # and halfway between two points (ties); 8192 points make blocks of 64
+    from scipy.spatial import cKDTree
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 5))
+    n = int(rng.choice([7, 300, 8192]))
+    points = rng.normal(size=(n, dim))
+    if seed % 2:
+        points /= np.linalg.norm(points, axis=1, keepdims=True)
+    i, j = rng.integers(n, size=(2, 100))
+    queries = np.vstack([rng.normal(size=(300, dim)), points[i],
+                         0.5 * (points[i] + points[j])])
+    assert np.array_equal(topology._nearest_distance(points, queries),
+                          cKDTree(points).query(queries)[0])
+
+
+@pytest.mark.parametrize("name", ["hopf", "meridian_loops"])
+def test_projection_clearances_match_kdtree(name, request):
+    from scipy.spatial import cKDTree
+    d = diagram(request.getfixturevalue(name), m=1024)
+    points = np.vstack([d.curve_a, d.curve_mb])
+    cands = topology._candidate_centers(d.dim, 8192 if d.dim == 4 else 4096)
+    assert np.array_equal(topology._nearest_distance(points, cands),
+                          cKDTree(points).query(cands)[0])
