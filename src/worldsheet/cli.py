@@ -7,7 +7,9 @@ wall-clock metadata lives in a separate file.
 
 Exit codes: 0 success, 1 unknown task or schema violation (a scenario's
 ``params`` are its task function's keyword arguments, so an unknown key
-is one), 2 precondition failure, 3 numerical-reliability flag.
+is one, and so is a top-level key other than ``name``, ``task``, ``seed``,
+``params`` and, for a task that builds a gauge, the gauge-spec keys),
+2 precondition failure, 3 numerical-reliability flag.
 """
 
 from __future__ import annotations
@@ -215,6 +217,7 @@ _TASKS = {
 }
 
 _GAUGELESS_TASKS = {"nonuniq"}
+_SCENARIO_KEYS = ("name", "task", "seed", "params")
 
 
 def run_scenario(scenario, out_dir, seed=None, grid=DEFAULT_GRID):
@@ -225,14 +228,17 @@ def run_scenario(scenario, out_dir, seed=None, grid=DEFAULT_GRID):
     if task not in _TASKS:
         print(f"error: unknown task {task!r}", file=sys.stderr)
         return 1
-    os.makedirs(out_dir, exist_ok=True)
     ctx = {"seed": scenario.get("seed") if seed is None else seed,
            "grid": grid}
     t0 = time.time()
     try:
+        serialize._check_keys(
+            scenario, _SCENARIO_KEYS if task in _GAUGELESS_TASKS
+            else _SCENARIO_KEYS + serialize.GAUGE_SPEC_KEYS, "scenario")
         params = scenario.get("params", {})
         if not isinstance(params, dict):
             raise TypeError(f"'params' must be an object, not {params!r}")
+        os.makedirs(out_dir, exist_ok=True)
         g = (None if task in _GAUGELESS_TASKS
              else serialize.gauge_from_spec(scenario))
         report, code = _TASKS[task](g, out_dir, ctx, **params)

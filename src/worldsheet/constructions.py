@@ -185,18 +185,13 @@ def _padding_program(x0, length, target, dwell_dirs, k):
     solved from the two moment equations plus the length constraint.
 
     dwell_dirs is the ordered angle sequence [phi_0 (entry), phi_1, ...,
-    phi_m (exit)]; dwells happen at phi_1..phi_{m-1} and their lengths
-    are the unknowns (the system must have 3 unknowns)."""
+    phi_4 (exit)]; dwells happen at phi_1..phi_3 and their three lengths
+    are the unknowns, so ``length`` must exceed the four turns."""
     n_turn = len(dwell_dirs) - 1
-    dwells = len(dwell_dirs) - 2
-    if dwells != 3:
-        raise PreconditionError("padding solver expects exactly 3 dwells")
     turn_moments = np.zeros(2)
     for a, b in zip(dwell_dirs[:-1], dwell_dirs[1:]):
         turn_moments += _turn_moment(a, b, TURN_LEN, k)
     bulk = length - n_turn * TURN_LEN
-    if bulk <= 0:
-        raise PreconditionError("padding too short for the turn budget")
     dirs = np.stack([[np.cos(p), np.sin(p)] for p in dwell_dirs[1:-1]], axis=1)
     A = np.vstack([dirs, np.ones(3)])
     rhs = np.concatenate([np.asarray(target, float) - turn_moments, [bulk]])

@@ -519,6 +519,33 @@ def _greedy_farthest(points, count, seeds):
     return chosen
 
 
+def _segment_moments(cfun, params, k):
+    """(prev, moment): the starts of the moving segments prev[i] ->
+    params[i] of ``cfun``, mapped as one moving-only PlateauSpline, and
+    their summed integrals.  Each segment's 16 Gauss-Legendre panels are
+    doubled (up to 4096) until a doubling moves its integral by at most
+    MOMENT_TOL, and it keeps the coarser integral; each level is one
+    quadrature call over the segments not yet converged."""
+    prev = np.concatenate([[params[-1] - C_PERIOD], params[:-1]])
+    ramp = PlateauSpline(prev, params - prev, prev, params - prev, k)
+    f = lambda y: cfun(ramp(y))
+    active = np.arange(len(params))
+    seg = None
+    for n in 16 * 2 ** np.arange(9):
+        edges = np.linspace(prev[active], params[active], n + 1, axis=1)
+        finer = _panel_gl(f, edges[:, :-1].ravel(), edges[:, 1:].ravel())
+        finer = finer.reshape(len(active), n, -1).sum(axis=1)
+        if seg is None:
+            seg = finer
+            continue
+        moving = np.linalg.norm(finer - seg[active], axis=1) > MOMENT_TOL
+        seg[active[moving]] = finer[moving]
+        active = active[moving]
+        if not active.size:
+            break
+    return prev, seg.sum(axis=0)
+
+
 def from_tangent_image(c, k=3, period=None, pinned=()):
     """Closed unit-speed curve whose tangent image is the closed spherical
     curve ``c``.
@@ -550,8 +577,6 @@ def from_tangent_image(c, k=3, period=None, pinned=()):
     if not np.isfinite(t_star) or t_star <= HULL_TOL:
         raise PreconditionError("convex hull does not contain origin")
 
-    poly = smoothstep(k)
-
     # fast path: the image integral already vanishes, so c itself is the
     # tangent field of a closed curve and no dwells are needed
     if not pinned:
@@ -571,31 +596,13 @@ def from_tangent_image(c, k=3, period=None, pinned=()):
     pinned_idx = [int(np.argmin(circ(us - u0))) for u0, _ in pinned]
     pin_params = [u0 % C_PERIOD for u0, _ in pinned]
 
-    def segment_moment(params):
-        # 16 Gauss-Legendre panels per moving segment, doubled (up to 4096)
-        # while a doubling moves the segment's integral by more than MOMENT_TOL
-        prev = np.concatenate([[params[-1] - C_PERIOD], params[:-1]])
-        moment = np.zeros(dim)
-        for lo, hi in zip(prev, params):
-            f = lambda y: cfun(lo + (hi - lo) * poly((y - lo) / (hi - lo)))
-            seg = None
-            for n in 16 * 2 ** np.arange(9):
-                edges = np.linspace(lo, hi, n + 1)
-                finer = _panel_gl(f, edges[:-1], edges[1:]).sum(axis=0)
-                if seg is not None and np.linalg.norm(finer - seg) <= MOMENT_TOL:
-                    break
-                seg = finer
-            moment += seg
-        return prev, moment
-
     n_start = dim + 1 + len(pinned)
-    last_err = None
     for q in range(n_start, max(4 * dim, n_start) + 1, 2):
         idx = _greedy_farthest(image, q, seeds=pinned_idx if pinned_idx else [0])
         params = sorted(set(
             [us[i] for i in idx if i not in pinned_idx] + pin_params))
         params = np.array(params)
-        _, moment0 = segment_moment(params)
+        _, moment0 = _segment_moments(cfun, params, k)
         # augment with the positive-combination support of the moment
         # equation over all image samples, so the dwell cone is feasible
         sol = _nnls(image.T, -moment0)
@@ -616,35 +623,19 @@ def from_tangent_image(c, k=3, period=None, pinned=()):
             merged.pop()
         params = np.array(merged)
         pts = cfun(params)
-        prev, moment = segment_moment(params)
-        target = -moment
-
-        # project the moment equation onto the span of the dwell points
-        u_svd, s_svd, _ = np.linalg.svd(pts.T, full_matrices=True)
-        rank = int((s_svd > 1e-9 * s_svd.max()).sum())
-        basis = u_svd[:, :rank]
-        resid_perp = np.linalg.norm(target - basis @ (basis.T @ target))
-        if resid_perp > 1e-9 * max(1.0, np.linalg.norm(target)):
-            last_err = "moment outside dwell-point span"
-            continue
+        prev, moment = _segment_moments(cfun, params, k)
         a_ub = np.empty((len(pinned), len(params)))
         for row, (u0, frac) in zip(a_ub, pinned):
             # frac * sum(ell) - ell_j <= -frac * C_PERIOD
             row[:] = frac
             row[int(np.argmin(np.abs(params - (u0 % C_PERIOD))))] -= 1.0
-        ell = _dwell_lengths(basis.T @ pts.T, basis.T @ target, a_ub,
+        ell = _dwell_lengths(pts.T, -moment, a_ub,
                              np.array([-frac * C_PERIOD for _, frac in pinned]))
         if ell is not None:
-            # polish the equality residual with a pseudo-inverse correction
-            r = target - pts.T @ ell
-            corr, *_ = np.linalg.lstsq(pts.T, r, rcond=None)
-            if np.all(ell + corr >= 0.5 * ELL_MIN):
-                ell = ell + corr
             break
-        last_err = "linear program infeasible"
     else:
         raise PreconditionError(
-            f"dwell-length solve failed: {last_err or 'no feasible point set'}")
+            "dwell-length solve failed: linear program infeasible")
 
     natural_period = C_PERIOD + float(ell.sum())
     scale = 1.0 if period is None else natural_period / float(period)

@@ -156,9 +156,9 @@ def normalize(couple: AdmissibleCouple):
     if _norm_residual(gp, v) <= 1e-9:
         return couple
     L = couple.period
+    breaks = np.asarray(couple.metadata.get("breakpoints", ()), dtype=float)
     mu = PrefixIntegrator(lambda x: _density(couple, x)[:, None], L,
-                          n_panels=4096,
-                          breakpoints=couple.metadata.get("breakpoints", ()))
+                          n_panels=4096, breakpoints=breaks)
     E0 = float(mu.per_period[0])
     grid = np.linspace(0.0, L, 4097)
     mu_vals = mu.integral(grid)[:, 0]
@@ -184,8 +184,10 @@ def normalize(couple: AdmissibleCouple):
         scale = np.sqrt(1.0 - (v * v).sum(axis=-1, keepdims=True))
         return gp / speed * scale, v
 
-    return AdmissibleCouple(fields, E0, couple.dim, couple.basepoint,
-                            metadata={"parent": couple.metadata})
+    # a breakpoint x_j of the fields sits at mu(x_j) in the new parameter
+    return AdmissibleCouple(
+        fields, E0, couple.dim, couple.basepoint,
+        metadata={"breakpoints": tuple(mu.integral(breaks)[:, 0])})
 
 
 def gauge_from_couple(couple: AdmissibleCouple):

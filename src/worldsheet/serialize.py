@@ -196,6 +196,10 @@ def gauge_from_spec(spec):
     raise PreconditionError("gauge spec needs 'builder', 'couple', or 'a'/'b'")
 
 
+# top-level gauge-spec keys, with E0 and schema_version from gauge_to_spec
+GAUGE_SPEC_KEYS = ("builder", "couple", "a", "b", "E0", "schema_version")
+
+
 def gauge_to_spec(g: OrthogonalGauge, samples=4096):
     return {
         "schema_version": SCHEMA_VERSION,

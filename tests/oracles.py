@@ -12,6 +12,9 @@ program with bounds in place of those rows; ``dwell_lengths_linprog`` is
 the dwell-length program of ``from_tangent_image``.  All three are solved
 by scipy's HiGHS at feasibility tolerances 1e-10, since at its defaults
 (1e-7) HiGHS can stop up to 7e-10 short of the hull optimum.
+``segment_moments_loop`` integrates the moving segments of a tangent
+image one segment and one panel count at a time, through its own
+smoothstep closure, the reference for the batched ``_segment_moments``.
 ``sampled_hausdorff`` measures how far a realized tangent image lies
 from its target by nearest-neighbour trees.
 ``near_pairs_kdtree``, ``nms_ball_point`` and ``components_csgraph`` are
@@ -39,8 +42,10 @@ import csv
 
 import numpy as np
 
-from worldsheet.curves import CallableTangent, UnitSpeedCurve
+from worldsheet.curves import (C_PERIOD, MOMENT_TOL, CallableTangent,
+                               UnitSpeedCurve, smoothstep)
 from worldsheet.gauge import OrthogonalGauge
+from worldsheet.quadrature import _panel_gl
 from worldsheet.singular import (OSC_NO, OSC_YES, _gauge_angle_state,
                                  _half_g_jump_ok, _torus_embed)
 from worldsheet.surface import (ConstraintReport, _second_difference,
@@ -219,6 +224,28 @@ def dwell_lengths_linprog(a_eq, b_eq, a_ub, b_ub, ell_min):
                   b_ub=b_ub if len(a_ub) else None, A_eq=a_eq, b_eq=b_eq,
                   bounds=(ell_min, None), method="highs", options=HIGHS_TIGHT)
     return float(res.fun) if res.success else None
+
+
+def segment_moments_loop(cfun, params, k):
+    """(prev, moment) of the moving segments prev[i] -> params[i] of the
+    tangent image ``cfun``: each segment's ramp is a closure over
+    ``smoothstep(k)``, its 16 Gauss-Legendre panels are doubled (up to
+    4096) until a doubling moves its integral by at most MOMENT_TOL, and
+    the segments are summed in order."""
+    poly = smoothstep(k)
+    prev = np.concatenate([[params[-1] - C_PERIOD], params[:-1]])
+    moment = np.zeros(cfun(np.array([0.0])).shape[-1])
+    for lo, hi in zip(prev, params):
+        f = lambda y: cfun(lo + (hi - lo) * poly((y - lo) / (hi - lo)))
+        seg = None
+        for n in 16 * 2 ** np.arange(9):
+            edges = np.linspace(lo, hi, n + 1)
+            finer = _panel_gl(f, edges[:-1], edges[1:]).sum(axis=0)
+            if seg is not None and np.linalg.norm(finer - seg) <= MOMENT_TOL:
+                break
+            seg = finer
+        moment += seg
+    return prev, moment
 
 
 def sampled_hausdorff(a_pts, b_pts):

@@ -364,6 +364,9 @@ def test_nonuniq_unknown_variant_exit_one(tmp_path):
     ({"task": "diagram", "builder": {"name": "hopf"}, "params": None},
      "params"),
     ({"task": "detect", "builder": "hopf"}, "builder"),
+    ({"task": "diagram", "builder": {"name": "circle"},
+      "parms": {"samples": 64}}, "parms"),
+    ({"task": "nonuniq", "builder": {"name": "circle"}}, "builder"),
 ])
 def test_unknown_or_malformed_key_exit_one(tmp_path, capsys, scenario, key):
     # scenario keys bind to keyword arguments, so a misspelled key is a
@@ -383,6 +386,15 @@ def test_gauge_roundtrip_through_spec(tmp_path):
     xs = np.linspace(0, g.E0, 257)
     assert np.abs(g2.a.tangent(xs) - g.a.tangent(xs)).max() < 1e-6
     assert abs(g2.E0 - g.E0) < 1e-12
+
+
+def test_gauge_spec_scenario_runs(tmp_path):
+    # a written gauge file plus a task is a scenario: every key that
+    # gauge_to_spec writes is an allowed top-level key
+    spec = serialize.gauge_to_spec(catalog.circle_gauge(), samples=2048)
+    scen = {**spec, "task": "evolve", "params": {"times": [0.5], "samples": 64}}
+    assert cli.run_scenario(scen, str(tmp_path)) == 0
+    assert json.loads((tmp_path / "report.json").read_text())["name"] == "circle"
 
 
 @pytest.mark.parametrize("spec, key", [

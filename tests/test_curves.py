@@ -10,7 +10,7 @@ from worldsheet.curves import (CallableTangent, PeriodicCubicSpline,
 from worldsheet.errors import PreconditionError
 from oracles import (adaptive_simpson, dwell_lengths_linprog,
                      hull_interior_lp_bounds, hull_interior_lp_dense,
-                     sampled_hausdorff)
+                     sampled_hausdorff, segment_moments_loop)
 from worldsheet.quadrature import _panel_gl
 
 TWO_PI = 2.0 * np.pi
@@ -362,7 +362,7 @@ def test_pinned_dwell_replaces_a_close_junction():
     assert a.closure_defect().defect <= 1e-12
 
 
-def test_dwell_solve_fails_when_moment_leaves_dwell_span():
+def test_dwell_lp_infeasible_when_moment_leaves_dwell_span():
     # the equator with a narrow up and down bump just after u = 0: the
     # junction merge drops every bump point, the dwell points all lie on
     # the equator, and the moment's z part stays out of their span
@@ -380,8 +380,64 @@ def test_dwell_solve_fails_when_moment_leaves_dwell_span():
         return dv / r - v * (v * dv).sum(-1, keepdims=True) / r ** 3
 
     with pytest.raises(PreconditionError,
-                       match="moment outside dwell-point span"):
+                       match="dwell-length solve failed: linear program infeasible"):
         from_tangent_image(path, k=3)
+
+
+@pytest.fixture(scope="module")
+def realized():
+    """Every curve that catalog and constructions realize through
+    from_tangent_image, and the (cfun, params, k) of every segment-moment
+    call made while realizing them."""
+    made, calls = [], []
+    build, moments = curves.from_tangent_image, curves._segment_moments
+
+    def built(*args, **kwargs):
+        made.append(build(*args, **kwargs))
+        return made[-1]
+
+    def recorded(cfun, params, k):
+        calls.append((cfun, params.copy(), k))
+        return moments(cfun, params, k)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(catalog, "from_tangent_image", built)
+        mp.setattr(constructions, "from_tangent_image", built)
+        mp.setattr(curves, "_segment_moments", recorded)
+        catalog.meridian_loops_gauge()
+        catalog.wavy_pair_gauge()
+        constructions.nonuniqueness_pair()
+        constructions.same_surface_family()
+    return made, calls
+
+
+def test_realized_catalog_and_construction_curves_close(realized):
+    made, _ = realized
+    # meridian loops and wavy pair: 2 + 2; nonuniqueness pieces: 6; the
+    # same-surface family: 1 + 3
+    assert len(made) == 14
+    for curve in made:
+        assert curve.closure_defect().defect <= 1e-12
+
+
+def test_segment_moments_match_per_segment_loop(realized):
+    # the junction sets of the meridian-oval, swing and nonuniqueness-piece
+    # builds (two per dwell build), then random sorted junction sets
+    calls = list(realized[1])
+    assert len(calls) == 24
+    rng = np.random.default_rng(7)
+    paths = [catalog.meridian_oval_path(lon=0.0, width=0.25, overshoot=0.18),
+             catalog.swing_path(swing=2.0, lat_max=-0.9, lon_center=0.0)]
+    us = np.linspace(0.0, TWO_PI, curves.IMAGE_SAMPLES, endpoint=False)
+    for trial in range(12):
+        params = np.sort(rng.choice(us, int(rng.integers(3, 20)),
+                                    replace=False))
+        calls.append((paths[trial % 2], params, int(rng.integers(1, 4))))
+    for cfun, params, k in calls:
+        prev, moment = curves._segment_moments(cfun, params, k)
+        ref_prev, ref_moment = segment_moments_loop(cfun, params, k)
+        assert np.array_equal(prev, ref_prev)
+        assert np.array_equal(moment, ref_moment)
 
 
 def test_plateau_reparametrization_junction_smoothness():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from worldsheet import catalog
+from worldsheet import catalog, gauge
 from worldsheet.curves import CallableTangent, UnitSpeedCurve
 from worldsheet.errors import PreconditionError
 from worldsheet.gauge import (AdmissibleCouple, OrthogonalGauge,
@@ -233,6 +233,45 @@ def test_normalized_couple_never_serves_stale_node_set():
             arr[...] = 0.0
         for got, want in zip(couple.fields(x), fresh.fields(x)):
             assert np.array_equal(got, want)
+
+
+def test_normalize_carries_breakpoints(nonuniq, monkeypatch):
+    # the nonuniqueness couple run in y = 2x with both fields halved:
+    # normalize keeps its 90 breakpoints, at their images mu(2 x_j) in the
+    # new parameter, so gauge_from_couple does not try to bake the fields
+    source = couple_from_gauge(nonuniq[0])
+    breaks = 2.0 * np.asarray(source.metadata["breakpoints"])
+    assert len(breaks) == 90
+
+    def fields(y):
+        gp, v = source.fields(0.5 * np.asarray(y, dtype=float))
+        return 0.5 * gp, 0.5 * v
+
+    slow = AdmissibleCouple(fields, 2.0 * source.period, source.dim,
+                            source.basepoint,
+                            metadata={"breakpoints": tuple(breaks)})
+    assert slow.is_normalized()[1] == pytest.approx(0.75)
+    couple = normalize(slow)
+    got = np.asarray(couple.metadata["breakpoints"])
+    assert got.shape == (90,)
+
+    def density(y):
+        gp, v = fields(y)
+        return np.linalg.norm(gp, axis=-1) / np.sqrt(1.0 - (v * v).sum(axis=-1))
+
+    # mu, the integral of the density, by the oracle between breakpoints
+    order = np.argsort(breaks)
+    ends = np.r_[0.0, breaks[order]]
+    mu = np.cumsum([adaptive_simpson(density, lo, hi, tol=1e-12)
+                    for lo, hi in zip(ends[:-1], ends[1:])])
+    assert np.abs(got[order] - mu).max() <= 1e-10
+
+    def no_bake(*args, **kwargs):
+        raise AssertionError("gauge_from_couple tried to bake")
+
+    monkeypatch.setattr(gauge, "SphereSamplesTangent", no_bake)
+    g = gauge_from_couple(couple)
+    assert g.a.rep.breakpoints == couple.metadata["breakpoints"]
 
 
 @pytest.mark.parametrize("source", ["nonuniq", "cantor_k1"])

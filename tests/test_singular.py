@@ -456,6 +456,7 @@ def test_time_extent_nonconvex_scan_rows_outside_near_slices():
 @settings(max_examples=6, deadline=None)
 @given(seed=hst.integers(0, 79))
 @example(seed=0)
+@example(seed=11)   # a component takes the interval path's one-sided rule
 def test_time_extent_holds_every_yes_component(seed):
     g = catalog.random_planar_gauge(seed=seed)
     iv = sing_star_time_extent(g)

@@ -8,6 +8,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "tools"))
 
 import bench_collect  # noqa: E402
+import bench_pairs  # noqa: E402
 import line_trace  # noqa: E402
 import scenario_digests  # noqa: E402
 
@@ -40,6 +41,41 @@ def test_bench_collect_keeps_untraced_runs_of_one_commit(tmp_path):
                                   "numpy": "2.0", "commit": "c1"}
     with pytest.raises(SystemExit):
         bench_collect.collect("c3", [tmp_path])
+
+
+def _run(exit_code, correct, run_s, rss):
+    metrics = {"run_s": run_s, "peak_rss_mb": rss}
+    return {"exit": exit_code, "result": {
+        "correct": correct, "metrics": {k: {"value": v}
+                                        for k, v in metrics.items()}}}
+
+
+def test_bench_pairs_summary():
+    end_to_end = [{"name": "run_s", "unit": "s", "better": "lower",
+                   "bound": 0.25},
+                  {"name": "peak_rss_mb", "unit": "MB", "better": "lower",
+                   "bound": 0.05}]
+    # run_s: the change wins pairs 0-2, ties pair 3 and loses pair 4;
+    # peak_rss_mb: the change is 10% higher in every pair
+    parent_s, change_s = [1.0, 2.0, 3.0, 4.0, 5.0], [0.5, 1.5, 2.5, 4.0, 6.0]
+    pairs = [{"parent": _run(0, True, p, 100.0),
+              "change": _run(0, True, c, 110.0)}
+             for p, c in zip(parent_s, change_s)]
+    pairs[1]["change"] = _run(1, False, 1.5, 110.0)
+    pairs.append({"parent": _run(0, True, 3.0, 100.0),
+                  "change": {"exit": 1, "result": None}})
+    rows, flags = bench_pairs.summarize(pairs, end_to_end)
+    run_s, rss = rows
+    assert (run_s["parent_q1"], run_s["parent_median"],
+            run_s["parent_q3"]) == (2.25, 3.0, 3.75)
+    assert run_s["change_median"] == 2.5
+    assert run_s["relative"] == pytest.approx(-1.0 / 6.0)
+    assert (run_s["won"], run_s["pairs"], run_s["within"]) == (3, 6, True)
+    assert rss["relative"] == pytest.approx(0.1)
+    assert (rss["won"], rss["within"]) == (0, False)
+    assert flags == ["pair 1 change: exit 1, correct False",
+                     "pair 5 change: exit 1, correct False"]
+    assert "OUTSIDE bound 0.05" in bench_pairs.format_rows(rows)[1]
 
 
 def test_workload_digests_hash_one_pass_per_seed():

@@ -235,6 +235,9 @@ def _force_degeneracy(P, Q, kind, rng):
 @settings(max_examples=150, deadline=None)
 @given(st.integers(3, 40), st.integers(3, 40), st.integers(0, 2**32 - 1),
        st.integers(0, 5))
+# integer points with a parallel segment pair whose boxes meet, so the
+# sweep's parallel-pair branch runs on every run, not only on some draws
+@example(3, 3, 17, 4)
 def test_signed_crossings_sweep_matches_all_pairs(n_p, n_q, seed, kind):
     rng = np.random.default_rng(seed)
     P = rng.normal(size=(n_p, 3))
