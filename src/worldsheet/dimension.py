@@ -19,6 +19,7 @@ from .surface import _read_once
 
 DEFAULT_SCALES = tuple(2.0 ** -j for j in range(3, 10))
 MIN_R2 = 0.98
+BOX_BLOCK = 2 ** 16             # cloud rows per block of the packed box keys
 
 
 def _row_groups(keys):
@@ -101,24 +102,33 @@ def _count_boxes(pts, lo, hi, eps):
     (exactly aligned self-similar data) from leaking into a spurious extra
     cell.  The same operations on the column maxima hi give each column's
     extent, so the boxes pack by mixed radix into one int64 key, built a
-    column at a time; equal consecutive keys (the cloud runs along
-    characteristics) are dropped before one 1-D sort.  Extents whose
-    product reaches 2**62 fall back to grouping the integer rows.
+    column at a time over blocks of BOX_BLOCK rows; equal consecutive keys
+    of a block (the cloud runs along characteristics) are dropped before
+    one 1-D sort of all blocks' keys, which also merges a run cut at a
+    block edge.  Extents whose product reaches 2**62 fall back to grouping
+    the integer rows.
     """
     ext = np.floor((hi - lo) / eps + 1e-9).astype(np.int64) + 1
     if math.prod(ext.tolist()) >= 2 ** 62:
         cells = np.floor((pts - lo) / eps + 1e-9).astype(np.int64)
         return np.count_nonzero(_row_groups(cells)[1])
-    key = np.zeros(len(pts), dtype=np.int64)
-    for j in range(pts.shape[1]):
-        c = pts[:, j] - lo[j]
-        c /= eps
-        c += 1e-9
-        key *= ext[j]
-        key += np.floor(c, out=c).astype(np.int64)
-    key = key[np.concatenate([[True], key[1:] != key[:-1]])]
-    key.sort()
-    return 1 + np.count_nonzero(key[1:] != key[:-1])
+    keys = np.empty(len(pts), dtype=np.int64)
+    filled = 0
+    for r0 in range(0, len(pts), BOX_BLOCK):
+        rows = pts[r0:r0 + BOX_BLOCK]
+        key = np.zeros(len(rows), dtype=np.int64)
+        for j in range(pts.shape[1]):
+            c = rows[:, j] - lo[j]
+            c /= eps
+            c += 1e-9
+            key *= ext[j]
+            key += np.floor(c, out=c).astype(np.int64)
+        key = key[np.concatenate([[True], key[1:] != key[:-1]])]
+        keys[filled:filled + len(key)] = key
+        filled += len(key)
+    keys = keys[:filled]
+    keys.sort()
+    return 1 + np.count_nonzero(keys[1:] != keys[:-1])
 
 
 def box_count(cloud: PointCloud, scales=DEFAULT_SCALES):

@@ -45,10 +45,29 @@ class SphereDiagram:
         return self.curve_a.shape[1]
 
 
+def _gram_argmax(A, MB):
+    """(i, j, max) of the Gram matrix A @ MB.T: its largest entry and the
+    first place it occurs in row-major order.
+
+    Row blocks follow ``_nearest_distance``'s rule (at most NEAREST_BLOCK
+    rows and 2**19 scores), so the scan holds one block, not the m x m
+    matrix; a later block takes over only on a strictly larger maximum."""
+    block = max(1, min(NEAREST_BLOCK, 2 ** 19 // len(MB)))
+    score = np.empty((min(block, len(A)), len(MB)))
+    best = (0, 0, -np.inf)
+    for i0 in range(0, len(A), block):
+        rows = A[i0:i0 + block]
+        s = score[:len(rows)]
+        np.matmul(rows, MB.T, out=s)
+        i, j = np.unravel_index(np.argmax(s), s.shape)
+        if s[i, j] > best[2]:
+            best = (i0 + int(i), int(j), s[i, j])
+    return best
+
+
 def _min_pair_distance(A, MB):
     """min over samples of |a'(s) - (-b'(sigma))| via the Gram trick."""
-    gram = A @ MB.T
-    return float(np.sqrt(max(0.0, 2.0 - 2.0 * gram.max())))
+    return float(np.sqrt(max(0.0, 2.0 - 2.0 * _gram_argmax(A, MB)[2])))
 
 
 def _diagram_samples(g: OrthogonalGauge, m):
@@ -62,8 +81,7 @@ def diagram(g: OrthogonalGauge, m=1024):
     if m > 4096:
         raise PreconditionError("diagram sampling capped at 4096 per curve")
     s, A, MB = _diagram_samples(g, m)
-    gram = A @ MB.T
-    i, j = np.unravel_index(np.argmax(gram), gram.shape)
+    i, j, _ = _gram_argmax(A, MB)
     # local refinement of the closest approach
     lo_s, lo_o = s[i], s[j]
     span = g.E0 / m
@@ -72,10 +90,9 @@ def diagram(g: OrthogonalGauge, m=1024):
         oo = np.linspace(lo_o - span, lo_o + span, 33)
         Af = g.a.tangent(ss)
         MBf = -g.b.tangent(oo)
-        gf = Af @ MBf.T
-        ii, jj = np.unravel_index(np.argmax(gf), gf.shape)
+        ii, jj, gmax = _gram_argmax(Af, MBf)
         lo_s, lo_o = ss[ii], oo[jj]
-        best = np.sqrt(max(0.0, 2.0 - 2.0 * gf.max()))
+        best = np.sqrt(max(0.0, 2.0 - 2.0 * gmax))
         span /= 8.0
     return SphereDiagram(curve_a=A, curve_mb=MB, min_distance=float(best),
                          disjoint=float(best) > EPS_DIAG, source=g, m=m)

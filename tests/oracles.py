@@ -31,6 +31,10 @@ where that classifier needs no angle lift.
 difference F that change sign, a direct scan against which the time
 intervals of ``sing_star_time_extent``, projected from the classified
 components, are checked.
+``count_boxes_dense`` packs every cloud row's box key in one full-length
+pass and ``gram_argmax_dense`` forms the whole Gram matrix, the
+references for the blocked ``dimension._count_boxes`` and
+``topology._gram_argmax``.
 ``csv_per_cell`` writes a table one cell at a time through ``csv.writer``
 and ``json_plain`` copies a payload into plain Python types, the
 references for ``serialize.write_csv`` and ``serialize.write_report``.
@@ -39,11 +43,13 @@ references for ``serialize.write_csv`` and ``serialize.write_report``.
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 
 from worldsheet.curves import (C_PERIOD, MOMENT_TOL, CallableTangent,
                                UnitSpeedCurve, smoothstep)
+from worldsheet.dimension import _row_groups
 from worldsheet.gauge import OrthogonalGauge
 from worldsheet.quadrature import _panel_gl
 from worldsheet.singular import (OSC_NO, OSC_YES, _gauge_angle_state,
@@ -246,6 +252,34 @@ def segment_moments_loop(cfun, params, k):
             seg = finer
         moment += seg
     return prev, moment
+
+
+def count_boxes_dense(pts, lo, hi, eps):
+    """Occupied boxes of side eps from one int64 key per cloud row: the
+    mixed-radix key of all rows at once, equal consecutive keys dropped,
+    one sort (integer rows grouped once the extents reach 2**62)."""
+    ext = np.floor((hi - lo) / eps + 1e-9).astype(np.int64) + 1
+    if math.prod(ext.tolist()) >= 2 ** 62:
+        cells = np.floor((pts - lo) / eps + 1e-9).astype(np.int64)
+        return np.count_nonzero(_row_groups(cells)[1])
+    key = np.zeros(len(pts), dtype=np.int64)
+    for j in range(pts.shape[1]):
+        c = pts[:, j] - lo[j]
+        c /= eps
+        c += 1e-9
+        key *= ext[j]
+        key += np.floor(c, out=c).astype(np.int64)
+    key = key[np.concatenate([[True], key[1:] != key[:-1]])]
+    key.sort()
+    return 1 + np.count_nonzero(key[1:] != key[:-1])
+
+
+def gram_argmax_dense(A, MB):
+    """(i, j, max) of the whole Gram matrix A @ MB.T, (i, j) the first
+    maximum in row-major order."""
+    gram = A @ MB.T
+    i, j = np.unravel_index(np.argmax(gram), gram.shape)
+    return int(i), int(j), gram.max()
 
 
 def sampled_hausdorff(a_pts, b_pts):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from oracles import count_boxes_dense
 from worldsheet import dimension, surface
 from worldsheet.dimension import (PointCloud, _count_boxes, _row_groups,
                                   box_count, singstar_cloud)
@@ -233,6 +234,52 @@ def test_packed_box_count_matches_row_groups(drawn):
     assert count == np.count_nonzero(_row_groups(cells)[1])
     # the packed key is used below 2**62, the row grouping from there on
     assert spy.called == (math.prod(ext) >= 2 ** 62)
+
+
+@settings(max_examples=200, deadline=None)
+@given(box_cells(), st.integers(1, 7))
+def test_blocked_box_count_matches_dense(drawn, block):
+    # blocks of 1-7 rows cut the runs of equal cells at block edges
+    cells, _ = drawn
+    pts = cells.astype(float)
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    with mock.patch.object(dimension, "BOX_BLOCK", block):
+        count = _count_boxes(pts, lo, hi, 1.0)
+    assert count == count_boxes_dense(pts, lo, hi, 1.0)
+
+
+@pytest.fixture(scope="module")
+def cantor_k1_cloud(cantor_k1):
+    """The dimension task's k = 1 cloud (resolution 2048) and its scales."""
+    g, _ = cantor_k1
+    cloud = singstar_cloud(g, resolution=2048)
+    y1 = cloud.points[:, 1]
+    dscale = 2.0 * float(y1.max() - y1.min())
+    return cloud, [dscale * g.metadata["spec"].r_alpha ** j for j in range(1, 8)]
+
+
+def test_cantor_box_counts_match_dense(cantor_k1_cloud):
+    cloud, scales = cantor_k1_cloud
+    pts = cloud.points
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    dense = [count_boxes_dense(pts, lo, hi, eps) for eps in scales]
+    assert dense == [43, 167, 882, 3565, 15753, 60833, 200090]
+    assert box_count(cloud, scales).counts.tolist() == dense
+
+
+def test_box_count_peak_memory(cantor_k1_cloud):
+    # the keys of one block are packed at a time into one int64 array of
+    # the cloud's length: the traced peak is about that array (4 MiB for
+    # 524,288 rows), not three full-length key arrays (12 MiB)
+    cloud, scales = cantor_k1_cloud
+    box_count(cloud, scales)
+    tracemalloc.start()
+    try:
+        box_count(cloud, scales)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * 2 ** 20
 
 
 @pytest.mark.parametrize("which", ["sing_star", "sing"])

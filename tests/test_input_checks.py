@@ -58,6 +58,20 @@ def _radius_two_circle():
     return UnitSpeedCurve(rep, np.array([2.0, 0.0]))
 
 
+def _covered_diagram(dim, n):
+    """A diagram whose a'-curve samples every one of the n projection
+    candidates on S^{dim-1}, so none is clear of it, and whose -b'-curve
+    is 3 normalized midpoints of a candidate and its nearest neighbour."""
+    cands = topology._candidate_centers(dim, n)
+    mids = []
+    for i in range(3):
+        d2 = ((cands - cands[i]) ** 2).sum(axis=1)
+        d2[i] = np.inf
+        mid = cands[i] + cands[np.argmin(d2)]
+        mids.append(mid / np.linalg.norm(mid))
+    return topology.synthetic_diagram(cands, np.array(mids))
+
+
 CHECKS = {
     "cantor-mode": (lambda: CantorSpec.single_mode(2, m=2),
                     "mode m must exceed the smoothness k"),
@@ -103,6 +117,12 @@ CHECKS = {
     "extinction-periods": (lambda: constructions.extinction_pair(
         catalog.circle_curve(), _radius_two_circle()),
         "must share their period"),
+    "winding-no-clear-center": (lambda: topology.winding_number(
+        _covered_diagram(3, 4096)),
+        "no projection center with required clearance"),
+    "linking-no-clear-center": (lambda: topology.linking_number(
+        _covered_diagram(4, 8192)),
+        "no projection center with required clearance"),
     "transversal-n": (lambda: topology.transversal_count(catalog.circle_gauge()),
                       "requires n = 3"),
     "cloud-empty": (lambda: PointCloud(np.empty((0, 2))), "nonempty"),

@@ -1,5 +1,6 @@
 import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -76,6 +77,55 @@ def test_bench_pairs_summary():
     assert flags == ["pair 1 change: exit 1, correct False",
                      "pair 5 change: exit 1, correct False"]
     assert "OUTSIDE bound 0.05" in bench_pairs.format_rows(rows)[1]
+
+
+def test_bench_pairs_all_runs_every_workload_in_order(monkeypatch, capsys):
+    with open(os.path.join(bench_pairs.ROOT, "BENCHMARK.json")) as fh:
+        workloads = [w["name"] for w in json.load(fh)["workloads"]]
+    calls = []
+
+    def fake_run_once(command, checkout, workload, seed, seconds, pair):
+        calls.append((os.path.basename(checkout), workload))
+        value = 1.0 if os.path.basename(checkout) == "parent" else 0.9
+        return {"exit": 0, "result": {"correct": True, "metrics": {
+            k: {"value": value} for k in ("run_s", "setup_s", "peak_rss_mb")}}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    assert bench_pairs.main(["parent", "change", "--workload", "all",
+                             "--pairs", "2", "--seconds", "1"]) == 0
+    # each pair runs every workload in BENCHMARK.json's order; even pairs
+    # run the parent first, odd pairs the change
+    assert calls == ([(side, w) for w in workloads
+                      for side in ("parent", "change")]
+                     + [(side, w) for w in workloads
+                        for side in ("change", "parent")])
+    heads = [line.split(",")[0] for line in capsys.readouterr().out.splitlines()
+             if line.endswith("2 pairs, 1 s runs")]
+    assert heads == workloads
+
+
+def test_bench_pairs_run_once_keeps_each_result(tmp_path, monkeypatch):
+    # a fake benchmark run writes result.json and prints the result line,
+    # as perfbench/run.py does; no process starts
+    def fake_run(args, cwd, capture_output, text):
+        run_dir = os.path.join(cwd, ".perfbench_out", "smooth_probe-seed3-trace0")
+        os.makedirs(run_dir, exist_ok=True)
+        with open(os.path.join(run_dir, "result.json"), "w") as fh:
+            fh.write('{"pass": %d}' % len(calls))
+        calls.append(args)
+        return subprocess.CompletedProcess(args, 0, stdout='env\n{"correct": true}\n')
+
+    calls = []
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    for pair in range(2):
+        run = bench_pairs.run_once(["run"], str(tmp_path), "smooth_probe", 3,
+                                   1.0, pair)
+        assert run == {"exit": 0, "result": {"correct": True}}
+    assert calls[0] == ["run", "--workload", "smooth_probe", "--seed", "3",
+                        "--seconds", "1.0", "--trace", "0"]
+    kept = tmp_path / ".perfbench_out" / "pairs"
+    assert [(kept / f"smooth_probe-seed3-pair{i}" / "result.json").read_text()
+            for i in range(2)] == ['{"pass": 0}', '{"pass": 1}']
 
 
 def test_workload_digests_hash_one_pass_per_seed():

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from oracles import gram_argmax_dense
 from worldsheet import catalog, serialize, topology
 from worldsheet.errors import PreconditionError, UnderResolvedError
 from worldsheet.gauge import OrthogonalGauge
 from worldsheet.singular import find_antipodal_pairs
 from worldsheet.topology import (_ProbeBasis, _crossing_linking,
+                                 _diagram_samples, _gram_argmax,
                                  _gauss_linking_polylines, _perturb_curve,
                                  _rotation_to_pole,
                                  diagram, genericity_probe, linking_number,
@@ -24,6 +26,46 @@ def test_hopf_diagram_margin(hopf):
     d = diagram(hopf, m=512)
     assert d.disjoint
     assert abs(d.min_distance - np.sqrt(2)) < 1e-9
+
+
+@pytest.mark.parametrize("m", [64, 1000, 1024, 4096])
+@pytest.mark.parametrize("fixture", ["hopf", "meridian_loops", "wavy_pair"])
+def test_gram_argmax_matches_dense(request, fixture, m):
+    # 128-row blocks; at m = 1000 the last block holds 104 rows
+    _, A, MB = _diagram_samples(request.getfixturevalue(fixture), m)
+    assert _gram_argmax(A, MB) == gram_argmax_dense(A, MB)
+
+
+@pytest.mark.parametrize("block", [1, 3, 128])
+def test_gram_argmax_keeps_first_of_equal_maxima(monkeypatch, block):
+    # rows 10 and 200 of A equal columns 1 and 3 of MB, the only unit
+    # vectors, so the maximum occurs four times; (10, 1) comes first
+    rng = np.random.default_rng(7)
+    A = rng.uniform(-0.25, 0.25, size=(300, 3))
+    MB = rng.uniform(-0.25, 0.25, size=(5, 3))
+    v = np.array([2.0, -1.0, 2.0]) / 3.0
+    A[10] = A[200] = MB[1] = MB[3] = v
+    monkeypatch.setattr(topology, "NEAREST_BLOCK", block)
+    i, j, top = _gram_argmax(A, MB)
+    assert (i, j) == (10, 1)
+    assert (i, j, top) == gram_argmax_dense(A, MB)
+
+
+def test_diagram_peak_memory(hopf):
+    # the Gram argmax holds one block of 128 rows (4 MB at m = 4096), not
+    # the 4096 x 4096 matrix (128 MB)
+    diagram(hopf, m=4096)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        diagram(hopf, m=4096)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 16 * 2 ** 20
 
 
 def test_planar_gauge_in_three_dims_not_disjoint():

@@ -1,18 +1,23 @@
-"""Run alternating parent/change benchmark pairs of one workload and compare.
+"""Run alternating parent/change benchmark pairs of a workload and compare.
 
-    python tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W \
+    python tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W|all \
         [--seed 0] [--pairs 10] [--seconds 25]
 
 Each pair runs the benchmark command of ``BENCHMARK.json`` (``python3
 perfbench/run.py --workload W --seed S --seconds T --trace 0``) once in
 each checkout, one process at a time; even pairs run the parent first,
-odd pairs the change.  Prints every run's end-to-end metrics, then for
-each end-to-end metric of ``BENCHMARK.json``: the parent median with its
+odd pairs the change.  With ``--workload all`` each pair runs every
+workload of ``BENCHMARK.json`` in the order listed there.  Prints every
+run's end-to-end metrics, then per workload, for each end-to-end metric
+of ``BENCHMARK.json``: the parent median with its
 quartiles [q1, q3], the change median, the relative change, the pairs
 the change won (ties count for neither side), and whether the change
 median is within the metric's ``bound`` of the parent median.  Every
-run with a nonzero exit or ``correct`` false is flagged.  Nothing is
-written; the runs' own outputs go to each checkout's ``.perfbench_out``.
+run with a nonzero exit or ``correct`` false is flagged.  The runs' own
+outputs go to each checkout's ``.perfbench_out``, where each run's
+``result.json`` is also kept as
+``pairs/<workload>-seed<S>-pair<i>/result.json``, so that
+``tools/bench_collect.py`` finds every run of a commit.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -28,9 +34,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
 
 
-def run_once(command, checkout, workload, seed, seconds):
+def run_once(command, checkout, workload, seed, seconds, pair):
     """{"exit", "result"} of one benchmark run in ``checkout``; result is
-    the JSON object of its last stdout line, or None."""
+    the JSON object of its last stdout line, or None.  A run that printed
+    a result has written its result.json, which is kept for pair ``pair``."""
     proc = subprocess.run(
         command + ["--workload", workload, "--seed", str(seed),
                    "--seconds", str(seconds), "--trace", "0"],
@@ -39,7 +46,13 @@ def run_once(command, checkout, workload, seed, seconds):
     try:
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
-        result = None
+        return {"exit": proc.returncode, "result": None}
+    out = os.path.join(checkout, ".perfbench_out")
+    kept = os.path.join(out, "pairs", f"{workload}-seed{seed}-pair{pair}")
+    os.makedirs(kept, exist_ok=True)
+    shutil.copyfile(os.path.join(out, f"{workload}-seed{seed}-trace0",
+                                 "result.json"),
+                    os.path.join(kept, "result.json"))
     return {"exit": proc.returncode, "result": result}
 
 
@@ -117,21 +130,27 @@ def main(argv=None):
     dirs = {"parent": os.path.abspath(args.parent),
             "change": os.path.abspath(args.change)}
     names = [m["name"] for m in bench["end_to_end"]]
-    pairs = []
+    workloads = ([w["name"] for w in bench["workloads"]]
+                 if args.workload == "all" else [args.workload])
+    pairs = {w: [] for w in workloads}
     for i in range(args.pairs):
-        pair = {}
-        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-            pair[side] = run_once(bench["command"], dirs[side], args.workload,
-                                  args.seed, args.seconds)
-            vals = ", ".join(f"{n} {_value(pair[side], n)}" for n in names)
-            print(f"pair {i} {side}: exit {pair[side]['exit']}, {vals}",
-                  flush=True)
-        pairs.append(pair)
-    rows, flags = summarize(pairs, bench["end_to_end"])
-    print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs, "
-          f"{args.seconds:g} s runs")
-    print("\n".join(format_rows(rows) + [f"FLAG {f}" for f in flags]))
-    return 1 if flags else 0
+        for workload in workloads:
+            pair = {}
+            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                pair[side] = run_once(bench["command"], dirs[side], workload,
+                                      args.seed, args.seconds, i)
+                vals = ", ".join(f"{n} {_value(pair[side], n)}" for n in names)
+                print(f"{workload} pair {i} {side}: exit "
+                      f"{pair[side]['exit']}, {vals}", flush=True)
+            pairs[workload].append(pair)
+    flagged = False
+    for workload in workloads:
+        rows, flags = summarize(pairs[workload], bench["end_to_end"])
+        print(f"{workload}, seed {args.seed}, {args.pairs} pairs, "
+              f"{args.seconds:g} s runs")
+        print("\n".join(format_rows(rows) + [f"FLAG {f}" for f in flags]))
+        flagged = flagged or bool(flags)
+    return 1 if flagged else 0
 
 
 if __name__ == "__main__":
