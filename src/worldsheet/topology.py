@@ -80,6 +80,8 @@ def diagram(g: OrthogonalGauge, m=1024):
     """Sampled sphere diagram with a locally refined minimum distance."""
     if m > 4096:
         raise PreconditionError("diagram sampling capped at 4096 per curve")
+    if m < 1:
+        raise PreconditionError("diagram needs at least one sample per curve")
     s, A, MB = _diagram_samples(g, m)
     i, j, _ = _gram_argmax(A, MB)
     # local refinement of the closest approach
@@ -102,6 +104,8 @@ def synthetic_diagram(curve_a, curve_mb):
     """Diagram from raw sample arrays (no originating gauge)."""
     A = np.asarray(curve_a, dtype=float)
     MB = np.asarray(curve_mb, dtype=float)
+    if A.ndim != 2 or MB.ndim != 2 or not len(A) or not len(MB):
+        raise PreconditionError("diagram curves must be nonempty (m, n) arrays")
     d = _min_pair_distance(A, MB)
     return SphereDiagram(curve_a=A, curve_mb=MB, min_distance=d,
                          disjoint=d > EPS_DIAG, m=len(A))

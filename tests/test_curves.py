@@ -242,6 +242,7 @@ def test_dwell_lp_matches_linprog(seed):
 @given(st.integers(0, 2 ** 32 - 1))
 @example(0)
 @example(1)
+@example(3)   # stops with fewer passive columns than rows
 def test_nnls_matches_scipy(seed):
     from scipy.optimize import nnls
     rng = np.random.default_rng(seed)

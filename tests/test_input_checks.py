@@ -99,6 +99,8 @@ CHECKS = {
         catalog.hopf_gauge()), "requires a planar gauge"),
     "diagram-cap": (lambda: topology.diagram(catalog.hopf_gauge(), m=8192),
                     "capped at 4096"),
+    "diagram-no-samples": (lambda: topology.diagram(catalog.hopf_gauge(), m=0),
+                           "at least one sample"),
     "winding-on-s3": (lambda: topology.winding_number(
         topology.diagram(catalog.hopf_gauge(), m=256)), "diagram on S\\^2"),
     "linking-on-s2": (lambda: topology.linking_number(
@@ -117,6 +119,8 @@ CHECKS = {
     "extinction-periods": (lambda: constructions.extinction_pair(
         catalog.circle_curve(), _radius_two_circle()),
         "must share their period"),
+    "diagram-empty-curve": (lambda: topology.synthetic_diagram(
+        np.empty((0, 3)), np.eye(3)), "must be nonempty"),
     "winding-no-clear-center": (lambda: topology.winding_number(
         _covered_diagram(3, 4096)),
         "no projection center with required clearance"),

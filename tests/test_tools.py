@@ -126,6 +126,9 @@ def test_bench_pairs_run_once_keeps_each_result(tmp_path, monkeypatch):
     kept = tmp_path / ".perfbench_out" / "pairs"
     assert [(kept / f"smooth_probe-seed3-pair{i}" / "result.json").read_text()
             for i in range(2)] == ['{"pass": 0}', '{"pass": 1}']
+    # moved, not copied: tools/bench_collect.py reads each run once
+    assert not (tmp_path / ".perfbench_out" / "smooth_probe-seed3-trace0"
+                / "result.json").exists()
 
 
 def test_workload_digests_hash_one_pass_per_seed():

@@ -15,9 +15,9 @@ the change won (ties count for neither side), and whether the change
 median is within the metric's ``bound`` of the parent median.  Every
 run with a nonzero exit or ``correct`` false is flagged.  The runs' own
 outputs go to each checkout's ``.perfbench_out``, where each run's
-``result.json`` is also kept as
+``result.json`` is moved to
 ``pairs/<workload>-seed<S>-pair<i>/result.json``, so that
-``tools/bench_collect.py`` finds every run of a commit.
+``tools/bench_collect.py`` finds every run of a commit once.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import shutil
 import statistics
 import subprocess
 import sys
@@ -37,7 +36,8 @@ SIDES = ("parent", "change")
 def run_once(command, checkout, workload, seed, seconds, pair):
     """{"exit", "result"} of one benchmark run in ``checkout``; result is
     the JSON object of its last stdout line, or None.  A run that printed
-    a result has written its result.json, which is kept for pair ``pair``."""
+    a result has written its result.json, which is moved under pair
+    ``pair``."""
     proc = subprocess.run(
         command + ["--workload", workload, "--seed", str(seed),
                    "--seconds", str(seconds), "--trace", "0"],
@@ -50,9 +50,9 @@ def run_once(command, checkout, workload, seed, seconds, pair):
     out = os.path.join(checkout, ".perfbench_out")
     kept = os.path.join(out, "pairs", f"{workload}-seed{seed}-pair{pair}")
     os.makedirs(kept, exist_ok=True)
-    shutil.copyfile(os.path.join(out, f"{workload}-seed{seed}-trace0",
-                                 "result.json"),
-                    os.path.join(kept, "result.json"))
+    os.replace(os.path.join(out, f"{workload}-seed{seed}-trace0",
+                            "result.json"),
+               os.path.join(kept, "result.json"))
     return {"exit": proc.returncode, "result": result}
 
 
