@@ -15,11 +15,22 @@ import numpy as np
 
 from .errors import PreconditionError
 from .gauge import OrthogonalGauge
-from .surface import _read_once
 
 DEFAULT_SCALES = tuple(2.0 ** -j for j in range(3, 10))
 MIN_R2 = 0.98
 BOX_BLOCK = 2 ** 16             # cloud rows per block of the packed box keys
+CLOUD_BLOCK = 2 ** 14           # cloud rows per block of curve reads
+
+
+def _read_runs(read, y):
+    """read(y) for a row-wise read, calling read once on the first value of
+    each run of equal float64 bit patterns of y: the run-length
+    counterpart of ``surface._read_once``, for y whose equal values sit
+    next to each other."""
+    bits = y.view(np.int64)
+    starts = np.flatnonzero(np.concatenate([[True], bits[1:] != bits[:-1]]))
+    lengths = np.diff(starts, append=len(y))
+    return np.repeat(read(y[starts]), lengths, axis=0)
 
 
 def _row_groups(keys):
@@ -173,17 +184,24 @@ def singstar_cloud(g: OrthogonalGauge, resolution=1024, which="sing_star"):
                                  else "sigma_star"])
         t_lo, t_hi = pred["t_window"]
         ts = np.linspace(t_lo, t_hi, resolution)
-        # one (t, gamma) block of rows per characteristic, written in place
+        # (t, gamma) rows of each characteristic in turn, written in place a
+        # block of characteristics at a time: gamma(g, ts, xs) with b read
+        # once per block and a once per run of equal bit patterns of x + t,
+        # since on a characteristic (s - ts) + ts rounds to one or few values
+        # (positions are row-wise reads, so every row keeps its bits)
         pts = np.empty((len(s_vals) * resolution, 1 + g.dim))
-        for i, s in enumerate(s_vals):
-            # gamma(g, ts, xs) with a read once per distinct x + t: on a
-            # characteristic (s - ts) + ts rounds to one or few values
-            xs = s - ts
-            rows = slice(i * resolution, (i + 1) * resolution)
-            pts[rows, 0] = ts
+        per = max(1, CLOUD_BLOCK // resolution)
+        for c0 in range(0, len(s_vals), per):
+            s = s_vals[c0:c0 + per]
+            rows = slice(c0 * resolution, (c0 + len(s)) * resolution)
+            tt = pts[rows, 0]
+            tt.reshape(len(s), resolution)[:] = ts
+            xs = np.repeat(s, resolution)
+            xs -= tt
             gm = pts[rows, 1:]
-            np.add(_read_once(g.a.position, xs + ts), g.b.position(xs - ts),
-                   out=gm)
+            gm[:] = _read_runs(g.a.position, xs + tt)
+            xs -= tt
+            gm += g.b.position(xs)
             gm *= 0.5
         cloud = PointCloud(pts,
                            provenance={"gauge": g.metadata.get("name", "?"),

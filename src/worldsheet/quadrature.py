@@ -28,6 +28,17 @@ _GL_NODES = 0.5 * (_GL_NODES + 1.0)
 _GL_WEIGHTS = 0.5 * _GL_WEIGHTS
 
 
+def sorted_distinct(x):
+    """The sorted distinct values of the 1-D array x by one sort and a mask
+    of the first of each run: a plain ``np.unique(x)`` for x without NaN or
+    -0.0, which unlike ``np.unique`` does not import ``numpy.ma``."""
+    x = np.sort(x)
+    first = np.empty(len(x), dtype=bool)
+    first[:1] = True
+    np.not_equal(x[1:], x[:-1], out=first[1:])
+    return x[first]
+
+
 def _gl_values(f, starts, ends):
     """Values of ``f`` at the Gauss-Legendre nodes of each interval, (m, 8, d)."""
     starts = np.asarray(starts, dtype=float)
@@ -61,7 +72,7 @@ class PrefixIntegrator:
         self.period = float(period)
         edges = np.linspace(0.0, self.period, int(n_panels) + 1)
         extra = np.mod(np.asarray(breakpoints, dtype=float), self.period)
-        edges = np.unique(np.concatenate([edges, extra]))
+        edges = sorted_distinct(np.concatenate([edges, extra]))
         # drop panels of negligible width produced by near-duplicates
         edges = edges[np.concatenate([[True], np.diff(edges) > 1e-13 * self.period])]
         edges[-1] = self.period
@@ -91,8 +102,9 @@ class PrefixIntegrator:
         x = np.asarray(x, dtype=float)
         shape = x.shape
         x = np.ravel(x)
-        wraps = np.floor(x / self.period)
-        y = x - wraps * self.period
+        # the whole periods floor(x / period) are recomputed at the end, in
+        # t's buffer, rather than kept through the recurrence
+        y = x - np.floor(x / self.period) * self.period
         # guard against y == period from rounding
         y = np.clip(y, 0.0, self.period)
         idx = np.searchsorted(self.edges, y, side="right") - 1
@@ -100,15 +112,18 @@ class PrefixIntegrator:
         y -= self.edges[idx]
         t = (2.0 * y / self.widths[idx] - 1.0)[:, None]
         # b_j = c_j + (2j+1)/(j+1) t b_{j+1} - (j+1)/(j+2) b_{j+2}; sum = b_0
+        # (idx is in range, and take with mode "clip" writes out unbuffered)
         b1, b2, tmp = (np.zeros((len(y), self.dim)) for _ in range(3))
         for j in range(7, -1, -1):
             b2 *= -(j + 1) / (j + 2)
-            b2 += np.take(self._mean[j], idx, axis=0, out=tmp)
+            b2 += np.take(self._mean[j], idx, axis=0, out=tmp, mode="clip")
             np.multiply(b1, t * ((2 * j + 1) / (j + 1)), out=tmp)
             b2 += tmp
             b1, b2 = b2, b1
         # at a panel start this is exactly prefix[idx]
         b1 *= y[:, None]
-        b1 += np.take(self.prefix, idx, axis=0, out=tmp)
-        b1 += np.multiply(wraps[:, None], self.per_period, out=tmp)
+        b1 += np.take(self.prefix, idx, axis=0, out=tmp, mode="clip")
+        wraps = np.divide(x[:, None], self.period, out=t)
+        np.floor(wraps, out=wraps)
+        b1 += np.multiply(wraps, self.per_period, out=tmp)
         return b1.reshape(shape + (self.dim,))

@@ -14,6 +14,7 @@ from . import catalog, constructions
 from .curves import AngleTangent, SphereSamplesTangent, UnitSpeedCurve
 from .errors import PreconditionError
 from .gauge import AdmissibleCouple, OrthogonalGauge
+from .quadrature import sorted_distinct
 
 SCHEMA_VERSION = 1
 
@@ -250,18 +251,23 @@ def write_csv(path, header, rows):
         # 1024-row chunks keep the lists of cell texts small
         for i in range(0, len(rows), 1024):
             cells = [text(slice(i, i + 1024)) for text in texts]
-            fh.write("".join(",".join(r) + "\r\n" for r in zip(*cells)))
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+
+
+CSV_PREFIX = 4096       # rows whose repeats decide how a float column renders
 
 
 def _column_text(col):
     """A function from a row slice to the texts of ``col``'s cells in it.
-    A float64 column of which at most half the values are distinct (by bit
-    pattern) renders each distinct value once."""
+    A float64 column of which at most half the first CSV_PREFIX values are
+    distinct (by bit pattern) renders each distinct value once; the text is
+    repr(float) either way, so the prefix decides only the speed."""
     if col.dtype != np.float64:
         return lambda rows: map(str, col[rows].tolist())
     bits = col.view(np.int64)
-    keys = np.unique(bits)
-    if 2 * len(keys) > len(bits):
+    head = bits[:CSV_PREFIX]
+    if 2 * len(sorted_distinct(head)) > len(head):
         return lambda rows: map(repr, col[rows].tolist())
+    keys = sorted_distinct(bits)
     text = np.array([repr(v) for v in keys.view(float).tolist()], dtype=object)
     return lambda rows: text[np.searchsorted(keys, bits[rows])].tolist()

@@ -246,6 +246,30 @@ def test_scipy_not_loaded(tmp_path, scenario):
     assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
+# runs one sample scenario in a fresh interpreter and prints whether
+# numpy.ma is then loaded (a plain np.unique imports it)
+NUMPY_MA_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import worldsheet.cli
+with open(sys.argv[2], encoding="utf-8") as fh:
+    code = worldsheet.cli.run_scenario(json.load(fh), sys.argv[3])
+assert code == 0, code
+print(json.dumps("numpy.ma" in sys.modules))
+"""
+
+
+@pytest.mark.parametrize("scenario", ["cantor_k1_dimension.json",
+                                      "nonuniq_pair.json"])
+def test_numpy_ma_not_loaded(tmp_path, scenario):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(worldsheet.__file__)))
+    proc = subprocess.run([sys.executable, "-c", NUMPY_MA_PROBE, src,
+                           os.path.join(ROOT, "scenarios", scenario),
+                           str(tmp_path / "out")],
+                          capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout.splitlines()[-1]) is False
+
+
 # builds, searches and classifies one random planar gauge in a fresh
 # interpreter, and prints the scipy modules then loaded
 CENSUS_SCIPY_PROBE = """
@@ -568,6 +592,31 @@ def test_write_csv_mixed_repeat_columns_match_per_cell_text(tmp_path):
     assert fast.split(b"\r\n")[1:4] == [b"-0.0,-3.0,-0.0,-0.0",
                                          b"0.0,-3.0,0.0,-5e-324",
                                          b"nan,-2.9,nan,1e+300"]
+
+
+@pytest.mark.parametrize("case", ["distinct-prefix", "repeating-prefix"])
+def test_write_csv_text_independent_of_prefix_rule(tmp_path, case):
+    # the first CSV_PREFIX rows decide whether a float column renders each
+    # distinct value once; a column whose prefix is all distinct but whose
+    # tail repeats, and one whose prefix repeats but whose tail is all
+    # distinct, write the same bytes as the per-cell writer
+    n = serialize.CSV_PREFIX
+    distinct = np.linspace(-1.0, 1.0, 4 * n + 7) ** 3
+    distinct[:3] = [-0.0, 0.0, np.nan]
+    repeat = np.resize(np.array([-0.0, 0.0, np.nan, 0.1, 1e300, -5e-324]),
+                       4 * n + 7)
+    head, tail = (distinct, repeat) if case == "distinct-prefix" \
+        else (repeat, distinct)
+    rows = np.concatenate([head[:n], tail[n:]])[:, None]
+    serialize.write_csv(tmp_path / "fast.csv", ["c"], rows)
+    csv_per_cell(tmp_path / "cells.csv", ["c"], rows)
+    assert (tmp_path / "fast.csv").read_bytes() \
+        == (tmp_path / "cells.csv").read_bytes()
+
+
+def test_write_report_rejects_unserializable_value(tmp_path):
+    with pytest.raises(TypeError, match="set is not JSON serializable"):
+        serialize.write_report(tmp_path / "report.json", {"bad": {1, 2}})
 
 
 def test_write_report_matches_plain_json(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from unittest import mock
@@ -292,6 +293,55 @@ def test_singstar_cloud_is_gamma_on_product_grid(request, fixture, which):
     ts = np.linspace(*pred["t_window"], resolution)
     ref = np.vstack([np.column_stack([ts, surface.gamma(g, ts, s - ts)])
                      for s in pred["sigma_sing" if which == "sing" else "sigma_star"]])
+    assert np.array_equal(cloud.points, PointCloud(ref).points)
+
+
+def _with_prediction(g, **changed):
+    """g with some fields of its Cantor prediction changed."""
+    pred = {**g.metadata["cantor_prediction"], **changed}
+    return dataclasses.replace(g, metadata={**g.metadata,
+                                            "cantor_prediction": pred})
+
+
+def test_singstar_cloud_reads_each_curve_once_per_block(cantor_k1):
+    # the resolution-2048 cloud of the dimension task: b is read once per
+    # block of CLOUD_BLOCK rows, a once per block on the first value of
+    # each run of equal x + t, not once per characteristic
+    g, _ = cantor_k1
+    calls = {"a": [], "b": []}
+    with mock.patch.object(g.a, "position",
+                           side_effect=lambda x, f=g.a.position:
+                           calls["a"].append(len(x)) or f(x)), \
+            mock.patch.object(g.b, "position",
+                              side_effect=lambda x, f=g.b.position:
+                              calls["b"].append(len(x)) or f(x)):
+        cloud = singstar_cloud(g, resolution=2048)
+    rows = len(g.metadata["cantor_prediction"]["sigma_star"]) * 2048
+    blocks = math.ceil(rows / dimension.CLOUD_BLOCK)
+    assert len(cloud.points) == rows
+    assert len(calls["a"]) == len(calls["b"]) == blocks < 256
+    assert sum(calls["b"]) == rows
+    # on this window (s - t) + t rounds to s: one a read per characteristic
+    assert sum(calls["a"]) == 256
+
+
+@pytest.mark.parametrize("block", [1, 3 * 256 + 5, 2 ** 14])
+def test_singstar_cloud_splits_runs_of_x_plus_t(cantor_k1, block):
+    # on a non-dyadic window (s - t) + t takes several bit patterns along
+    # a characteristic, so a reads each run of them; blocks of one
+    # characteristic, of three (773 rows round down to whole ones) and of
+    # the default size give gamma's bits on the product grid
+    g = _with_prediction(cantor_k1[0], t_window=(0.1, 0.7))
+    pred = g.metadata["cantor_prediction"]
+    ts = np.linspace(0.1, 0.7, 256)
+    s = np.asarray(pred["sigma_star"])
+    ys = (s[:, None] - ts) + ts
+    runs = 1 + np.count_nonzero(np.diff(ys.view(np.int64), axis=1), axis=1)
+    assert runs.max() > 1
+    with mock.patch.object(dimension, "CLOUD_BLOCK", block):
+        cloud = singstar_cloud(g, resolution=256)
+    ref = np.vstack([np.column_stack([ts, surface.gamma(g, ts, si - ts)])
+                     for si in s])
     assert np.array_equal(cloud.points, PointCloud(ref).points)
 
 

@@ -72,6 +72,35 @@ def _covered_diagram(dim, n):
     return topology.synthetic_diagram(cands, np.array(mids))
 
 
+def _center_on_doubled_sample(m=16):
+    """A gauge diagram (m samples) of the equator a' = (cos -s, sin -s, 0)
+    and the 80-degree latitude loop as -b', with a' pulled onto the primary
+    projection center q1 at every midpoint of the sample grid: the m
+    samples, and so q1, stay those of the plain equator, and the doubled
+    sampling of the winding check puts a sample on q1."""
+    lat = np.radians(80.0)
+
+    def gauge(q=None):
+        def ta(x, order):
+            v = np.stack([np.cos(-x), np.sin(-x), np.zeros_like(x)], axis=-1)
+            if q is not None:
+                v += np.sin(0.5 * m * x)[:, None] ** 2 * (q - v)
+                v /= np.linalg.norm(v, axis=-1, keepdims=True)
+            return v
+
+        def tb(x, order):
+            return -np.stack([np.cos(lat) * np.cos(x),
+                              np.cos(lat) * np.sin(x),
+                              np.full_like(x, np.sin(lat))], axis=-1)
+
+        return OrthogonalGauge(
+            UnitSpeedCurve(CallableTangent(ta, 2.0 * np.pi, 3), np.zeros(3)),
+            UnitSpeedCurve(CallableTangent(tb, 2.0 * np.pi, 3), np.zeros(3)))
+
+    q1, _ = topology._projection_centers(topology.diagram(gauge(), m), 4096)
+    return topology.diagram(gauge(q1), m)
+
+
 CHECKS = {
     "cantor-mode": (lambda: CantorSpec.single_mode(2, m=2),
                     "mode m must exceed the smoothness k"),
@@ -127,6 +156,8 @@ CHECKS = {
     "linking-no-clear-center": (lambda: topology.linking_number(
         _covered_diagram(4, 8192)),
         "no projection center with required clearance"),
+    "winding-center-on-doubled-sample": (lambda: topology.winding_number(
+        _center_on_doubled_sample()), "projection center touches a curve"),
     "transversal-n": (lambda: topology.transversal_count(catalog.circle_gauge()),
                       "requires n = 3"),
     "cloud-empty": (lambda: PointCloud(np.empty((0, 2))), "nonempty"),

@@ -14,9 +14,9 @@ import line_trace  # noqa: E402
 import scenario_digests  # noqa: E402
 
 
-def _result(path, workload, commit, trace, run_s):
+def _result(path, workload, commit, trace, run_s, seed=0):
     os.makedirs(path)
-    env = {"workload": workload, "seed": 0, "seconds": 25, "trace": trace,
+    env = {"workload": workload, "seed": seed, "seconds": 25, "trace": trace,
            "passes": 4, "nproc": 2, "numpy": "2.0", "commit": commit}
     metrics = {"run_s": run_s, "setup_s": 0.3, "peak_rss_mb": 100.0}
     result = {"correct": True, "attempted": 3, "failed": 1,
@@ -42,6 +42,14 @@ def test_bench_collect_keeps_untraced_runs_of_one_commit(tmp_path):
                                   "numpy": "2.0", "commit": "c1"}
     with pytest.raises(SystemExit):
         bench_collect.collect("c3", [tmp_path])
+    # a median must not mix seeds
+    _result(tmp_path / "c" / "census-seed1", "planar_census", "c1", 0, 4.0,
+            seed=1)
+    _result(tmp_path / "c" / "census-seed7", "planar_census", "c1", 0, 4.0,
+            seed=7)
+    with pytest.raises(SystemExit, match="planar_census have different "
+                                         "seeds 0, 1, 7"):
+        bench_collect.collect("c1", [tmp_path / "a", tmp_path / "c"])
 
 
 def _run(exit_code, correct, run_s, rss):

@@ -12,6 +12,9 @@ whose environment names the commit, and writes
   ``attempted``, ``failed``, ``correct``, seed and pass count, in the
   order of the paths, and the median of each metric.
 
+A workload whose runs have different seeds is refused (exit with a
+message naming the seeds), so that no median mixes seeds.
+
     python tools/bench_collect.py <commit> [dir ...]
 """
 
@@ -53,7 +56,12 @@ def collect(commit, dirs):
                    correct=res["correct"], seed=env["seed"],
                    passes=env["passes"])
         workloads.setdefault(env["workload"], {"runs": []})["runs"].append(row)
-    for w in workloads.values():
+    for name, w in workloads.items():
+        seeds = sorted({r["seed"] for r in w["runs"]})
+        if len(seeds) > 1:
+            raise SystemExit(f"runs of {name} have different seeds "
+                             f"{', '.join(map(str, seeds))}; pass only the "
+                             "directories of one seed's runs")
         w["median"] = {m: statistics.median(r[m] for r in w["runs"])
                        for m in METRICS}
     return {"commit": commit, "environment": shared,
