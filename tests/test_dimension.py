@@ -296,13 +296,6 @@ def test_singstar_cloud_is_gamma_on_product_grid(request, fixture, which):
     assert np.array_equal(cloud.points, PointCloud(ref).points)
 
 
-def _with_prediction(g, **changed):
-    """g with some fields of its Cantor prediction changed."""
-    pred = {**g.metadata["cantor_prediction"], **changed}
-    return dataclasses.replace(g, metadata={**g.metadata,
-                                            "cantor_prediction": pred})
-
-
 def test_singstar_cloud_reads_each_curve_once_per_block(cantor_k1):
     # the resolution-2048 cloud of the dimension task: b is read once per
     # block of CLOUD_BLOCK rows, a once per block on the first value of
@@ -331,8 +324,10 @@ def test_singstar_cloud_splits_runs_of_x_plus_t(cantor_k1, block):
     # a characteristic, so a reads each run of them; blocks of one
     # characteristic, of three (773 rows round down to whole ones) and of
     # the default size give gamma's bits on the product grid
-    g = _with_prediction(cantor_k1[0], t_window=(0.1, 0.7))
-    pred = g.metadata["cantor_prediction"]
+    g, _ = cantor_k1
+    pred = {**g.metadata["cantor_prediction"], "t_window": (0.1, 0.7)}
+    g = dataclasses.replace(g, metadata={**g.metadata,
+                                         "cantor_prediction": pred})
     ts = np.linspace(0.1, 0.7, 256)
     s = np.asarray(pred["sigma_star"])
     ys = (s[:, None] - ts) + ts

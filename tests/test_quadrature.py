@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import QuadratureError, adaptive_simpson
-from worldsheet.quadrature import PrefixIntegrator
+from worldsheet.quadrature import PrefixIntegrator, sorted_distinct
 
 
 def test_adaptive_simpson_polynomial_exact():
@@ -134,3 +134,16 @@ def test_prefix_integrator_exact_on_piecewise_polynomials(poly, fracs, n_panels)
     for k in (-3, 1, 5):
         shifted = pre.integral(x + k * period) - k * pre.per_period
         assert np.abs(shifted - got).max() <= 1e-13 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(st.integers(-3, 3).map(float),
+                          st.floats(allow_nan=False).map(lambda v: v + 0.0)),
+                max_size=64), st.booleans())
+def test_sorted_distinct_matches_unique(values, as_bits):
+    # no NaN or -0.0 (v + 0.0 maps -0.0 to 0.0), as in the panel edges;
+    # as_bits reads the values as the int64 keys of a CSV column
+    x = np.array(values, dtype=float)
+    if as_bits:
+        x = x.view(np.int64)
+    assert np.array_equal(sorted_distinct(x), np.unique(x))
