@@ -4,7 +4,9 @@ The parametrization degenerates exactly where a'(s) = -b'(sigma) with
 s = x + t, sigma = x - t.  Detection minimizes r(s, sigma) =
 |a'(s) + b'(sigma)|^2 on the (s, sigma) torus: a coarse grid, then
 batched Gauss-Newton from every shallow local minimum, then greedy
-deduplication and clustering into connected components.
+deduplication and clustering into connected components.  For n >= 3 a
+zero whose Jacobian has full rank is isolated: it is its own component,
+and a deflated search around it finds a second zero in its grid basin.
 
 For planar gauges the unit tangent admits the closed form
 sign(sin(F/2)) i e^{iG/2} in terms of the lifted angles of a' and -b',
@@ -29,6 +31,11 @@ SEED_LEVEL = 0.1          # squared-residual level below which minima seed GN
 OSC_YES = 1e-2            # tangent oscillation certifying no limit
 OSC_NO = 1e-4             # oscillation below which the limit is accepted
 LIFT_SAMPLES = 8192       # samples of a spline angle lift per period
+TRANSVERSAL_COND = 1e6    # largest Jacobian condition of an isolated zero
+COINCIDE = 1e-7           # distance, per unit of E0, below which zeros coincide
+DEFLATE_STARTS = 8        # deflated starts around each full-rank zero
+DEFLATE_RADIUS = 2.0      # their distance from the zero, in grid spacings
+DEFLATE_REACH = 16.0      # distance, in grid spacings, where they give up
 # suppression at 2 spacings over seeds up to 2 apart leaves gaps of at
 # most ~6 spacings along a chain of pairs
 CHAIN_GAP = 6.5           # in grid spacings
@@ -102,7 +109,17 @@ def grid_residuals(g: OrthogonalGauge, grid_n=DEFAULT_GRID):
     return np.sqrt(np.clip(r2, 0.0, None, out=r2), out=r2), s
 
 
-def _gauss_newton(g, s0, sig0):
+def _gauss_newton(g, s0, sig0, roots=None, reach=np.inf):
+    """Batched Gauss-Newton on a'(s) + b'(sigma) = 0 from (s0, sig0).
+
+    With ``roots``, an (m, 2) array, start i is deflated at the zero
+    roots[i] (Farrell, Birkisson & Funke, 2015): it solves
+    M(x) F(x) = 0 with M(x) = 1 / |x - root|^2 + 1, whose solutions are
+    the zeros of F other than the root.  Its update is the Gauss-Newton
+    update delta of F divided by 1 - (grad M / M) . delta, so the
+    undeflated iteration is reused as it is.  A deflated start stops
+    once it lies farther than ``reach`` from its root.
+    """
     s = np.asarray(s0, dtype=float).copy()
     sig = np.asarray(sig0, dtype=float).copy()
     active = np.ones(len(s), dtype=bool)
@@ -124,10 +141,19 @@ def _gauss_newton(g, s0, sig0):
         jtj[:, 0, 0] += damp
         jtj[:, 1, 1] += damp
         step = np.linalg.solve(jtj, jtf[:, :, None])[:, :, 0]
+        near = True
+        if roots is not None:
+            d = np.stack([sa, oa], axis=1) - roots[active]
+            d = np.mod(d + 0.5 * g.E0, g.E0) - 0.5 * g.E0
+            d2 = np.maximum((d * d).sum(1), 1e-300)
+            near = d2 <= reach * reach
+            # grad M / M = -2 d / (|d|^2 (1 + |d|^2)); the step is -delta
+            ratio = -2.0 * d / (d2 * (1.0 + d2))[:, None]
+            step /= (1.0 + (ratio * step).sum(1))[:, None]
         step = np.clip(step, -lim, lim)             # stay in the basin
         s[active] -= step[:, 0]
         sig[active] -= step[:, 1]
-        still = (res > 1e-14) & (np.abs(step).max(axis=1) > 1e-15)
+        still = (res > 1e-14) & (np.abs(step).max(axis=1) > 1e-15) & near
         idx = np.where(active)[0]
         active[idx[~still]] = False
     F = g.a.tangent(s) + g.b.tangent(sig)
@@ -259,7 +285,9 @@ def find_antipodal_pairs(g: OrthogonalGauge, grid_n=DEFAULT_GRID):
     Completeness heuristic: every zero whose squared residual grows at
     least quadratically at the grid scale produces a shallow local
     minimum on the grid and is therefore seeded; validated against the
-    brute-force grid oracle in the test suite.
+    brute-force grid oracle in the test suite.  For n >= 3, zeros of
+    full rank skip the clustering: ``_isolated_components`` adds the
+    second zero of a shared basin and merges only coinciding zeros.
     """
     if grid_n < 64:
         raise PreconditionError("grid_n must be at least 64")
@@ -292,21 +320,76 @@ def find_antipodal_pairs(g: OrthogonalGauge, grid_n=DEFAULT_GRID):
         return DetectionReport([], grid_n, min_grid)
     s_ref, sig_ref, res = s_ref[ok] % E0, sig_ref[ok] % E0, res[ok]
 
-    spacing = E0 / grid_n
+    components = []
+    if g.dim >= 3:
+        # a zero of full rank is isolated (implicit function theorem);
+        # the rank-deficient rest are clustered below
+        full = _full_rank(g, s_ref, sig_ref)
+        if full.any():
+            components = _isolated_components(
+                g, s_ref[full], sig_ref[full], res[full], E0 / grid_n)
+            s_ref, sig_ref, res = s_ref[~full], sig_ref[~full], res[~full]
+    if len(s_ref):
+        components += _clustered_components(s_ref, sig_ref, res, E0,
+                                            E0 / grid_n)
+    components.sort(key=lambda c: (c.s[0], c.sigma[0]))
+    return DetectionReport(components, grid_n, min_grid)
+
+
+def _full_rank(g, s, sig):
+    """Whether the Jacobian [a''(s), b''(sigma)] of each pair has rank 2,
+    with condition at most ``TRANSVERSAL_COND``."""
+    sv = np.linalg.svd(np.stack([g.a.tangent_derivative(s),
+                                 g.b.tangent_derivative(sig)], axis=2),
+                       compute_uv=False)
+    return (sv[:, 1] >= 1e-12) & (sv[:, 0] <= TRANSVERSAL_COND * sv[:, 1])
+
+
+def _isolated_components(g, s, sig, res, spacing):
+    """One isolated component per distinct full-rank zero.
+
+    Gauss-Newton from one grid minimum finds one zero even when two lie
+    in its basin, so each zero (s, sig) found is deflated, and the
+    search runs again from ``DEFLATE_STARTS`` points on a circle of
+    ``DEFLATE_RADIUS`` grid spacings around it.  Distinct full-rank zeros
+    are separated by their uniqueness balls, so refined zeros are merged
+    only when they coincide to ``COINCIDE`` * E0.  The lowest residual of
+    the undeflated runs stands for each zero they found.
+    """
+    E0 = g.E0
+    keep = _nms(s, sig, E0, np.argsort(res), COINCIDE * E0)
+    s, sig, res = s[keep], sig[keep], res[keep]
+    ang = np.arange(DEFLATE_STARTS) * (2.0 * np.pi / DEFLATE_STARTS)
+    offset = DEFLATE_RADIUS * spacing * np.stack([np.cos(ang), np.sin(ang)], 1)
+    roots = np.repeat(np.stack([s, sig], axis=1), DEFLATE_STARTS, axis=0)
+    start = roots + np.tile(offset, (len(s), 1))
+    s2, sig2, res2 = _gauss_newton(g, start[:, 0], start[:, 1], roots,
+                                   DEFLATE_REACH * spacing)
+    ok = res2 <= PAIR_TOL
+    s2, sig2, res2 = s2[ok] % E0, sig2[ok] % E0, res2[ok]
+    new = _full_rank(g, s2, sig2)
+    order = np.concatenate([np.arange(len(s)), len(s) + np.argsort(res2[new])])
+    s = np.concatenate([s, s2[new]])
+    sig = np.concatenate([sig, sig2[new]])
+    res = np.concatenate([res, res2[new]])
+    keep = _nms(s, sig, E0, order, COINCIDE * E0)
+    return [SingComponent(s[[i]], sig[[i]], res[[i]], kind="isolated")
+            for i in keep.tolist()]
+
+
+def _clustered_components(s, sig, res, E0, spacing):
+    """Refined zeros thinned to one per 2 grid spacings and linked into
+    components, each classified by its extent."""
     order = np.argsort(res)                       # lowest residual wins ties
-    keep = _nms(s_ref, sig_ref, E0, order, 2.0 * spacing)
-    s_ref, sig_ref, res = s_ref[keep], sig_ref[keep], res[keep]
+    keep = _nms(s, sig, E0, order, 2.0 * spacing)
+    s, sig, res = s[keep], sig[keep], res[keep]
 
     # connected components; along an anti-diagonal zero curve the seeds sit
     # up to 2 spacings apart per coordinate and suppression doubles that,
     # so the preserved chain needs a link radius of ~8 spacings
-    labels = _components(len(s_ref), _near_pairs(s_ref, sig_ref, E0, 8.0 * spacing))
-    masks = (labels == ci for ci in range(int(labels.max()) + 1))
-    components = sorted(
-        (_classify_kind(s_ref[m], sig_ref[m], res[m], E0, spacing)
-         for m in masks),
-        key=lambda c: (c.s[0], c.sigma[0]))
-    return DetectionReport(components, grid_n, min_grid)
+    labels = _components(len(s), _near_pairs(s, sig, E0, 8.0 * spacing))
+    return [_classify_kind(s[m], sig[m], res[m], E0, spacing)
+            for m in (labels == ci for ci in range(int(labels.max()) + 1))]
 
 
 def _circ_gap(values, period):

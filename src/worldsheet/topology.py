@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import PreconditionError, UnderResolvedError
 from .gauge import OrthogonalGauge
-from .singular import find_antipodal_pairs
+from .singular import TRANSVERSAL_COND, find_antipodal_pairs
 
 EPS_DIAG = 1e-4
 GEODESIC_SAMPLES = 64           # arc samples of the clear-geodesic test
@@ -27,7 +27,6 @@ PROBE_NODES = 4096              # tangent nodes of a perturbed curve
 PROBE_MODES = 8                 # Fourier modes per perturbation component
 PROBE_NEWTON_STEPS = 6          # Newton steps of a perturbation's re-closure
 PROBE_CLOSURE_TOL = 1e-12       # Newton stop; times max(1, period), the discard limit
-TRANSVERSAL_COND = 1e6          # largest Jacobian condition of a transversal pair
 PROBE_TABLES = 8                # point sets whose probe tables a basis keeps
 
 

@@ -515,6 +515,16 @@ def test_search_above_seed_level_builds_no_minimum_mask(hopf, circle,
     assert rolls == []
 
 
+def test_planar_search_makes_no_rank_test(circle, monkeypatch):
+    # a planar zero is never of full rank: both tangent derivatives are
+    # normal to the shared tangent line
+    def rank_test(*args):
+        raise AssertionError("rank test on a planar gauge")
+    monkeypatch.setattr(singular, "_full_rank", rank_test)
+    comps = find_antipodal_pairs(circle).components
+    assert [c.kind for c in comps] == ["full_time_slice"] * len(comps)
+
+
 def _roll_seeds(r2, level):
     return np.argwhere(roll_minimum_mask(r2) & (r2 < level))
 

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import gram_argmax_dense
-from worldsheet import catalog, serialize, topology
+from worldsheet import catalog, serialize, singular, topology
+from worldsheet.curves import PAIR_TOL
 from worldsheet.errors import PreconditionError, UnderResolvedError
 from worldsheet.gauge import OrthogonalGauge
 from worldsheet.singular import find_antipodal_pairs
@@ -689,24 +690,61 @@ def test_transversal_count_signed_sum_vanishes(couple):
     assert count % 2 == 0
 
 
-def _known_miss(seed, raises):
-    return pytest.param(seed, marks=pytest.mark.xfail(
-        strict=True, raises=raises,
-        reason="the default search misses or merges close zeros"))
-
-
-# falsifying draws of the strategy among rng seeds 0-999 (count = 3 +
-# seed mod 6): three miss one of two crossings in a grid basin, and at
-# seed 77 two close crossings link into one extended component
-@pytest.mark.parametrize("seed", [
-    _known_miss(77, PreconditionError),
-    _known_miss(177, UnderResolvedError),
-    _known_miss(358, UnderResolvedError),
-    _known_miss(460, UnderResolvedError)])
-def test_transversal_count_known_misses(seed):
+# rng seeds of the strategy (count = 3 + seed mod 6) whose couples hold
+# two transversal zeros within 8 grid spacings.  Seeded from grid minima
+# alone and linked at 8 spacings, the search merged them into one
+# extended component (77, 238) or missed one in a shared grid basin
+@pytest.mark.parametrize("seed", [77, 177, 238, 358, 460, 2051, 2063, 2312])
+def test_transversal_count_close_pairs(seed):
     g = serialize.gauge_from_spec(
         {"couple": _fourier_loop_couple(seed, 3 + seed % 6)})
     assert transversal_count(g) % 2 == 0
+
+
+def _torus_grid_distances(g, comps):
+    """Pairwise torus distances, in grid spacings, between the first
+    pairs of ``comps``, with inf on the diagonal."""
+    x = np.array([[c.s[0], c.sigma[0]] for c in comps])
+    d = np.abs(x[:, None] - x[None])
+    d = np.minimum(d, g.E0 - d)
+    dist = np.hypot(d[..., 0], d[..., 1]) / (g.E0 / 512)
+    np.fill_diagonal(dist, np.inf)
+    return dist
+
+
+def test_close_zeros_are_two_isolated_components():
+    # seed 358: two zeros 2.7 spacings apart share one grid minimum
+    g = serialize.gauge_from_spec({"couple": _fourier_loop_couple(358, 7)})
+    comps = find_antipodal_pairs(g).components
+    assert len(comps) == 6
+    assert all(c.kind == "isolated" and len(c.s) == 1 for c in comps)
+    dist = _torus_grid_distances(g, comps)
+    i, j = np.unravel_index(np.argmin(dist), dist.shape)
+    assert 2.0 < dist[i, j] < 3.0
+    # of opposite crossing sign
+    s = np.array([comps[i].s[0], comps[j].s[0]])
+    sigma = np.array([comps[i].sigma[0], comps[j].sigma[0]])
+    det = np.linalg.det(np.stack([g.a.tangent(s), g.a.tangent_derivative(s),
+                                  -g.b.tangent_derivative(sigma)], axis=1))
+    assert det[0] * det[1] < 0
+
+
+def test_deflated_gauss_newton_leaves_its_root():
+    g = serialize.gauge_from_spec({"couple": _fourier_loop_couple(358, 7)})
+    comps = find_antipodal_pairs(g).components
+    dist = _torus_grid_distances(g, comps)
+    i, j = np.unravel_index(np.argmin(dist), dist.shape)
+    root = np.array([[comps[i].s[0], comps[i].sigma[0]]])
+    other = np.array([comps[j].s[0], comps[j].sigma[0]])
+    ang = np.arange(8) * (TWO_PI / 8)
+    start = root + 2.0 * g.E0 / 512 * np.stack([np.cos(ang), np.sin(ang)], 1)
+    s, sig, res = singular._gauss_newton(g, start[:, 0], start[:, 1],
+                                         np.repeat(root, 8, axis=0))
+    ends = np.stack([s, sig], axis=1) % g.E0
+    found = res <= PAIR_TOL
+    assert found.any()
+    assert (np.abs(ends[found] - root).max(axis=1) > 1e-6).all()
+    assert (np.abs(ends[found] - other).max(axis=1) < 1e-9).any()
 
 
 def test_transversal_count_perturbation_invariant(wavy_pair):
